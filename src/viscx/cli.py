@@ -37,6 +37,13 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1: {value}")
+    return value
+
+
 def _config_from_args(args, store_meta=None) -> PipelineConfig:
     if getattr(args, "config", None):
         return load_config(args.config)
@@ -146,7 +153,8 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--strategy", required=True,
                    choices=[s.value for s in ALL_STRATEGIES])
     p.add_argument("--query", required=True)
-    p.add_argument("-k", type=int, default=10, help="results to print")
+    p.add_argument("-k", type=_positive_int, default=10,
+                   help="results to print (at least 1)")
     p.add_argument("--taxonomy", help="taxonomy file override")
     p.add_argument("--config", help="pipeline config file")
     p.set_defaults(func=_cmd_search)

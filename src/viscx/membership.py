@@ -7,13 +7,15 @@ propagated unchanged to more generic concepts and reinforced (impact plus
 normalized chain length, clamped at 1) toward more specific ones;
 unrelated concepts score 0. Per-document evidence is folded with a
 configurable t-conorm into a membership table over the concept universe.
+The table computes a concept's value on its first read and memoises it,
+since fusion and scoring read only a few concepts of each document.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import UnknownConceptError, ViscxError
 from .taxonomy import SemanticLattice, SemRelation
@@ -73,11 +75,42 @@ def mu_vsc(c: str, vsc: str, r: float, lattice: SemanticLattice) -> float:
     return _membership(c, vsc, r, lattice)
 
 
+class _LazyColumn(Mapping[str, float]):
+    """One membership column over the universe: a concept's value is
+    computed on its first read and memoised."""
+
+    def __init__(self, universe: tuple[str, ...], members: frozenset[str],
+                 compute: Callable[[str], float]):
+        self._universe = universe
+        self._members = members
+        self._compute = compute
+        self._memo: dict[str, float] = {}
+
+    def __getitem__(self, concept: str) -> float:
+        try:
+            return self._memo[concept]
+        except KeyError:
+            if concept not in self._members:
+                raise
+        value = self._memo[concept] = self._compute(concept)
+        return value
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._universe)
+
+    def __len__(self) -> int:
+        return len(self._universe)
+
+    def __contains__(self, concept: object) -> bool:
+        return concept in self._members
+
+
 @dataclass(frozen=True)
 class MembershipTable:
     """Aggregated likelihoods over the document's concept universe:
     the visual-evidence column, the context-evidence column, and their
-    t-conorm combination."""
+    t-conorm combination. The columns built by `aggregate_mu_tot` compute
+    each concept's value on its first read and memoise it."""
 
     universe: tuple[str, ...]
     mu_tot_vis: Mapping[str, float]
@@ -112,28 +145,31 @@ def aggregate_mu_tot(universe: Sequence[str],
     For every universe concept the visual column folds mu_vsc over
     `vis_concepts` and the context column folds mu_cx over `cx_concepts`
     (left to right, identity 0); the combined value is their t-conorm.
+    Concepts and evidence values are validated here; each column value is
+    computed on its first read.
     """
-    ids: list[str] = []
-    seen: set[str] = set()
-    for token in universe:
-        cid = lattice.require(token)
-        if cid not in seen:
-            seen.add(cid)
-            ids.append(cid)
+    if universe is lattice.concept_ids():
+        ids = tuple(universe)
+    else:
+        ids = tuple(dict.fromkeys(lattice.require(token) for token in universe))
+    members = frozenset(ids)
     vis_pairs = [(lattice.require(vsc), r) for vsc, r in vis_concepts]
     cx_pairs = [(lattice.require(cx), imp) for cx, imp in cx_concepts]
+    for _vsc, r in vis_pairs:
+        _check_unit(r, "recognition probability")
+    for _cx, imp in cx_pairs:
+        _check_unit(imp, "impact")
 
-    vis_col: dict[str, float] = {}
-    cx_col: dict[str, float] = {}
-    tot_col: dict[str, float] = {}
-    for cid in ids:
-        acc_vis = 0.0
-        for vsc, r in vis_pairs:
-            acc_vis = tconorm(kind, acc_vis, mu_vsc(cid, vsc, r, lattice))
-        acc_cx = 0.0
-        for cx, imp in cx_pairs:
-            acc_cx = tconorm(kind, acc_cx, mu_cx(cid, cx, imp, lattice))
-        vis_col[cid] = acc_vis
-        cx_col[cid] = acc_cx
-        tot_col[cid] = tconorm(kind, acc_vis, acc_cx)
-    return MembershipTable(tuple(ids), vis_col, cx_col, tot_col)
+    def fold(pairs: list[tuple[str, float]]) -> Callable[[str], float]:
+        def compute(cid: str) -> float:
+            acc = 0.0
+            for anchor, value in pairs:
+                acc = tconorm(kind, acc, _membership(cid, anchor, value, lattice))
+            return acc
+        return compute
+
+    vis_col = _LazyColumn(ids, members, fold(vis_pairs))
+    cx_col = _LazyColumn(ids, members, fold(cx_pairs))
+    tot_col = _LazyColumn(
+        ids, members, lambda cid: tconorm(kind, vis_col[cid], cx_col[cid]))
+    return MembershipTable(ids, vis_col, cx_col, tot_col)

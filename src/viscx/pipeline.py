@@ -65,7 +65,7 @@ def ingest_corpus(corpus_dir: str | Path, cfg: PipelineConfig) -> IndexStore:
             store.add(ingest_document(stem, html_path, vis_path, cfg))
         except VisParseError as exc:
             log.warning("%s: malformed VIS, document skipped: %s", stem, exc)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             log.warning("%s: unreadable, document skipped: %s", stem, exc)
     return store
 

@@ -15,6 +15,7 @@ descending score (ties broken by document id):
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 from collections import Counter
@@ -228,13 +229,15 @@ def make_scorer(store: IndexStore, lattice: SemanticLattice,
 
 def rank_with_scorer(scorer: _Scorer, query: Query, k: int,
                      query_id: str = "") -> RankedList:
+    if k < 1:
+        raise ViscxError(f"result count k must be >= 1: {k!r}")
     scored = []
     for doc_id in scorer.store.records:
         s = scorer.score(query, doc_id)
         if s > 0.0:
             scored.append((doc_id, s))
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return RankedList(query_id, tuple(scored[:k]))
+    top = heapq.nsmallest(k, scored, key=lambda item: (-item[1], item[0]))
+    return RankedList(query_id, tuple(top))
 
 
 def rank(store: IndexStore, lattice: SemanticLattice, cfg: PipelineConfig,

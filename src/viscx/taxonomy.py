@@ -49,7 +49,9 @@ class SemanticLattice:
 
     `longest_path` is the edge count of the longest root-to-leaf chain and
     is recomputed whenever the lattice is extended; it normalizes the
-    chain-length queries below.
+    chain-length queries below. Path queries are memoised per canonical
+    pair on the instance, which is safe because the lattice never changes;
+    an extended copy starts with empty memos.
     """
 
     def __init__(self, concepts: Sequence[Concept], parents: Mapping[str, Sequence[str]]):
@@ -97,6 +99,8 @@ class SemanticLattice:
         self.roots: frozenset[str] = frozenset(
             cid for cid in self._order if not self._parents[cid])
         self._finalize()
+        self._path_norms: dict[tuple[str, str], float] = {}
+        self._epsilons: dict[tuple[str, str], float] = {}
 
     def _finalize(self) -> None:
         # Kahn topological pass: parents before children. Whatever survives
@@ -208,22 +212,33 @@ class SemanticLattice:
         expected to check `relation` first.
         """
         ca, cb = self.require(a), self.require(b)
+        norm = self._path_norms.get((ca, cb))
+        if norm is not None:
+            return norm
         rel = self.relation(ca, cb)
         if rel is SemRelation.EQUAL:
-            return 0.0
-        if rel is SemRelation.GENERIC:
+            edges = 0
+        elif rel is SemRelation.GENERIC:
             edges = self._chain_edges(cb, ca)
         elif rel is SemRelation.SPECIFIC:
             edges = self._chain_edges(ca, cb)
         else:
             raise UnrelatedConceptsError(
                 f"concepts {ca!r} and {cb!r} share no is_a chain")
-        return min(edges / max(self.longest_path, 1), 1.0)
+        norm = self._path_norms[ca, cb] = min(
+            edges / max(self.longest_path, 1), 1.0)
+        return norm
 
     def path_sim_epsilon(self, a: str, b: str) -> float:
         """Path similarity 1/(1+d) with d the shortest undirected is_a
         distance; 1 on equal concepts, 0 when no path exists at all."""
         ca, cb = self.require(a), self.require(b)
+        eps = self._epsilons.get((ca, cb))
+        if eps is None:
+            eps = self._epsilons[ca, cb] = self._epsilon(ca, cb)
+        return eps
+
+    def _epsilon(self, ca: str, cb: str) -> float:
         if ca == cb:
             return 1.0
         seen = {ca}

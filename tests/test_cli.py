@@ -60,6 +60,16 @@ def test_ingest_skips_malformed_vis(corpus, tmp_path, caplog):
     assert sorted(load_store(index).records) == ["d1", "d2", "d3"]
 
 
+def test_ingest_skips_non_utf8_page(corpus, tmp_path, caplog):
+    with open(corpus / "d2.html", "ab") as page:
+        page.write(b"\xff")
+    index = tmp_path / "index.jsonl"
+    with caplog.at_level("WARNING"):
+        assert main(["ingest", "--corpus", str(corpus), "--out", str(index)]) == 0
+    assert any("d2: unreadable" in r.message for r in caplog.records)
+    assert sorted(load_store(index).records) == ["d1", "d3"]
+
+
 def test_reingest_is_byte_identical(corpus, tmp_path):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
@@ -103,6 +113,28 @@ def test_search_all_strategies(corpus, tmp_path, capsys):
                      "--query", "grey cathedrals", "-k", "3"]) == 0
         out = capsys.readouterr().out
         assert "d2" in out, strategy
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_search_k_below_one_is_usage_error(corpus, tmp_path, capsys, k):
+    index = enriched_index(corpus, tmp_path)
+    capsys.readouterr()
+    assert main(["search", "--index", str(index), "--strategy", "vis",
+                 "--query", "Red Roses", "-k", k]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "-k" in captured.err
+
+
+def test_search_k_above_store_size_returns_every_positive_doc(corpus, tmp_path,
+                                                              capsys):
+    index = enriched_index(corpus, tmp_path)
+    capsys.readouterr()
+    assert main(["search", "--index", str(index), "--strategy", "vis",
+                 "--query", "Red Roses", "-k", "100"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert sorted(line.split("\t")[1] for line in lines) == ["d1", "d2", "d3"]
+    assert all(float(line.split("\t")[2]) > 0.0 for line in lines)
 
 
 def test_search_unknown_strategy_is_usage_error(corpus, tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viscx import UnknownConceptError, ViscxError, parse_taxonomy
+from viscx import UnknownConceptError, ViscxError, membership, parse_taxonomy
 from viscx.membership import (MembershipTable, TConormKind, aggregate_mu_tot,
                               mu_cx, mu_vsc, tconorm)
 
@@ -118,8 +118,9 @@ def test_aggregate_unknown_concept(enriched_fragment):
                          TConormKind.MAX)
     table = aggregate_mu_tot(["rose"], [], [], enriched_fragment,
                              TConormKind.MAX)
-    with pytest.raises(UnknownConceptError):
-        table.total("cathedral")
+    for read in (table.total, table.vis_side, table.cx_side):
+        with pytest.raises(UnknownConceptError):
+            read("cathedral")
 
 
 def test_aggregate_order_invariance(base_lattice):
@@ -174,3 +175,37 @@ def test_membership_table_invariant(base_lattice):
                                            table.vis_side(cid),
                                            table.cx_side(cid))
         assert 0.0 <= table.total(cid) <= 1.0
+
+
+def test_table_computes_on_first_read_and_memoises(base_lattice, monkeypatch):
+    calls = []
+    original = membership._membership
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(membership, "_membership", counted)
+    lat = base_lattice
+    vis, cx = [("rose", 0.7), ("sky", 0.4)], [("flower", 0.6)]
+    table = aggregate_mu_tot(lat.concept_ids(), vis, cx, lat)
+    assert calls == []
+    first = table.total("flower")
+    assert calls == ["flower"] * (len(vis) + len(cx))
+    assert table.total("flower") is first
+    assert table.vis_side("flower") is table.vis_side("flower")
+    assert len(calls) == len(vis) + len(cx)
+    # a universe given as tokens resolves and deduplicates to the same table
+    tokens = aggregate_mu_tot(list(lat.concept_ids()) + ["Rose"], vis, cx, lat)
+    assert tokens.universe == table.universe
+    assert tokens.total("flower") == first
+
+
+@pytest.mark.parametrize("vis, cx", [
+    ([("rose", 1.5)], []),
+    ([("rose", float("nan"))], []),
+    ([], [("rose", -0.1)]),
+])
+def test_aggregate_rejects_out_of_range_evidence_eagerly(base_lattice, vis, cx):
+    with pytest.raises(ViscxError):
+        aggregate_mu_tot(["sky"], vis, cx, base_lattice)

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from viscx import PipelineConfig, UnindexableQueryError, VisRecord
+from viscx import (PipelineConfig, UnindexableQueryError, ViscxError,
+                   VisRecord)
 from viscx.context import AreaKind, ExtractionArea, tokenize
 from viscx.pipeline import enrich_document
 from viscx.retrieval import (ALL_STRATEGIES, Qrels, Query, RankedList,
@@ -105,6 +106,20 @@ def test_rank_is_deterministic(enriched_store, base_lattice):
         first = rank(store, base_lattice, cfg, q, strategy, 10)
         second = rank(store, base_lattice, cfg, q, strategy, 10)
         assert first == second
+
+
+def test_rank_top_k_is_prefix_of_full_ranking(enriched_store, base_lattice):
+    store, cfg = enriched_store
+    q = parse_query("red flowers", base_lattice)
+    n = len(store.records)
+    for strategy in ALL_STRATEGIES:
+        full = rank(store, base_lattice, cfg, q, strategy, n)
+        for k in range(1, n + 2):
+            assert rank(store, base_lattice, cfg, q, strategy, k).items == \
+                full.items[:k]
+        for k in (0, -1):
+            with pytest.raises(ViscxError):
+                rank(store, base_lattice, cfg, q, strategy, k)
 
 
 def test_rank_empty_store(base_lattice):

@@ -171,3 +171,44 @@ def test_longest_path_matches_recomputation_after_inserts(base_lattice):
         ids.append(f"extra{i}")
         raw = {cid: lat.parents(cid) for cid in lat.concept_ids()}
         assert lat.longest_path == oracles.longest_root_leaf(raw)
+
+
+def _check_paths_against_oracles(lat, parents):
+    longest = oracles.longest_root_leaf(parents)
+    for a, b in itertools.product(parents, repeat=2):
+        assert lat.path_sim_epsilon(a, b) == oracles.epsilon_oracle(parents, a, b)
+        rel = oracles.relation_oracle(parents, a, b)
+        if rel == "unrelated":
+            with pytest.raises(UnrelatedConceptsError):
+                lat.path_length_norm(a, b)
+            continue
+        lower, upper = (b, a) if rel == "generic" else (a, b)
+        edges = oracles.chain_edges(parents, lower, upper)
+        assert lat.path_length_norm(a, b) == edges / longest
+
+
+def test_memoised_paths_match_oracles_on_random_taxonomies():
+    rng = random.Random(11)
+    for _ in range(25):
+        text, parents = oracles.random_taxonomy(rng, rng.randint(2, 14))
+        lat = parse_taxonomy(text)
+        for _repeat in range(2):  # the second pass reads memoised values
+            _check_paths_against_oracles(lat, parents)
+        # an extension made after the parent was queried gets its own memo
+        new_parents = tuple(rng.sample(list(parents), min(2, len(parents))))
+        extended = lat.with_concept(Concept("extra"), new_parents)
+        _check_paths_against_oracles(extended, {**parents, "extra": new_parents})
+        _check_paths_against_oracles(lat, parents)
+
+
+def test_extension_does_not_reuse_parent_path_memo(fragment_lattice):
+    lat = fragment_lattice
+    assert lat.path_sim_epsilon("flower", "building") == pytest.approx(1 / 5)
+    assert lat.path_length_norm("flower", "entity") == 1.0
+    # a concept below both branches shortens their distance and deepens
+    # the lattice, so both memoised values change in the extension
+    extended = lat.with_concept(Concept("hedge"), ["flower", "building"])
+    assert extended.path_sim_epsilon("flower", "building") == pytest.approx(1 / 3)
+    assert extended.path_length_norm("flower", "entity") == pytest.approx(2 / 3)
+    assert lat.path_sim_epsilon("flower", "building") == pytest.approx(1 / 5)
+    assert lat.path_length_norm("flower", "entity") == 1.0
