@@ -7,9 +7,10 @@ Commands::
     viscx search --index FILE --strategy vis|cx|vis+cx|tfidf --query STR [-k N]
     viscx eval   --index FILE --queries FILE --qrels FILE [--config FILE] --out DIR
 
-Exit codes: 0 success, 1 usage error, 2 data error. The index store
-remembers the taxonomy path and config snapshot from enrichment, so
-search and eval run without repeating them.
+Exit codes: 0 success, 1 usage error, 2 data error (including an input
+file that is not UTF-8). The index store remembers the taxonomy path and
+config snapshot from enrichment, so search and eval run without repeating
+them.
 """
 
 from __future__ import annotations
@@ -182,11 +183,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ViscxError as exc:
+    except (ViscxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"error: input file is not valid UTF-8: {exc}", file=sys.stderr)
         return 2
 
 

@@ -176,6 +176,6 @@ def load_config(path: str | Path) -> PipelineConfig:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from None
     return parse_config(text, base_dir=p.parent)

@@ -5,9 +5,11 @@ records.
 Similarity adds three facet sums (one per vocabulary, each normalized by
 the vocabulary size 11) to a semantic part: the lattice path similarity of
 the two head concepts weighted by the sum of their aggregated membership
-values. Fusion then either keeps the visual concept, replaces it with a
-more specific contextual one, or corrects it wholesale when the membership
-values disagree beyond a threshold.
+values. It is computed between scoring views: a unit's canonical head and
+its three facet vectors, built once per term or record and reused for
+every pair it takes part in. Fusion then either keeps the visual concept,
+replaces it with a more specific contextual one, or corrects it wholesale
+when the membership values disagree beyond a threshold.
 """
 
 from __future__ import annotations
@@ -86,11 +88,39 @@ class EnrichedVisRecord(VisRecord):
     provenance: FusionProvenance | None = None
 
 
-def _head_and_vectors(unit: SyntacticTerm | VisRecord):
+#: a unit's canonical head (None when headless) and its facet vectors in
+#: (textures, spatials, colors) order, the order the facet sums are added in
+ScoringView = tuple[str | None, tuple[tuple[float, ...], ...]]
+
+
+def scoring_view(unit: SyntacticTerm | VisRecord,
+                 lattice: SemanticLattice) -> ScoringView:
+    """What similarity reads of a term or record. An unknown head is kept
+    as written, so it raises only when paired with another head."""
     if isinstance(unit, SyntacticTerm):
         head = unit.head[0] if unit.head is not None else None
-        return head, term_vectors(unit)
-    return unit.vsc, facet_vectors(unit)
+        vec = term_vectors(unit)
+    else:
+        head, vec = unit.vsc, facet_vectors(unit)
+    if head is not None:
+        head = lattice.resolve(head) or head
+    return head, (vec.textures, vec.spatials, vec.colors)
+
+
+def view_similarity(a: ScoringView, b: ScoringView, table: MembershipTable,
+                    lattice: SemanticLattice,
+                    kernel: FacetKernel = FacetKernel.MAX) -> float:
+    """Similarity of two scoring views; see `structure_similarity`."""
+    k = _KERNELS[kernel]
+    a_head, a_vecs = a
+    b_head, b_vecs = b
+    total = 0.0
+    for x, y in zip(a_vecs, b_vecs):
+        total += sum(map(k, x, y)) / VOCAB_SIZE
+    if a_head is not None and b_head is not None:
+        total += (lattice.path_sim_epsilon(a_head, b_head)
+                  * (table.total(b_head) + table.total(a_head)))
+    return total
 
 
 def structure_similarity(st: SyntacticTerm, unit: SyntacticTerm | VisRecord,
@@ -103,20 +133,8 @@ def structure_similarity(st: SyntacticTerm, unit: SyntacticTerm | VisRecord,
     path-similarity times the sum of the two heads' membership values and
     is 0 when either side has no semantic head.
     """
-    st_head = st.head[0] if st.head is not None else None
-    st_vec = term_vectors(st)
-    unit_head, unit_vec = _head_and_vectors(unit)
-    k = _KERNELS[kernel]
-    total = 0.0
-    for a, b in ((st_vec.textures, unit_vec.textures),
-                 (st_vec.spatials, unit_vec.spatials),
-                 (st_vec.colors, unit_vec.colors)):
-        total += sum(k(x, y) for x, y in zip(a, b)) / VOCAB_SIZE
-    if st_head is not None and unit_head is not None:
-        a = lattice.require(st_head)
-        b = lattice.require(unit_head)
-        total += lattice.path_sim_epsilon(a, b) * (table.total(b) + table.total(a))
-    return total
+    return view_similarity(scoring_view(st, lattice), scoring_view(unit, lattice),
+                           table, lattice, kernel)
 
 
 @dataclass(frozen=True)
@@ -140,9 +158,11 @@ def build_similarity_matrix(terms: Sequence[SyntacticTerm],
                             units: Sequence[VisRecord | SyntacticTerm],
                             table: MembershipTable, lattice: SemanticLattice,
                             kernel: FacetKernel = FacetKernel.MAX) -> SimilarityMatrix:
+    term_views = [scoring_view(st, lattice) for st in terms]
+    unit_views = [scoring_view(unit, lattice) for unit in units]
     values = tuple(
-        tuple(structure_similarity(st, unit, table, lattice, kernel) for unit in units)
-        for st in terms)
+        tuple(view_similarity(tv, uv, table, lattice, kernel) for uv in unit_views)
+        for tv in term_views)
     head_imps = tuple(st.head[1] if st.head is not None else 0.0 for st in terms)
     return SimilarityMatrix(values, head_imps)
 

@@ -29,7 +29,7 @@ from .context import (DEFAULT_PATTERNS, DEFAULT_VOCABS, SyntacticTerm,
                       VocabSet, apply_patterns, singularize, tag_tokens,
                       terms_from_window, tokenize)
 from .errors import StoreError, UnindexableQueryError, ViscxError
-from .fusion import structure_similarity
+from .fusion import scoring_view, view_similarity
 from .membership import aggregate_mu_tot
 from .store import IndexRecord, IndexStore
 from .taxonomy import Concept, SemanticLattice, insert_concept
@@ -129,11 +129,16 @@ class _TfIdfIndex:
             weights = [count * self._idf[term] for term, count in tf.items()]
             self._norm[doc_id] = math.sqrt(sum(w * w for w in weights))
 
-    def score(self, query_text: str, doc_id: str) -> float:
+    def query_weights(self, query_text: str) -> tuple[dict[str, float], float]:
+        """The query's tf-idf weights and their norm."""
         q_tf = Counter(singularize(tok) for tok in tokenize(query_text))
         q_weights = {term: count * self._idf[term]
                      for term, count in q_tf.items() if term in self._idf}
-        q_norm = math.sqrt(sum(w * w for w in q_weights.values()))
+        return q_weights, math.sqrt(sum(w * w for w in q_weights.values()))
+
+    def score(self, query: tuple[dict[str, float], float], doc_id: str) -> float:
+        """Cosine of a document against `query_weights(...)`."""
+        q_weights, q_norm = query
         if q_norm == 0.0 or self._norm[doc_id] == 0.0:
             return 0.0
         tf = self.doc_tf[doc_id]
@@ -152,8 +157,11 @@ def _doc_lattice(record: IndexRecord, base: SemanticLattice) -> SemanticLattice:
 
 
 class _Scorer:
-    """Caches the per-document membership tables and scoring units for
-    one strategy, so evaluation over many queries stays cheap."""
+    """Scores documents under one strategy. Each document's membership
+    table and the scoring views of its units are built on first use and
+    kept; the query's views (or tf-idf weights) are rebuilt only when a
+    different query object comes in, so ranking every document for one
+    query, and evaluating many queries, stays cheap."""
 
     def __init__(self, store: IndexStore, lattice: SemanticLattice,
                  cfg: PipelineConfig, strategy: Strategy):
@@ -163,6 +171,8 @@ class _Scorer:
         self.strategy = strategy
         self.tfidf = _TfIdfIndex(store) if strategy is Strategy.TFIDF else None
         self._cache: dict[str, tuple] = {}
+        self._query: Query | None = None
+        self._query_state = None
 
     def _doc_state(self, doc_id: str):
         state = self._cache.get(doc_id)
@@ -193,21 +203,31 @@ class _Scorer:
             cx_pairs = []
         table = aggregate_mu_tot(universe, vis_pairs, cx_pairs, lattice,
                                  self.cfg.tconorm)
-        state = (units, table, lattice)
+        state = ([scoring_view(unit, lattice) for unit in units], table, lattice)
         self._cache[doc_id] = state
         return state
 
+    def _query_views(self, query: Query):
+        if query is not self._query:
+            if self.strategy is Strategy.TFIDF:
+                state = self.tfidf.query_weights(query.raw)
+            else:
+                state = [scoring_view(term, self.lattice) for term in query.terms]
+            self._query, self._query_state = query, state
+        return self._query_state
+
     def score(self, query: Query, doc_id: str) -> float:
+        query_views = self._query_views(query)
         if self.strategy is Strategy.TFIDF:
-            return self.tfidf.score(query.raw, doc_id)
-        units, table, lattice = self._doc_state(doc_id)
-        if not units:
+            return self.tfidf.score(query_views, doc_id)
+        views, table, lattice = self._doc_state(doc_id)
+        if not views:
             return 0.0
+        kernel = self.cfg.kernel
         total = 0.0
-        for qterm in query.terms:
-            total += max(
-                structure_similarity(qterm, unit, table, lattice, self.cfg.kernel)
-                for unit in units)
+        for query_view in query_views:
+            total += max(view_similarity(query_view, view, table, lattice, kernel)
+                         for view in views)
         return total
 
 
@@ -276,6 +296,7 @@ class Qrels:
     @classmethod
     def from_text(cls, text: str) -> "Qrels":
         grades: dict[tuple[str, str], int] = {}
+        first_line: dict[tuple[str, str], int] = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip() or line.startswith("#"):
                 continue
@@ -284,8 +305,14 @@ class Qrels:
                 raise ViscxError(
                     f"qrels line {lineno}: expected query_id<TAB>doc_id<TAB>grade")
             qid, doc_id, grade = parts
+            pair = (qid.strip(), doc_id.strip())
+            if pair in first_line:
+                raise ViscxError(
+                    f"qrels line {lineno}: duplicate judgment for {pair}, "
+                    f"first given on line {first_line[pair]}")
+            first_line[pair] = lineno
             try:
-                grades[(qid.strip(), doc_id.strip())] = int(grade)
+                grades[pair] = int(grade)
             except ValueError:
                 raise ViscxError(
                     f"qrels line {lineno}: grade must be an integer, "

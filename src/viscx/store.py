@@ -1,6 +1,7 @@
 """Persisted index store: one JSON record per line, preceded by a meta
-line carrying the taxonomy path and a config snapshot so later commands
-can run without re-supplying them.
+line carrying the format version, the taxonomy path and a config snapshot
+so later commands can run without re-supplying them. A store of another
+format version is refused on load.
 
 Records are written sorted by document id with sorted keys, so the same
 store content always produces the same bytes and load(save(store)) is the
@@ -10,6 +11,8 @@ identity.
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -176,22 +179,42 @@ def record_from_dict(data: Mapping) -> IndexRecord:
     )
 
 
+def _line(data: Mapping) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def save_store(store: IndexStore, path: str | Path) -> None:
-    lines = [json.dumps(
-        {"type": "meta", "version": store.meta.version,
-         "taxonomy": store.meta.taxonomy, "config": store.meta.config},
-        sort_keys=True, separators=(",", ":"))]
-    for doc_id in sorted(store.records):
-        lines.append(json.dumps(record_to_dict(store.records[doc_id]),
-                                sort_keys=True, separators=(",", ":")))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the store to `path`, replacing it atomically.
+
+    The lines go to a temporary file in the target's directory, which
+    `os.replace` then moves over the target; on any failure the temporary
+    file is removed and the target is left as it was. A symlinked target
+    is followed, so the link survives, and an existing target's permission
+    bits are kept. There is no fsync, so this protects against a process
+    that dies mid-write, not against power loss.
+    """
+    target = Path(path).resolve()
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as out:
+            out.write(_line({"type": "meta", "version": store.meta.version,
+                             "taxonomy": store.meta.taxonomy,
+                             "config": store.meta.config}))
+            for doc_id in sorted(store.records):
+                out.write(_line(record_to_dict(store.records[doc_id])))
+        if target.exists():
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_store(path: str | Path) -> IndexStore:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise StoreError(f"cannot read index store {p}: {exc}") from None
     store = IndexStore()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -204,8 +227,13 @@ def load_store(path: str | Path) -> IndexStore:
         kind = data.get("type")
         try:
             if kind == "meta":
+                version = int(data.get("version", STORE_VERSION))
+                if version != STORE_VERSION:
+                    raise StoreError(
+                        f"{p}:{lineno}: store version {version} is not "
+                        f"supported (this viscx reads version {STORE_VERSION})")
                 store.meta = StoreMeta(data.get("taxonomy"), data.get("config"),
-                                       int(data.get("version", STORE_VERSION)))
+                                       version)
             elif kind == "record":
                 store.add(record_from_dict(data))
             else:

@@ -232,10 +232,14 @@ class SemanticLattice:
     def path_sim_epsilon(self, a: str, b: str) -> float:
         """Path similarity 1/(1+d) with d the shortest undirected is_a
         distance; 1 on equal concepts, 0 when no path exists at all."""
-        ca, cb = self.require(a), self.require(b)
-        eps = self._epsilons.get((ca, cb))
+        # memo keys are canonical ids, which resolve to themselves, so a
+        # hit on the raw pair needs no resolution
+        eps = self._epsilons.get((a, b))
         if eps is None:
-            eps = self._epsilons[ca, cb] = self._epsilon(ca, cb)
+            ca, cb = self.require(a), self.require(b)
+            eps = self._epsilons.get((ca, cb))
+            if eps is None:
+                eps = self._epsilons[ca, cb] = self._epsilon(ca, cb)
         return eps
 
     def _epsilon(self, ca: str, cb: str) -> float:

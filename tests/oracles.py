@@ -130,6 +130,68 @@ def mu_table_oracle(parents, universe, vis_pairs, cx_pairs, kind: str):
     return vis_col, cx_col, tot_col
 
 
+_KERNEL_ORACLES = {"max": max, "min": min, "product": lambda x, y: x * y}
+
+
+def _dense_oracle(names, weights) -> list[float]:
+    """Entry j is the largest weight given to names[j] (0 when absent)."""
+    dense = [0.0] * len(names)
+    for name, w in weights:
+        for j in range(len(names)):
+            if names[j] == name and w > dense[j]:
+                dense[j] = w
+    return dense
+
+
+def _facets_oracle(unit):
+    """(head, color pairs, texture pairs, spatial pairs) read off a syntactic
+    term or a VIS record; a record's spatial relations weigh 1.0."""
+    if hasattr(unit, "vo_id"):
+        return (unit.vsc, list(unit.colors.items()),
+                list(unit.textures.items()),
+                [(rel, 1.0) for rel, _target in unit.spatial])
+    head = unit.head[0] if unit.head is not None else None
+    return head, list(unit.colors), list(unit.textures), list(unit.spatials)
+
+
+def score_oracle(parents, record, query_terms, strategy: str, tconorm: str,
+                 kernel: str, vocabs) -> float:
+    """Score of one document for a query under vis, cx or vis+cx, from
+    scratch: per query term the best unit's facet sums (dense loops over
+    `vocabs`, the (color, texture, spatial) name tuples) plus
+    epsilon * (mu(unit head) + mu(term head)), summed over the terms."""
+    if strategy == "vis":
+        units = [r for r in record.vis_records if r.vsc in parents]
+        vis, cx = [(r.vsc, r.r_vsc) for r in units], []
+    elif strategy == "cx":
+        units = list(record.terms)
+        vis, cx = [], [(c.cx, c.imp) for c in record.contextual]
+    else:
+        units = [e for e in record.enriched if e.vsc in parents]
+        vis, cx = [(e.vsc, e.final_mu) for e in units], []
+    if not units:
+        return 0.0
+    heads = {_facets_oracle(u)[0] for u in list(units) + list(query_terms)}
+    _vis_col, _cx_col, mu = mu_table_oracle(
+        parents, sorted(h for h in heads if h is not None), vis, cx, tconorm)
+    k = _KERNEL_ORACLES[kernel]
+    total = 0.0
+    for term in query_terms:
+        a = _facets_oracle(term)
+        best = None
+        for unit in units:
+            b = _facets_oracle(unit)
+            sim = 0.0
+            for f, names in enumerate(vocabs, start=1):
+                x, y = _dense_oracle(names, a[f]), _dense_oracle(names, b[f])
+                sim += sum(k(x[j], y[j]) for j in range(len(names))) / len(names)
+            if a[0] is not None and b[0] is not None:
+                sim += epsilon_oracle(parents, a[0], b[0]) * (mu[b[0]] + mu[a[0]])
+            best = sim if best is None or sim > best else best
+        total += best
+    return total
+
+
 def argmax_pairs_oracle(values, head_imps, t_sim: float):
     """Expected (term, unit, sim) triples: per-column max with the
     near-tie rules (1e-9 band, higher head impact, lower index)."""

@@ -1,5 +1,6 @@
 import pytest
 
+from viscx import bundled_taxonomy_path
 from viscx.cli import main
 from viscx.store import load_store
 
@@ -247,3 +248,39 @@ def test_config_file_roundtrip(corpus, tmp_path):
     # enrich without --config picks the snapshot back up
     assert main(["enrich", "--index", str(index)]) == 0
     assert load_store(index).meta.config["kernel"] == "min"
+
+
+def append_byte_ff(path):
+    with open(path, "ab") as f:
+        f.write(b"\xff")
+
+
+def test_search_non_utf8_store_is_data_error(corpus, tmp_path, capsys):
+    index = enriched_index(corpus, tmp_path)
+    append_byte_ff(index)
+    capsys.readouterr()
+    assert main(["search", "--index", str(index), "--strategy", "vis",
+                 "--query", "Red Roses"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(index) in captured.err
+
+
+@pytest.mark.parametrize("bad", ["queries", "qrels", "config", "taxonomy"])
+def test_eval_non_utf8_input_is_data_error(corpus, tmp_path, capsys, bad):
+    index = enriched_index(corpus, tmp_path)
+    files = {name: tmp_path / f"{name}.txt"
+             for name in ("queries", "qrels", "config", "taxonomy")}
+    files["queries"].write_text("q1\tRed Roses\n", encoding="utf-8")
+    files["qrels"].write_text("q1\td1\t2\n", encoding="utf-8")
+    files["config"].write_text("kernel = min\n", encoding="utf-8")
+    files["taxonomy"].write_bytes(bundled_taxonomy_path().read_bytes())
+    append_byte_ff(files[bad])
+    capsys.readouterr()
+    assert main(["eval", "--index", str(index), "--out", str(tmp_path / "r")]
+                + [arg for name, path in files.items()
+                   for arg in (f"--{name}", str(path))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "UTF-8" in captured.err or "utf-8" in captured.err

@@ -64,6 +64,18 @@ def test_similarity_missing_concept_errors(enriched_fragment):
                              enriched_fragment)
 
 
+def test_similarity_unknown_record_head_raises_only_against_a_head(
+        enriched_fragment):
+    vis = VisRecord("vo1", "tulip", 0.8, colors={"red": 0.55})
+    table = table_of({"rose": 0.9})
+    headless = term(None, colors={("red", 0.9)})
+    value = structure_similarity(headless, vis, table, enriched_fragment,
+                                 FacetKernel.MIN)
+    assert value == pytest.approx(0.55 / 11)
+    with pytest.raises(UnknownConceptError, match="tulip"):
+        structure_similarity(term("rose"), vis, table, enriched_fragment)
+
+
 def test_similarity_term_to_term(enriched_fragment):
     a = term("rose", 0.9, textures={("whirly", 0.9)})
     b = term("rose", 0.5, textures={("whirly", 0.5)})

@@ -1,16 +1,20 @@
 import math
+from dataclasses import replace
 
 import pytest
 
-from viscx import (PipelineConfig, UnindexableQueryError, ViscxError,
-                   VisRecord)
+from viscx import (COLOR_NAMES, SPATIAL_NAMES, TEXTURE_NAMES, PipelineConfig,
+                   UnindexableQueryError, ViscxError, VisRecord,
+                   enrich_store, ingest_corpus)
 from viscx.context import AreaKind, ExtractionArea, tokenize
+from viscx.fusion import FacetKernel
 from viscx.pipeline import enrich_document
 from viscx.retrieval import (ALL_STRATEGIES, Qrels, Query, RankedList,
-                             Strategy, eval_report, load_queries, ndcg_at_n,
-                             parse_query, rank)
+                             Strategy, eval_report, load_queries, make_scorer,
+                             ndcg_at_n, parse_query, rank, rank_with_scorer)
 from viscx.store import IndexRecord, IndexStore
 
+import corpusgen
 import oracles
 
 
@@ -127,6 +131,54 @@ def test_rank_empty_store(base_lattice):
     ranked = rank(IndexStore(), base_lattice, cfg,
                   Query("anything", ()), Strategy.TFIDF, 5)
     assert ranked.items == ()
+
+
+@pytest.fixture(scope="module")
+def acceptance_run(tmp_path_factory, base_lattice):
+    """The 50-document acceptance corpus, ingested and enriched with the
+    min facet kernel, plus its parsed queries."""
+    corpus = tmp_path_factory.mktemp("acceptance") / "corpus"
+    info = corpusgen.generate_corpus(corpus)
+    cfg = replace(PipelineConfig(), kernel=FacetKernel.MIN)
+    store = ingest_corpus(corpus, cfg)
+    enrich_store(store, base_lattice, cfg)
+    queries = [parse_query(text, base_lattice, patterns=cfg.patterns)
+               for _qid, text in info.queries]
+    return store, cfg, queries
+
+
+@pytest.mark.parametrize("kernel", list(FacetKernel))
+def test_scorer_matches_score_oracle(acceptance_run, base_lattice, kernel):
+    store, cfg, queries = acceptance_run
+    cfg = replace(cfg, kernel=kernel)
+    parents = {cid: base_lattice.parents(cid)
+               for cid in base_lattice.concept_ids()}
+    vocabs = (COLOR_NAMES, TEXTURE_NAMES, SPATIAL_NAMES)
+    for strategy in (Strategy.VIS, Strategy.CX, Strategy.VIS_CX):
+        scorer = make_scorer(store, base_lattice, cfg, strategy)
+        for query in queries:
+            for doc_id, record in store.records.items():
+                want = oracles.score_oracle(
+                    parents, record, query.terms, strategy.value,
+                    cfg.tconorm.value, kernel.value, vocabs)
+                got = scorer.score(query, doc_id)
+                assert abs(got - want) <= 1e-12, (strategy, query.raw, doc_id)
+
+
+def test_scorer_reused_across_queries_matches_fresh_scorers(acceptance_run,
+                                                           base_lattice):
+    store, cfg, queries = acceptance_run
+    q1, q2 = queries[0], queries[1]
+    n = len(store.records)
+    for strategy in ALL_STRATEGIES:
+        shared = make_scorer(store, base_lattice, cfg, strategy)
+        rankings = []
+        for query in (q1, q2, q1):
+            fresh = make_scorer(store, base_lattice, cfg, strategy)
+            ranked = rank_with_scorer(shared, query, n)
+            assert ranked == rank_with_scorer(fresh, query, n), strategy
+            rankings.append(ranked)
+        assert rankings[0] != rankings[1], strategy
 
 
 def test_tfidf_doc_with_query_word_beats_doc_without(base_lattice):
@@ -294,3 +346,12 @@ def test_malformed_query_and_qrels_files(tmp_path):
         Qrels.from_text("q1 doc1 2\n")
     with pytest.raises(ViscxError, match="negative grade"):
         Qrels({("q1", "d1"): -1})
+
+
+def test_duplicate_qrels_pair_is_rejected():
+    with pytest.raises(ViscxError, match="line 3: duplicate judgment .*"
+                                         "first given on line 1"):
+        Qrels.from_text("q1\td1\t2\nq1\td2\t1\nq1 \td1\t0\n")
+    # the same document under another query is not a duplicate
+    qrels = Qrels.from_text("q1\td1\t2\nq2\td1\t0\n")
+    assert qrels.grade("q1", "d1") == 2 and qrels.grade("q2", "d1") == 0

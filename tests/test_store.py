@@ -3,8 +3,9 @@ import pytest
 from viscx import PipelineConfig, StoreError, VisRecord
 from viscx.context import AreaKind, ContextualConcept, ExtractionArea, SyntacticTerm
 from viscx.fusion import EnrichedVisRecord, FusionProvenance
-from viscx.store import (IndexRecord, IndexStore, StoreMeta, load_store,
-                         record_from_dict, record_to_dict, save_store)
+from viscx.store import (STORE_VERSION, IndexRecord, IndexStore, StoreMeta,
+                         load_store, record_from_dict, record_to_dict,
+                         save_store)
 
 
 def full_record(doc_id="doc1"):
@@ -93,3 +94,66 @@ def test_load_errors(tmp_path):
     wrong.write_text('{"type":"mystery"}\n')
     with pytest.raises(StoreError, match="unknown line type"):
         load_store(wrong)
+    not_utf8 = tmp_path / "not_utf8.jsonl"
+    not_utf8.write_bytes(b'{"type":"meta"}\n\xff\n')
+    with pytest.raises(StoreError, match="cannot read index store .*not_utf8"):
+        load_store(not_utf8)
+
+
+def test_load_rejects_other_store_versions(tmp_path):
+    store = IndexStore()
+    store.add(full_record("a"))
+    path = tmp_path / "index.jsonl"
+    save_store(store, path)
+    assert load_store(path).meta.version == STORE_VERSION
+    text = path.read_text()
+    assert f'"version":{STORE_VERSION}' in text
+    path.write_text(text.replace(f'"version":{STORE_VERSION}', '"version":99'))
+    with pytest.raises(StoreError, match="store version 99"):
+        load_store(path)
+
+
+@pytest.mark.parametrize("fault", ["encode", "rename"])
+def test_failed_save_leaves_old_file_and_no_stray_file(tmp_path, monkeypatch,
+                                                       fault):
+    import viscx.store
+    store = IndexStore()
+    store.add(full_record("a"))
+    path = tmp_path / "index.jsonl"
+    save_store(store, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["index.jsonl"]
+    before = path.read_bytes()
+    store.add(full_record("b"))
+
+    def broken(*_args):
+        raise OSError(f"{fault} failed")
+    if fault == "encode":
+        monkeypatch.setattr(viscx.store, "record_to_dict", broken)
+    else:
+        monkeypatch.setattr(viscx.store.os, "replace", broken)
+    with pytest.raises(OSError, match=f"{fault} failed"):
+        save_store(store, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["index.jsonl"]
+
+
+def test_save_through_symlink_keeps_the_link(tmp_path):
+    real = tmp_path / "real.jsonl"
+    link = tmp_path / "link.jsonl"
+    save_store(IndexStore(), real)
+    link.symlink_to(real)
+    store = IndexStore()
+    store.add(full_record("a"))
+    save_store(store, link)
+    assert link.is_symlink()
+    assert load_store(real) == store
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl",
+                                                          "real.jsonl"]
+
+
+def test_save_keeps_the_permission_bits_of_the_old_file(tmp_path):
+    path = tmp_path / "index.jsonl"
+    save_store(IndexStore(), path)
+    path.chmod(0o600)
+    save_store(IndexStore(), path)
+    assert path.stat().st_mode & 0o777 == 0o600

@@ -212,3 +212,11 @@ def test_extension_does_not_reuse_parent_path_memo(fragment_lattice):
     assert extended.path_length_norm("flower", "entity") == pytest.approx(2 / 3)
     assert lat.path_sim_epsilon("flower", "building") == pytest.approx(1 / 5)
     assert lat.path_length_norm("flower", "entity") == 1.0
+
+
+def test_memoised_epsilon_still_resolves_and_rejects_tokens():
+    lat = parse_taxonomy("flower\t\tblossom\nrose\tflower\t\n")
+    assert lat.path_sim_epsilon("rose", "flower") == 0.5  # memo now warm
+    assert lat.path_sim_epsilon(" Rose", "blossom") == 0.5
+    with pytest.raises(UnknownConceptError):
+        lat.path_sim_epsilon("rose", "tulip")
