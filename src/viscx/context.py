@@ -16,6 +16,7 @@ import posixpath
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from html.parser import HTMLParser
 from typing import Iterable, Mapping, Sequence
 
@@ -205,46 +206,68 @@ def extract_areas(page: str, image_ref: str | None = None, *,
 # -- tagging --------------------------------------------------------------
 
 
+def _tag_one(token: str, lattice: SemanticLattice,
+             vocabs: VocabSet) -> TaggedToken:
+    folded = singularize(token)
+    for vocab, category in ((vocabs.spatial, Category.SPATIAL),
+                            (vocabs.color, Category.COLOR),
+                            (vocabs.texture, Category.TEXTURE)):
+        name = vocab.resolve(token) or vocab.resolve(folded)
+        if name is not None:
+            return TaggedToken(token, category, name)
+    cid = lattice.resolve(token) or lattice.resolve(folded)
+    if cid is not None:
+        return TaggedToken(token, Category.SEM, cid)
+    return TaggedToken(token, Category.OTHER)
+
+
+def _tag_memo(lattice: SemanticLattice, vocabs: VocabSet):
+    """The token memo and the spatial phrases by first token (longest
+    first) for this vocabulary set, kept on the immutable lattice.
+
+    VocabSet is not hashable, so the memo is keyed by its id; the entry
+    holds the VocabSet itself, which keeps that id from being reused.
+    """
+    entry = lattice._tags.get(id(vocabs))
+    if entry is None or entry[0] is not vocabs:
+        phrases: dict[str, list[tuple[tuple[str, ...], TaggedToken]]] = {}
+        for phrase, name in vocabs.spatial.phrases.items():
+            phrases.setdefault(phrase[0], []).append(
+                (phrase, TaggedToken(" ".join(phrase), Category.SPATIAL, name)))
+        for candidates in phrases.values():
+            candidates.sort(key=lambda c: -len(c[0]))
+        entry = lattice._tags[id(vocabs)] = (vocabs, {}, phrases)
+    return entry[1], entry[2]
+
+
 def tag_tokens(tokens: Sequence[str], lattice: SemanticLattice,
                vocabs: VocabSet = DEFAULT_VOCABS) -> tuple[TaggedToken, ...]:
     """Label each token SEM / COLOR / TEXTURE / SPATIAL / OTHER.
 
-    Multi-token spatial phrases fold into one tagged token. Attribute
-    vocabularies win over the lattice on the rare collision; plural
-    folding is tried when the raw token misses.
+    Multi-token spatial phrases fold into one tagged token, the longest
+    phrase winning. Attribute vocabularies win over the lattice on the
+    rare collision; plural folding is tried when the raw token misses.
+    A token's tag depends on nothing else, so it is computed once per
+    lattice and vocabulary set and looked up afterwards.
     """
-    vocab_cats = ((vocabs.spatial, Category.SPATIAL),
-                  (vocabs.color, Category.COLOR),
-                  (vocabs.texture, Category.TEXTURE))
+    memo, phrases = _tag_memo(lattice, vocabs)
     tokens = tuple(tokens)
     tagged: list[TaggedToken] = []
     i = 0
     n = len(tokens)
     while i < n:
-        phrase_hit = None
-        for phrase, name in vocabs.spatial.phrases.items():
-            if tokens[i:i + len(phrase)] == phrase:
-                if phrase_hit is None or len(phrase) > len(phrase_hit[0]):
-                    phrase_hit = (phrase, name)
-        if phrase_hit is not None:
-            phrase, name = phrase_hit
-            tagged.append(TaggedToken(" ".join(phrase), Category.SPATIAL, name))
-            i += len(phrase)
-            continue
         token = tokens[i]
-        folded = singularize(token)
-        hit = None
-        for vocab, category in vocab_cats:
-            name = vocab.resolve(token) or vocab.resolve(folded)
-            if name is not None:
-                hit = TaggedToken(token, category, name)
+        for phrase, hit in phrases.get(token, ()):
+            if tokens[i:i + len(phrase)] == phrase:
+                width = len(phrase)
                 break
-        if hit is None:
-            cid = lattice.resolve(token) or lattice.resolve(folded)
-            if cid is not None:
-                hit = TaggedToken(token, Category.SEM, cid)
-        tagged.append(hit or TaggedToken(token, Category.OTHER))
-        i += 1
+        else:
+            hit = memo.get(token)
+            if hit is None:
+                hit = memo[token] = _tag_one(token, lattice, vocabs)
+            width = 1
+        tagged.append(hit)
+        i += width
     return tuple(tagged)
 
 
@@ -287,6 +310,11 @@ class SyntacticPattern:
         return max(gaps, default=0)
 
     def regex(self) -> re.Pattern[str]:
+        """The compiled pattern, built once per instance."""
+        return self._compiled
+
+    @cached_property
+    def _compiled(self) -> re.Pattern[str]:
         parts = []
         for cat, lo, hi in self.elements:
             if (lo, hi) == (1, 1):

@@ -22,7 +22,7 @@ from .errors import VisParseError, ViscxError
 from .fusion import EnrichedVisRecord, FusionProvenance, enrich_records
 from .membership import aggregate_mu_tot
 from .store import IndexRecord, IndexStore, StoreMeta
-from .taxonomy import Concept, SemanticLattice, insert_concept
+from .taxonomy import SemanticLattice
 from .vis import parse_vis
 
 log = logging.getLogger(__name__)
@@ -70,15 +70,10 @@ def ingest_corpus(corpus_dir: str | Path, cfg: PipelineConfig) -> IndexStore:
     return store
 
 
-def enrich_document(record: IndexRecord, base: SemanticLattice,
+def enrich_document(record: IndexRecord, lattice: SemanticLattice,
                     cfg: PipelineConfig) -> IndexRecord:
     """Mine context, build the membership table, match and fuse."""
-    contextual = assign_impacts(record.areas, base)
-
-    lattice = base
-    for cx in contextual:
-        lattice = insert_concept(lattice, Concept(cx.cx), ())
-
+    contextual = assign_impacts(record.areas, lattice)
     head_imps = {c.cx: c.imp for c in contextual}
     terms = []
     for area in record.areas:

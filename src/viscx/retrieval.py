@@ -321,20 +321,35 @@ class Qrels:
 
     @classmethod
     def from_path(cls, path: str | Path) -> "Qrels":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        return cls.from_text(_read_text(path, "qrels"))
+
+
+def _read_text(path: str | Path, what: str) -> str:
+    p = Path(path)
+    try:
+        return p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ViscxError(f"cannot read {what} {p}: {exc}") from None
 
 
 def load_queries(path: str | Path) -> list[tuple[str, str]]:
-    """Queries file: one ``id<TAB>text`` per line."""
+    """Queries file: one ``id<TAB>text`` per line, each id once."""
     queries = []
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+            _read_text(path, "queries").splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         qid, tab, text = line.partition("\t")
         if not tab:
             raise ViscxError(f"queries line {lineno}: expected id<TAB>text")
-        queries.append((qid.strip(), text.strip()))
+        qid = qid.strip()
+        if qid in first_line:
+            raise ViscxError(
+                f"queries line {lineno}: duplicate query id {qid!r}, "
+                f"first given on line {first_line[qid]}")
+        first_line[qid] = lineno
+        queries.append((qid, text.strip()))
     return queries
 
 

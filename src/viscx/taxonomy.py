@@ -50,8 +50,8 @@ class SemanticLattice:
     `longest_path` is the edge count of the longest root-to-leaf chain and
     is recomputed whenever the lattice is extended; it normalizes the
     chain-length queries below. Path queries are memoised per canonical
-    pair on the instance, which is safe because the lattice never changes;
-    an extended copy starts with empty memos.
+    pair on the instance, and token tags per token, which is safe because
+    the lattice never changes; an extended copy starts with empty memos.
     """
 
     def __init__(self, concepts: Sequence[Concept], parents: Mapping[str, Sequence[str]]):
@@ -101,6 +101,8 @@ class SemanticLattice:
         self._finalize()
         self._path_norms: dict[tuple[str, str], float] = {}
         self._epsilons: dict[tuple[str, str], float] = {}
+        #: token tags per vocabulary set, filled by context.tag_tokens
+        self._tags: dict[int, tuple] = {}
 
     def _finalize(self) -> None:
         # Kahn topological pass: parents before children. Whatever survives
@@ -317,7 +319,11 @@ def parse_taxonomy(text: str, source: str = "<string>") -> SemanticLattice:
 def load_taxonomy(path: str | Path) -> SemanticLattice:
     """Load a lattice from a taxonomy file (UTF-8)."""
     p = Path(path)
-    return parse_taxonomy(p.read_text(encoding="utf-8"), source=str(p))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TaxonomyError(f"cannot read taxonomy {p}: {exc}") from None
+    return parse_taxonomy(text, source=str(p))
 
 
 def bundled_taxonomy_path() -> Path:

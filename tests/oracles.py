@@ -2,12 +2,17 @@
 
 Everything here works on raw parent dictionaries and plain loops, on
 purpose: no oracle calls into the package's lattice, membership or
-matching code, so agreement between the two is meaningful.
+matching code, so agreement between the two is meaningful. The one
+exception is `tag_tokens_oracle`, which checks the tagging memo and
+phrase index against the plain per-token loop and so reuses the same
+single-token lookups (`resolve`, `singularize`).
 """
 
 from __future__ import annotations
 
 from collections import deque
+
+from viscx.context import Category, TaggedToken, singularize
 
 
 def ancestors_of(parents: dict[str, tuple[str, ...]], node: str) -> set[str]:
@@ -235,3 +240,41 @@ def random_taxonomy(rng, n_concepts: int):
         parents[names[i]] = tuple(sorted(rng.sample(names[:i], min(k, i))))
     lines = [f"{n}\t{','.join(parents[n])}\t" for n in names]
     return "\n".join(lines) + "\n", parents
+
+
+def tag_tokens_oracle(tokens, lattice, vocabs):
+    """The plain tagging loop: no memo, every spatial phrase tried at
+    every position, the longest match winning."""
+    vocab_cats = ((vocabs.spatial, Category.SPATIAL),
+                  (vocabs.color, Category.COLOR),
+                  (vocabs.texture, Category.TEXTURE))
+    tokens = tuple(tokens)
+    tagged = []
+    i = 0
+    n = len(tokens)
+    while i < n:
+        phrase_hit = None
+        for phrase, name in vocabs.spatial.phrases.items():
+            if tokens[i:i + len(phrase)] == phrase:
+                if phrase_hit is None or len(phrase) > len(phrase_hit[0]):
+                    phrase_hit = (phrase, name)
+        if phrase_hit is not None:
+            phrase, name = phrase_hit
+            tagged.append(TaggedToken(" ".join(phrase), Category.SPATIAL, name))
+            i += len(phrase)
+            continue
+        token = tokens[i]
+        folded = singularize(token)
+        hit = None
+        for vocab, category in vocab_cats:
+            name = vocab.resolve(token) or vocab.resolve(folded)
+            if name is not None:
+                hit = TaggedToken(token, category, name)
+                break
+        if hit is None:
+            cid = lattice.resolve(token) or lattice.resolve(folded)
+            if cid is not None:
+                hit = TaggedToken(token, Category.SEM, cid)
+        tagged.append(hit or TaggedToken(token, Category.OTHER))
+        i += 1
+    return tuple(tagged)

@@ -212,6 +212,23 @@ def test_eval_malformed_qrels_is_data_error(corpus, tmp_path, capsys):
     assert "grade must be an integer" in capsys.readouterr().err
 
 
+def test_eval_repeated_query_id_is_data_error(corpus, tmp_path, capsys):
+    index = enriched_index(corpus, tmp_path)
+    queries = tmp_path / "queries.tsv"
+    queries.write_text("q00\tRed Roses\nq00\tBlue Sky\n", encoding="utf-8")
+    qrels = tmp_path / "qrels.tsv"
+    qrels.write_text("q00\td1\t2\n", encoding="utf-8")
+    out_dir = tmp_path / "r"
+    capsys.readouterr()
+    assert main(["eval", "--index", str(index), "--queries", str(queries),
+                 "--qrels", str(qrels), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 2: duplicate query id 'q00'" in captured.err
+    assert "first given on line 1" in captured.err
+    assert not out_dir.exists()
+
+
 def test_ingest_missing_corpus_is_data_error(tmp_path, capsys):
     assert main(["ingest", "--corpus", str(tmp_path / "nowhere"),
                  "--out", str(tmp_path / "x.jsonl")]) == 2
@@ -282,5 +299,5 @@ def test_eval_non_utf8_input_is_data_error(corpus, tmp_path, capsys, bad):
                    for arg in (f"--{name}", str(path))]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error: ") and str(files[bad]) in captured.err
     assert "UTF-8" in captured.err or "utf-8" in captured.err

@@ -1,11 +1,19 @@
-import pytest
+import re
+from dataclasses import replace
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from viscx import Concept, bundled_taxonomy_path, load_taxonomy
 from viscx.context import (DEFAULT_IMPACTS, DEFAULT_PATTERNS, AreaKind,
-                           Category, SyntacticTerm,
+                           Category, SyntacticTerm, TaggedToken,
                            apply_patterns, assign_impacts, extract_areas,
                            parse_pattern, singularize, tag_tokens,
                            term_vectors, tokenize)
 from viscx.errors import ViscxError
+from viscx.vis import DEFAULT_VOCABS, VocabSet
 
 ALT_SRC_PAGE = '<html><body><img src="red_rose.jpg" alt="a rose in the garden"></body></html>'
 
@@ -64,6 +72,23 @@ def test_extract_window_excludes_distant_text():
     text = {a.kind: a for a in areas}[AreaKind.SURROUNDING_TEXT]
     assert "cathedrals" not in text.tokens
     assert "image" in text.tokens
+
+
+HTML_PIECES = st.sampled_from([
+    "<img", "<img src='a.jpg' alt='red rose'>", "<img src=\"b\">", " src=",
+    " alt=", "'", '"', ">", "<", "</", "/>", "<p>", "</p>", "<script>",
+    "</script>", "<style>", "<!--", "-->", "<![CDATA[", "]]>", "<!DOCTYPE",
+    "<?", "&amp;", "&#", "&#x", "&", "\n", "\r", "\x0c", "\u2028"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.text(max_size=8), HTML_PIECES), max_size=25)
+       .map("".join),
+       st.one_of(st.none(), st.text(max_size=6),
+                 st.sampled_from(["a", "a.jpg", "b", ""])))
+def test_extract_areas_never_raises(page, image_ref):
+    for area in extract_areas(page, image_ref):
+        assert area.tokens == tokenize(" ".join(area.tokens))
 
 
 def test_assign_impacts_max_rule(base_lattice):
@@ -126,9 +151,97 @@ def test_tagging_is_deterministic(base_lattice):
     assert tag_tokens(tokens, base_lattice) == tag_tokens(tokens, base_lattice)
 
 
+LATTICE = load_taxonomy(bundled_taxonomy_path())
+NEW_CONCEPT = Concept("peony", frozenset({"paeony"}))
+
+#: a second vocabulary set: extra aliases, a color synonym that collides
+#: with a lattice concept, and phrases sharing first tokens and prefixes
+OTHER_VOCABS = VocabSet(
+    color=replace(DEFAULT_VOCABS.color,
+                  synonyms={"crimson": "red", "rose": "red"}),
+    spatial=replace(DEFAULT_VOCABS.spatial, phrases={
+        **DEFAULT_VOCABS.spatial.phrases,
+        ("in", "front"): "covers",
+        ("on", "top", "of"): "above",
+        ("on", "top"): "above",
+        ("close", "by"): "near",
+    }))
+
+
+def _vocab_words(vocabs):
+    words = set()
+    for vocab in (vocabs.color, vocabs.texture, vocabs.spatial):
+        words.update(vocab.names, vocab.synonyms)
+        for phrase in vocab.phrases:
+            words.update(phrase)
+    return words
+
+
+_LATTICE_WORDS = set(LATTICE.concept_ids()) | {
+    syn for c in LATTICE.concepts() for syn in c.synonyms}
+KNOWN_WORDS = sorted(_vocab_words(DEFAULT_VOCABS) | _vocab_words(OTHER_VOCABS)
+                     | _LATTICE_WORDS | {NEW_CONCEPT.id, *NEW_CONCEPT.synonyms})
+
+
+def _plural(word: str, suffix: str) -> str:
+    if suffix == "ies" and word.endswith("y"):
+        return word[:-1] + "ies"
+    return word + suffix
+
+
+PHRASES = sorted(set(DEFAULT_VOCABS.spatial.phrases)
+                 | set(OTHER_VOCABS.spatial.phrases))
+
+TOKENS = st.one_of(
+    st.sampled_from(KNOWN_WORDS),
+    st.builds(_plural, st.sampled_from(KNOWN_WORDS),
+              st.sampled_from(["s", "es", "ies"])),
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=7),
+    st.text(max_size=4))
+
+#: single tokens, whole phrases and phrase prefixes, so that phrases and
+#: near misses show up often
+CHUNKS = st.one_of(
+    TOKENS.map(lambda token: (token,)),
+    st.sampled_from(PHRASES),
+    st.builds(lambda phrase, k: phrase[:k], st.sampled_from(PHRASES),
+              st.integers(1, 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(CHUNKS, max_size=10).map(lambda chunks: sum(chunks, ())))
+def test_tag_tokens_matches_oracle(tokens):
+    extended = LATTICE.with_concept(NEW_CONCEPT, ["flower"])
+    for lattice in (LATTICE, extended):
+        for vocabs in (DEFAULT_VOCABS, OTHER_VOCABS):
+            for _ in range(2):  # the second pass reads the memo
+                assert (tag_tokens(tokens, lattice, vocabs)
+                        == oracles.tag_tokens_oracle(tokens, lattice, vocabs))
+
+
+def test_tag_memo_is_per_lattice_and_vocabs():
+    lattice = load_taxonomy(bundled_taxonomy_path())
+    tokens = ("paeonies", "on", "top", "of", "rose")
+    assert cats(tag_tokens(tokens, lattice)) == [
+        Category.OTHER, Category.OTHER, Category.OTHER, Category.OTHER,
+        Category.SEM]
+    extended = lattice.with_concept(NEW_CONCEPT, ["flower"])
+    assert tag_tokens(tokens, extended)[0] == TaggedToken(
+        "paeonies", Category.SEM, "peony")
+    assert tag_tokens(tokens, lattice)[0].category is Category.OTHER
+    assert [t.concept for t in tag_tokens(tokens, lattice, OTHER_VOCABS)] == [
+        None, "above", "red"]
+
+
 def test_pattern_parsing_and_validation():
     pattern = parse_pattern("SEM OTHER{0,3} COLOR SEM")
     assert pattern.max_gap == 3
+    compiled = pattern.regex()
+    re.purge()  # so a recompile could not hit re's own cache
+    assert pattern.regex() is compiled
+    assert pattern.regex().pattern == "SO{0,3}CS"
+    assert pattern == parse_pattern("SEM OTHER{0,3} COLOR SEM")
+    assert hash(pattern) == hash(parse_pattern("SEM OTHER{0,3} COLOR SEM"))
     assert pattern.text() == "SEM OTHER{0,3} COLOR SEM"
     with pytest.raises(ViscxError):
         parse_pattern("OTHER{0,2}")  # no vocabulary category

@@ -348,6 +348,25 @@ def test_malformed_query_and_qrels_files(tmp_path):
         Qrels({("q1", "d1"): -1})
 
 
+def test_repeated_query_id_is_rejected(tmp_path):
+    qfile = tmp_path / "queries.tsv"
+    qfile.write_text("q1\tRed Roses\n\nq2\tBlue Sky\nq1 \tGrey Walls\n",
+                     encoding="utf-8")
+    with pytest.raises(ViscxError, match="queries line 4: duplicate query id "
+                                         "'q1', first given on line 1"):
+        load_queries(qfile)
+
+
+def test_unreadable_query_and_qrels_files_name_the_path(tmp_path):
+    for name, load in (("queries", load_queries), ("qrels", Qrels.from_path)):
+        path = tmp_path / f"{name}.tsv"
+        path.write_bytes(b"q1\td1\t2\n\xff")
+        with pytest.raises(ViscxError, match=f"cannot read {name} .*{path.name}"):
+            load(path)
+        with pytest.raises(ViscxError, match=f"cannot read {name} .*missing"):
+            load(tmp_path / "missing.tsv")
+
+
 def test_duplicate_qrels_pair_is_rejected():
     with pytest.raises(ViscxError, match="line 3: duplicate judgment .*"
                                          "first given on line 1"):

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from viscx import (Concept, SemRelation, TaxonomyError, UnknownConceptError,
-                   UnrelatedConceptsError, insert_concept, parse_taxonomy)
+                   UnrelatedConceptsError, insert_concept, load_taxonomy,
+                   parse_taxonomy)
 
 import oracles
 
@@ -55,6 +56,15 @@ def test_duplicate_concept_rejected():
 def test_synonym_clash_rejected():
     with pytest.raises(TaxonomyError, match="synonym"):
         parse_taxonomy("entity\t\t\nflower\tentity\tentity\n")
+
+
+def test_unreadable_taxonomy_file_names_the_path(tmp_path):
+    path = tmp_path / "taxonomy.tsv"
+    path.write_bytes(b"entity\t\t\n\xff")
+    with pytest.raises(TaxonomyError, match=f"cannot read taxonomy .*{path.name}"):
+        load_taxonomy(path)
+    with pytest.raises(TaxonomyError, match="cannot read taxonomy .*missing"):
+        load_taxonomy(tmp_path / "missing.tsv")
 
 
 def test_insert_specializes(fragment_lattice):

@@ -170,3 +170,22 @@ def test_facet_vectors_empty_and_ranges():
             for vec in (v.colors, v.textures, v.spatials):
                 assert len(vec) == 11
                 assert all(0.0 <= x <= 1.0 for x in vec)
+
+
+VIS_PIECES = st.sampled_from([
+    "vis", " ", "vo1", "vo2", "{", "}", "sem:", "rose", "sky", "@", "0.5",
+    "1.3", "-0.0", "1e999", "nan", "inf", ";", "color:", "red", "=", ",",
+    "texture:", "whirly", "spa:", "near", "(", ")", "\n", "\t", "#",
+    "vis vo1 { sem: rose@0.8; color: red=0.5; texture: ; spa: near(vo2); }"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.text(max_size=6), VIS_PIECES), max_size=30)
+       .map("".join))
+def test_parse_vis_raises_only_vis_parse_error(text):
+    try:
+        records = parse_vis(text)
+    except VisParseError:
+        return
+    assert parse_vis(serialize_vis(records)) == sorted(records,
+                                                       key=lambda r: r.vo_id)
