@@ -10,7 +10,8 @@ Commands::
 Exit codes: 0 success, 1 usage error, 2 data error (including an input
 file that is not UTF-8). The index store remembers the taxonomy path and
 config snapshot from enrichment, so search and eval run without repeating
-them.
+them, and the sha256 of the taxonomy text, so search and eval refuse a
+taxonomy whose content differs from the one the store was enriched with.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import ViscxError
 from .pipeline import enrich_store, ingest_corpus
 from .retrieval import (ALL_STRATEGIES, Qrels, Strategy, eval_report,
                         load_queries, parse_query, rank)
-from .store import load_store, save_store
+from .store import StoreMeta, load_store, save_store
 from .taxonomy import SemanticLattice, bundled_taxonomy_path, load_taxonomy
 
 log = logging.getLogger(__name__)
@@ -53,13 +54,20 @@ def _config_from_args(args, store_meta=None) -> PipelineConfig:
     return PipelineConfig()
 
 
-def _lattice_for(args, cfg: PipelineConfig, store_meta=None) -> SemanticLattice:
-    path = getattr(args, "taxonomy", None) or cfg.taxonomy
-    if path is None and store_meta is not None:
-        path = store_meta.taxonomy
-    if path is None:
-        path = bundled_taxonomy_path()
-    return load_taxonomy(path)
+def _lattice_for(args, cfg: PipelineConfig, store_meta: StoreMeta,
+                 verify: bool = True) -> tuple[str, SemanticLattice]:
+    """The taxonomy path (the argument, then the config, then the store,
+    then the bundled file) and its lattice. With `verify`, a lattice whose
+    text differs from the one the store was enriched with is refused."""
+    path = str(args.taxonomy or cfg.taxonomy or store_meta.taxonomy
+               or bundled_taxonomy_path())
+    lattice = load_taxonomy(path)
+    if verify and store_meta.taxonomy_sha256 not in (None, lattice.fingerprint):
+        raise ViscxError(
+            f"taxonomy {path} is not the one {args.index} was enriched with "
+            "(its sha256 differs); re-run enrich with it, or pass the "
+            "original with --taxonomy")
+    return path, lattice
 
 
 def _cmd_ingest(args) -> int:
@@ -73,17 +81,8 @@ def _cmd_ingest(args) -> int:
 def _cmd_enrich(args) -> int:
     store = load_store(args.index)
     cfg = _config_from_args(args, store.meta)
-    if args.taxonomy:
-        taxonomy_path = args.taxonomy
-    elif cfg.taxonomy:
-        taxonomy_path = cfg.taxonomy
-    elif store.meta.taxonomy:
-        taxonomy_path = store.meta.taxonomy
-    else:
-        taxonomy_path = str(bundled_taxonomy_path())
-    lattice = load_taxonomy(taxonomy_path)
-    cfg = replace(cfg, taxonomy=str(taxonomy_path))
-    enrich_store(store, lattice, cfg)
+    path, lattice = _lattice_for(args, cfg, store.meta, verify=False)
+    enrich_store(store, lattice, replace(cfg, taxonomy=path))
     out = args.out or args.index
     save_store(store, out)
     print(f"enriched {len(store.records)} documents -> {out}")
@@ -100,7 +99,7 @@ def _cmd_search(args) -> int:
         query = Query(args.query, ())
         ranked = rank(store, None, cfg, query, strategy, args.k)
     else:
-        lattice = _lattice_for(args, cfg, store.meta)
+        _path, lattice = _lattice_for(args, cfg, store.meta)
         query = parse_query(args.query, lattice, patterns=cfg.patterns)
         ranked = rank(store, lattice, cfg, query, strategy, args.k)
     for position, (doc_id, score) in enumerate(ranked.items, start=1):
@@ -111,7 +110,7 @@ def _cmd_search(args) -> int:
 def _cmd_eval(args) -> int:
     store = load_store(args.index)
     cfg = _config_from_args(args, store.meta)
-    lattice = _lattice_for(args, cfg, store.meta)
+    _path, lattice = _lattice_for(args, cfg, store.meta)
     queries = load_queries(args.queries)
     qrels_path = Path(args.qrels)
     if not qrels_path.exists():

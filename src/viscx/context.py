@@ -52,7 +52,6 @@ class ExtractionArea:
     kind: AreaKind
     tokens: tuple[str, ...]
     base_impact: float
-    text: str = ""
 
     def __post_init__(self):
         if not (0.0 <= self.base_impact <= 1.0):
@@ -162,9 +161,10 @@ def extract_areas(page: str, image_ref: str | None = None, *,
     an unlocatable image yields an empty list with a warning.
     """
     impacts = DEFAULT_IMPACTS if impacts is None else impacts
+    # HTMLParser.getpos counts lines at "\n" only, unlike str.splitlines
     line_starts = [0]
-    for line in page.splitlines(keepends=True):
-        line_starts.append(line_starts[-1] + len(line))
+    for line in page.split("\n"):
+        line_starts.append(line_starts[-1] + len(line) + 1)
     scanner = _PageScanner(line_starts)
     scanner.feed(page)
     scanner.close()
@@ -180,26 +180,23 @@ def extract_areas(page: str, image_ref: str | None = None, *,
     img_offset, attrs = chosen
 
     areas: list[ExtractionArea] = []
-    alt = attrs.get("alt", "")
-    alt_tokens = tokenize(alt)
+    alt_tokens = tokenize(attrs.get("alt", ""))
     if alt_tokens:
         areas.append(ExtractionArea(
             AreaKind.ALT_ATTRIBUTE, alt_tokens,
-            impacts[AreaKind.ALT_ATTRIBUTE], alt))
-    src = attrs.get("src", "")
-    src_toks = _src_tokens(src)
+            impacts[AreaKind.ALT_ATTRIBUTE]))
+    src_toks = _src_tokens(attrs.get("src", ""))
     if src_toks:
         areas.append(ExtractionArea(
             AreaKind.SRC_TOKENS, src_toks,
-            impacts[AreaKind.SRC_TOKENS], src))
+            impacts[AreaKind.SRC_TOKENS]))
     nearby = [text for offset, text in scanner.chunks
               if abs(offset - img_offset) <= window]
-    joined = " ".join(chunk.strip() for chunk in nearby)
-    text_tokens = tokenize(joined)
+    text_tokens = tokenize(" ".join(chunk.strip() for chunk in nearby))
     if text_tokens:
         areas.append(ExtractionArea(
             AreaKind.SURROUNDING_TEXT, text_tokens,
-            impacts[AreaKind.SURROUNDING_TEXT], joined))
+            impacts[AreaKind.SURROUNDING_TEXT]))
     return areas
 
 

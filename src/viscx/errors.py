@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the by-name enum
+lookup whose failure is one of them.
 
 Everything raised on bad data derives from ViscxError so the CLI can map
 data problems to a single exit code.
 """
+
+from enum import Enum
 
 
 class ViscxError(Exception):
@@ -40,3 +43,21 @@ class StoreError(ViscxError):
 
 class UnindexableQueryError(ViscxError):
     """The query text contains no vocabulary concept to search with."""
+
+
+class NamedEnum(Enum):
+    """An enum chosen by its value in config files and on the command
+    line; subclasses name what they are with ``what=...``."""
+
+    def __init_subclass__(cls, what: str = "", **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.what = what
+
+    @classmethod
+    def from_name(cls, name: str):
+        try:
+            return cls(name)
+        except ValueError:
+            choices = "|".join(member.value for member in cls)
+            raise ViscxError(
+                f"unknown {cls.what} {name!r} (use {choices})") from None

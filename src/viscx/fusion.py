@@ -15,27 +15,19 @@ when the membership values disagree beyond a threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 from .context import SyntacticTerm, term_vectors
-from .errors import ViscxError
+from .errors import NamedEnum, ViscxError
 from .membership import MembershipTable
 from .taxonomy import SemanticLattice, SemRelation
 from .vis import VOCAB_SIZE, VisRecord, facet_vectors
 
 
-class FacetKernel(Enum):
+class FacetKernel(NamedEnum, what="facet kernel"):
     MAX = "max"
     MIN = "min"
     PRODUCT = "product"
-
-    @classmethod
-    def from_name(cls, name: str) -> "FacetKernel":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ViscxError(f"unknown facet kernel {name!r} (use max|min|product)")
 
 
 _KERNELS = {

@@ -14,24 +14,16 @@ since fusion and scoring read only a few concepts of each document.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .errors import UnknownConceptError, ViscxError
+from .errors import NamedEnum, UnknownConceptError, ViscxError
 from .taxonomy import SemanticLattice, SemRelation
 
 
-class TConormKind(Enum):
+class TConormKind(NamedEnum, what="t-conorm"):
     MAX = "max"
     PROBABILISTIC_SUM = "psum"
     BOUNDED_SUM = "bsum"
-
-    @classmethod
-    def from_name(cls, name: str) -> "TConormKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ViscxError(f"unknown t-conorm {name!r} (use max|psum|bsum)")
 
 
 def _check_unit(value: float, what: str) -> None:

@@ -19,7 +19,7 @@ from pathlib import Path
 from .config import PipelineConfig
 from .context import apply_patterns, assign_impacts, extract_areas, tag_tokens
 from .errors import VisParseError, ViscxError
-from .fusion import EnrichedVisRecord, FusionProvenance, enrich_records
+from .fusion import FusionProvenance, _enrich, enrich_records
 from .membership import aggregate_mu_tot
 from .store import IndexRecord, IndexStore, StoreMeta
 from .taxonomy import SemanticLattice
@@ -50,16 +50,16 @@ def ingest_document(doc_id: str, html_path: Path, vis_path: Path,
     records = parse_vis(vis_path.read_text(encoding="utf-8"))
     areas = extract_areas(html, image_ref=doc_id,
                           impacts=cfg.impacts, window=cfg.window)
-    return IndexRecord(
-        doc_id=doc_id, html_path=str(html_path), vis_path=str(vis_path),
-        areas=tuple(areas), vis_records=tuple(records))
+    return IndexRecord(doc_id=doc_id, areas=tuple(areas),
+                       vis_records=tuple(records))
 
 
 def ingest_corpus(corpus_dir: str | Path, cfg: PipelineConfig) -> IndexStore:
     """One IndexRecord per paired document; unreadable or malformed
     documents are skipped with a warning."""
     store = IndexStore(meta=StoreMeta(taxonomy=cfg.taxonomy,
-                                      config=cfg.snapshot()))
+                                      config=cfg.snapshot(),
+                                      corpus=str(corpus_dir)))
     for stem, html_path, vis_path in pair_corpus(corpus_dir):
         try:
             store.add(ingest_document(stem, html_path, vis_path, cfg))
@@ -85,10 +85,6 @@ def enrich_document(record: IndexRecord, lattice: SemanticLattice,
                 terms.append(term)
 
     known = [r for r in record.vis_records if r.vsc in lattice]
-    unknown = [r for r in record.vis_records if r.vsc not in lattice]
-    notes = [f"{r.vo_id}: semantic concept {r.vsc!r} not in taxonomy; "
-             "left out of fusion" for r in unknown]
-
     universe = lattice.concept_ids()
     table = aggregate_mu_tot(
         universe, [(r.vsc, r.r_vsc) for r in known],
@@ -99,26 +95,12 @@ def enrich_document(record: IndexRecord, lattice: SemanticLattice,
     enriched = []
     for r in record.vis_records:
         e = by_id.get(r.vo_id)
-        if e is None:
-            e = EnrichedVisRecord(
-                vo_id=r.vo_id, vsc=r.vsc, r_vsc=r.r_vsc,
-                colors=dict(r.colors), textures=dict(r.textures),
-                spatial=r.spatial, original_vsc=r.vsc, final_mu=r.r_vsc,
-                provenance=FusionProvenance(
-                    "kept", "unknown_concept", None, r.r_vsc, None))
+        if e is None:  # concept not in the taxonomy: left out of fusion
+            e = _enrich(r, r.vsc, r.r_vsc, FusionProvenance(
+                "kept", "unknown_concept", None, r.r_vsc, None))
         enriched.append(e)
-
-    for e in fused:
-        prov = e.provenance
-        mu_cx_txt = "-" if prov.mu_cx is None else f"{prov.mu_cx:.6f}"
-        notes.append(
-            f"{e.vo_id}: {prov.decision} ({prov.branch}) "
-            f"vsc={e.original_vsc} cx={prov.matched_head or '-'} "
-            f"mu_vsc={prov.mu_vsc:.6f} mu_cx={mu_cx_txt} -> "
-            f"{e.vsc}@{e.final_mu:.6f}")
-
     return replace(record, contextual=contextual, terms=tuple(terms),
-                   enriched=tuple(enriched), log=tuple(notes))
+                   enriched=tuple(enriched))
 
 
 def enrich_store(store: IndexStore, lattice: SemanticLattice,
@@ -126,6 +108,7 @@ def enrich_store(store: IndexStore, lattice: SemanticLattice,
     for doc_id in sorted(store.records):
         store.records[doc_id] = enrich_document(store.records[doc_id],
                                                 lattice, cfg)
-    store.meta = StoreMeta(taxonomy=cfg.taxonomy, config=cfg.snapshot(),
-                           version=store.meta.version)
+    store.meta = replace(store.meta, taxonomy=cfg.taxonomy,
+                         taxonomy_sha256=lattice.fingerprint,
+                         config=cfg.snapshot())
     return store

@@ -20,7 +20,6 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -28,27 +27,20 @@ from .config import PipelineConfig
 from .context import (DEFAULT_PATTERNS, DEFAULT_VOCABS, SyntacticTerm,
                       VocabSet, apply_patterns, singularize, tag_tokens,
                       terms_from_window, tokenize)
-from .errors import StoreError, UnindexableQueryError, ViscxError
+from .errors import NamedEnum, StoreError, UnindexableQueryError, ViscxError
 from .fusion import scoring_view, view_similarity
 from .membership import aggregate_mu_tot
-from .store import IndexRecord, IndexStore
-from .taxonomy import Concept, SemanticLattice, insert_concept
+from .store import IndexStore
+from .taxonomy import SemanticLattice
 
 log = logging.getLogger(__name__)
 
 
-class Strategy(Enum):
+class Strategy(NamedEnum, what="strategy"):
     VIS = "vis"
     CX = "cx"
     VIS_CX = "vis+cx"
     TFIDF = "tfidf"
-
-    @classmethod
-    def from_name(cls, name: str) -> "Strategy":
-        for strategy in cls:
-            if strategy.value == name:
-                return strategy
-        raise ViscxError(f"unknown strategy {name!r} (use vis|cx|vis+cx|tfidf)")
 
 
 ALL_STRATEGIES = (Strategy.VIS, Strategy.CX, Strategy.VIS_CX, Strategy.TFIDF)
@@ -147,15 +139,6 @@ class _TfIdfIndex:
         return dot / (q_norm * self._norm[doc_id])
 
 
-def _doc_lattice(record: IndexRecord, base: SemanticLattice) -> SemanticLattice:
-    """Per-document enriched lattice; inserting already-known contextual
-    concepts is a no-op, so the base stays shared and unpolluted."""
-    lattice = base
-    for cx in record.contextual or ():
-        lattice = insert_concept(lattice, Concept(cx.cx), ())
-    return lattice
-
-
 class _Scorer:
     """Scores documents under one strategy. Each document's membership
     table and the scoring views of its units are built on first use and
@@ -179,8 +162,7 @@ class _Scorer:
         if state is not None:
             return state
         record = self.store.records[doc_id]
-        lattice = _doc_lattice(record, self.lattice)
-        universe = lattice.concept_ids()
+        lattice = self.lattice
         if self.strategy is Strategy.VIS:
             units = [r for r in record.vis_records if r.vsc in lattice]
             vis_pairs = [(r.vsc, r.r_vsc) for r in units]
@@ -201,9 +183,9 @@ class _Scorer:
             units = [e for e in record.enriched if e.vsc in lattice]
             vis_pairs = [(e.vsc, e.final_mu) for e in units]
             cx_pairs = []
-        table = aggregate_mu_tot(universe, vis_pairs, cx_pairs, lattice,
-                                 self.cfg.tconorm)
-        state = ([scoring_view(unit, lattice) for unit in units], table, lattice)
+        table = aggregate_mu_tot(lattice.concept_ids(), vis_pairs, cx_pairs,
+                                 lattice, self.cfg.tconorm)
+        state = ([scoring_view(unit, lattice) for unit in units], table)
         self._cache[doc_id] = state
         return state
 
@@ -220,10 +202,10 @@ class _Scorer:
         query_views = self._query_views(query)
         if self.strategy is Strategy.TFIDF:
             return self.tfidf.score(query_views, doc_id)
-        views, table, lattice = self._doc_state(doc_id)
+        views, table = self._doc_state(doc_id)
         if not views:
             return 0.0
-        kernel = self.cfg.kernel
+        lattice, kernel = self.lattice, self.cfg.kernel
         total = 0.0
         for query_view in query_views:
             total += max(view_similarity(query_view, view, table, lattice, kernel)

@@ -1,11 +1,14 @@
 """Persisted index store: one JSON record per line, preceded by a meta
-line carrying the format version, the taxonomy path and a config snapshot
-so later commands can run without re-supplying them. A store of another
-format version is refused on load.
+line carrying the format version, the corpus directory (document ``d`` is
+``<corpus>/d.html`` and ``.vis``), the taxonomy path and the sha256 of its
+text, and a config snapshot, so later commands can run without
+re-supplying them and refuse another taxonomy. A store of another format
+version is refused on load; version 1 also held area text, per-record
+paths and fusion notes.
 
-Records are written sorted by document id with sorted keys, so the same
-store content always produces the same bytes and load(save(store)) is the
-identity.
+Records are written sorted by document id with sorted keys and hold no
+path, so the same store content always produces the same bytes wherever
+the corpus lives, and load(save(store)) is the identity.
 """
 
 from __future__ import annotations
@@ -13,16 +16,17 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping
 
 from .context import AreaKind, ContextualConcept, ExtractionArea, SyntacticTerm
-from .errors import StoreError
+from .config import PipelineConfig
+from .errors import StoreError, ViscxError
 from .fusion import EnrichedVisRecord, FusionProvenance
 from .vis import VisRecord
 
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -30,6 +34,8 @@ class StoreMeta:
     taxonomy: str | None = None
     config: Mapping | None = None
     version: int = STORE_VERSION
+    corpus: str | None = None
+    taxonomy_sha256: str | None = None
 
 
 @dataclass(frozen=True)
@@ -37,14 +43,11 @@ class IndexRecord:
     """Everything the pipeline knows about one document."""
 
     doc_id: str
-    html_path: str
-    vis_path: str
     areas: tuple[ExtractionArea, ...]
     vis_records: tuple[VisRecord, ...]
     contextual: tuple[ContextualConcept, ...] | None = None
     terms: tuple[SyntacticTerm, ...] | None = None
     enriched: tuple[EnrichedVisRecord, ...] | None = None
-    log: tuple[str, ...] = ()
 
 
 @dataclass
@@ -71,12 +74,12 @@ def _pairs_in(data) -> frozenset[tuple[str, float]]:
 
 def _area_out(area: ExtractionArea) -> dict:
     return {"kind": area.kind.value, "tokens": list(area.tokens),
-            "impact": area.base_impact, "text": area.text}
+            "impact": area.base_impact}
 
 
 def _area_in(data) -> ExtractionArea:
     return ExtractionArea(AreaKind(data["kind"]), tuple(data["tokens"]),
-                          float(data["impact"]), data.get("text", ""))
+                          float(data["impact"]))
 
 
 def _vis_out(record: VisRecord) -> dict:
@@ -148,8 +151,6 @@ def record_to_dict(record: IndexRecord) -> dict:
     return {
         "type": "record",
         "doc_id": record.doc_id,
-        "html_path": record.html_path,
-        "vis_path": record.vis_path,
         "areas": [_area_out(a) for a in record.areas],
         "vis_records": [_vis_out(r) for r in record.vis_records],
         "contextual": None if record.contextual is None
@@ -158,15 +159,12 @@ def record_to_dict(record: IndexRecord) -> dict:
         else [_term_out(t) for t in record.terms],
         "enriched": None if record.enriched is None
         else [_enriched_out(e) for e in record.enriched],
-        "log": list(record.log),
     }
 
 
 def record_from_dict(data: Mapping) -> IndexRecord:
     return IndexRecord(
         doc_id=data["doc_id"],
-        html_path=data["html_path"],
-        vis_path=data["vis_path"],
         areas=tuple(_area_in(a) for a in data["areas"]),
         vis_records=tuple(_vis_in(r) for r in data["vis_records"]),
         contextual=None if data["contextual"] is None
@@ -175,8 +173,21 @@ def record_from_dict(data: Mapping) -> IndexRecord:
         else tuple(_term_in(t) for t in data["terms"]),
         enriched=None if data["enriched"] is None
         else tuple(_enriched_in(e) for e in data["enriched"]),
-        log=tuple(data.get("log", ())),
     )
+
+
+def _meta_in(data: Mapping) -> StoreMeta:
+    version = data.get("version")
+    if version != STORE_VERSION:
+        raise StoreError(
+            f"store version {version} is not supported (this viscx reads "
+            f"version {STORE_VERSION}); re-run ingest and enrich to rebuild it")
+    meta = StoreMeta(**{k: v for k, v in data.items() if k != "type"})
+    if meta.config is not None:
+        if not isinstance(meta.config, dict):
+            raise StoreError("meta config must be an object or null")
+        PipelineConfig.from_snapshot(meta.config)  # fails here, not later
+    return meta
 
 
 def _line(data: Mapping) -> str:
@@ -197,9 +208,7 @@ def save_store(store: IndexStore, path: str | Path) -> None:
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("w", encoding="utf-8") as out:
-            out.write(_line({"type": "meta", "version": store.meta.version,
-                             "taxonomy": store.meta.taxonomy,
-                             "config": store.meta.config}))
+            out.write(_line({"type": "meta", **asdict(store.meta)}))
             for doc_id in sorted(store.records):
                 out.write(_line(record_to_dict(store.records[doc_id])))
         if target.exists():
@@ -222,22 +231,19 @@ def load_store(path: str | Path) -> IndexStore:
             continue
         try:
             data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise StoreError(f"{p}:{lineno}: bad JSON: {exc}") from None
-        kind = data.get("type")
-        try:
+            kind = data.get("type")
             if kind == "meta":
-                version = int(data.get("version", STORE_VERSION))
-                if version != STORE_VERSION:
-                    raise StoreError(
-                        f"{p}:{lineno}: store version {version} is not "
-                        f"supported (this viscx reads version {STORE_VERSION})")
-                store.meta = StoreMeta(data.get("taxonomy"), data.get("config"),
-                                       version)
+                store.meta = _meta_in(data)
             elif kind == "record":
                 store.add(record_from_dict(data))
             else:
-                raise StoreError(f"{p}:{lineno}: unknown line type {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StoreError(f"{p}:{lineno}: malformed record: {exc}") from None
+                raise StoreError(f"unknown line type {kind!r}")
+        except StoreError as exc:
+            raise StoreError(f"{p}:{lineno}: {exc}") from None
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise StoreError(f"{p}:{lineno}: bad JSON: {exc}") from None
+        # a field of the wrong shape or out of range
+        except (AttributeError, KeyError, TypeError, ValueError,
+                ArithmeticError, ViscxError) as exc:
+            raise StoreError(f"{p}:{lineno}: malformed line: {exc}") from None
     return store

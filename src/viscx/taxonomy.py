@@ -4,7 +4,8 @@ The lattice is a directed acyclic graph of lowercase concept ids connected
 by is_a edges (child -> parent). It is loaded from a tab-separated taxonomy
 file and can be extended one concept at a time; extension returns a new
 lattice, the original is never mutated. All queries resolve synonyms to
-their canonical id first.
+their canonical id first. A lattice parsed from text carries the sha256 of
+that text as its fingerprint.
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import TaxonomyError, UnknownConceptError, UnrelatedConceptsError
+
+try:  # the built-in sha256; hashlib loads OpenSSL, about 3.5 MB resident
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 _ID_RE = re.compile(r"[a-z][a-z0-9_]*")
 
@@ -54,7 +60,10 @@ class SemanticLattice:
     the lattice never changes; an extended copy starts with empty memos.
     """
 
-    def __init__(self, concepts: Sequence[Concept], parents: Mapping[str, Sequence[str]]):
+    def __init__(self, concepts: Sequence[Concept], parents: Mapping[str, Sequence[str]],
+                 fingerprint: str | None = None):
+        #: sha256 hex digest of the taxonomy text; None for a built lattice
+        self.fingerprint = fingerprint
         if not concepts:
             raise TaxonomyError("no roots: taxonomy declares no concepts")
         self._concepts: dict[str, Concept] = {}
@@ -313,7 +322,8 @@ def parse_taxonomy(text: str, source: str = "<string>") -> SemanticLattice:
         except TaxonomyError as exc:
             raise TaxonomyError(f"{source}:{lineno}: {exc}") from None
         parents[cid] = parent_tokens
-    return SemanticLattice(concepts, parents)
+    return SemanticLattice(concepts, parents,
+                           sha256(text.encode("utf-8")).hexdigest())
 
 
 def load_taxonomy(path: str | Path) -> SemanticLattice:

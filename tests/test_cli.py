@@ -1,3 +1,6 @@
+import hashlib
+import shutil
+
 import pytest
 
 from viscx import bundled_taxonomy_path
@@ -93,6 +96,72 @@ def enriched_index(corpus, tmp_path):
     main(["ingest", "--corpus", str(corpus), "--out", str(index)])
     main(["enrich", "--index", str(index)])
     return index
+
+
+def test_record_lines_do_not_depend_on_the_corpus_path(corpus, tmp_path):
+    longer = tmp_path / "a_much_longer_directory_name" / "corpus"
+    shutil.copytree(corpus, longer)
+    lines = []
+    for i, directory in enumerate((corpus, longer)):
+        index = tmp_path / f"index{i}.jsonl"
+        assert main(["ingest", "--corpus", str(directory),
+                     "--out", str(index)]) == 0
+        assert load_store(index).meta.corpus == str(directory)
+        lines.append(index.read_text(encoding="utf-8").splitlines())
+    assert lines[0][0] != lines[1][0]  # the meta lines name the directory
+    assert lines[0][1:] == lines[1][1:]
+
+
+def one_error_line(captured, *names):
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert all(name in captured.err for name in names)
+
+
+def test_search_and_eval_refuse_a_taxonomy_with_other_content(corpus, tmp_path,
+                                                              capsys):
+    index = enriched_index(corpus, tmp_path)
+    text = bundled_taxonomy_path().read_text(encoding="utf-8")
+    assert load_store(index).meta.taxonomy_sha256 == hashlib.sha256(
+        text.encode("utf-8")).hexdigest()
+    same = tmp_path / "copy" / "taxonomy.tsv"
+    same.parent.mkdir()
+    same.write_text(text, encoding="utf-8")
+    other = tmp_path / "other.tsv"
+    other.write_text(text + "peony\tflower\t\n", encoding="utf-8")
+    search = ["search", "--index", str(index), "--query", "Red Roses"]
+    capsys.readouterr()
+    assert main(search + ["--strategy", "vis+cx", "--taxonomy", str(same)]) == 0
+    assert capsys.readouterr().out.startswith("1\td1\t")
+    for strategy in ("vis", "cx", "vis+cx"):
+        assert main(search + ["--strategy", strategy,
+                              "--taxonomy", str(other)]) == 2
+        one_error_line(capsys.readouterr(), str(other))
+    # tf-idf reads no taxonomy, so it checks none
+    assert main(search + ["--strategy", "tfidf", "--taxonomy", str(other)]) == 0
+    queries = tmp_path / "queries.tsv"
+    queries.write_text("q1\tRed Roses\n", encoding="utf-8")
+    qrels = tmp_path / "qrels.tsv"
+    qrels.write_text("q1\td1\t2\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--index", str(index), "--queries", str(queries),
+                 "--qrels", str(qrels), "--out", str(tmp_path / "r"),
+                 "--taxonomy", str(other)]) == 2
+    one_error_line(capsys.readouterr(), str(other))
+    # enrich takes any taxonomy, and records the new one
+    assert main(["enrich", "--index", str(index), "--taxonomy", str(other)]) == 0
+    assert main(search + ["--strategy", "vis", "--taxonomy", str(other)]) == 0
+
+
+def test_search_malformed_store_line_is_data_error(corpus, tmp_path, capsys):
+    index = enriched_index(corpus, tmp_path)
+    with open(index, "a", encoding="utf-8") as f:
+        f.write("[1]\n")
+    capsys.readouterr()
+    assert main(["search", "--index", str(index), "--strategy", "vis",
+                 "--query", "Red Roses"]) == 2
+    one_error_line(capsys.readouterr(), f"{index}:5")
 
 
 def test_search_output_format(corpus, tmp_path, capsys):

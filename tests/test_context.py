@@ -2,7 +2,7 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -89,6 +89,44 @@ HTML_PIECES = st.sampled_from([
 def test_extract_areas_never_raises(page, image_ref):
     for area in extract_areas(page, image_ref):
         assert area.tokens == tokenize(" ".join(area.tokens))
+
+
+#: every separator str.splitlines breaks at; HTMLParser counts only "\n"
+LINE_SEPARATORS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d",
+                   "\x1e", "\x85", "\u2028", "\u2029"]
+PARAGRAPH = st.lists(
+    st.tuples(st.sampled_from(["near", "distant", "words", "z " * 40]),
+              st.sampled_from([" "] + LINE_SEPARATORS)),
+    min_size=1, max_size=5).map(lambda parts: "".join(w + s for w, s in parts))
+
+
+@settings(max_examples=200, deadline=None)
+@example(paragraphs=[("", "distant words"), ("\x0c", "z " * 400),
+                     ("\n", "near")], image_at=3, window=100)
+@given(st.lists(st.tuples(st.sampled_from([""] + LINE_SEPARATORS), PARAGRAPH),
+                max_size=6),
+       st.integers(0, 6), st.integers(0, 200))
+def test_extract_surrounding_text_matches_offset_scan(paragraphs, image_at,
+                                                      window):
+    """Surrounding text is every paragraph whose raw-source offset lies
+    within the window of the image tag, offsets taken while building the
+    page."""
+    page, chunks, img_offset = "<html><body>", [], None
+    for i, (separator, text) in enumerate(paragraphs):
+        if i == image_at:
+            img_offset = len(page)
+            page += "<img src='a.jpg'>"
+        page += separator + "<p>"
+        chunks.append((len(page), text))
+        page += text + "</p>"
+    if img_offset is None:
+        img_offset = len(page)
+        page += "<img src='a.jpg'>"
+    page += "</body></html>"
+    want = tokenize(" ".join(text for offset, text in chunks
+                             if abs(offset - img_offset) <= window))
+    areas = {a.kind: a.tokens for a in extract_areas(page, "a", window=window)}
+    assert areas.get(AreaKind.SURROUNDING_TEXT, ()) == want
 
 
 def test_assign_impacts_max_rule(base_lattice):

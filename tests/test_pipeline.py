@@ -1,5 +1,6 @@
 from viscx import PipelineConfig, VisRecord
 from viscx.context import AreaKind, ExtractionArea, tokenize
+from viscx.fusion import FusionProvenance
 from viscx.pipeline import enrich_document, pair_corpus
 from viscx.store import IndexRecord
 
@@ -8,8 +9,8 @@ def record_with(alt_text=None, vsc="flower", r=0.7):
     areas = ()
     if alt_text is not None:
         areas = (ExtractionArea(AreaKind.ALT_ATTRIBUTE, tokenize(alt_text),
-                                0.9, alt_text),)
-    return IndexRecord("doc", "doc.html", "doc.vis", areas,
+                                0.9),)
+    return IndexRecord("doc", areas,
                        (VisRecord("vo1", vsc, r, colors={"red": 0.5}),))
 
 
@@ -30,8 +31,10 @@ def test_enrich_specializes_from_alt(base_lattice):
                                PipelineConfig())
     e = enriched.enriched[0]
     assert e.vsc == "rose" and e.original_vsc == "flower"
-    assert e.provenance.decision == "replaced"
-    assert any("replaced" in line for line in enriched.log)
+    prov = e.provenance
+    assert (prov.decision, prov.branch, prov.matched_head) == (
+        "replaced", "correspondence_specialized", "rose")
+    assert e.final_mu == max(prov.mu_vsc, prov.mu_cx)
 
 
 def test_enrich_unknown_vsc_left_out_of_fusion(base_lattice):
@@ -39,9 +42,9 @@ def test_enrich_unknown_vsc_left_out_of_fusion(base_lattice):
                                base_lattice, PipelineConfig())
     e = enriched.enriched[0]
     assert e.vsc == "gizmo"
-    assert e.provenance.branch == "unknown_concept"
+    assert e.provenance == FusionProvenance("kept", "unknown_concept", None,
+                                            0.7, None)
     assert e.final_mu == 0.7
-    assert any("not in taxonomy" in line for line in enriched.log)
 
 
 def test_enrich_leaves_base_lattice_untouched(base_lattice):

@@ -8,6 +8,7 @@ from viscx import (COLOR_NAMES, SPATIAL_NAMES, TEXTURE_NAMES, PipelineConfig,
                    enrich_store, ingest_corpus)
 from viscx.context import AreaKind, ExtractionArea, tokenize
 from viscx.fusion import FacetKernel
+from viscx.membership import TConormKind
 from viscx.pipeline import enrich_document
 from viscx.retrieval import (ALL_STRATEGIES, Qrels, Query, RankedList,
                              Strategy, eval_report, load_queries, make_scorer,
@@ -16,6 +17,18 @@ from viscx.store import IndexRecord, IndexStore
 
 import corpusgen
 import oracles
+
+
+@pytest.mark.parametrize("enum, message", [
+    (Strategy, "unknown strategy 'x' (use vis|cx|vis+cx|tfidf)"),
+    (FacetKernel, "unknown facet kernel 'x' (use max|min|product)"),
+    (TConormKind, "unknown t-conorm 'x' (use max|psum|bsum)"),
+])
+def test_from_name(enum, message):
+    assert [enum.from_name(member.value) for member in enum] == list(enum)
+    with pytest.raises(ViscxError) as info:
+        enum.from_name("x")
+    assert str(info.value) == message
 
 
 def test_parse_query_examples(base_lattice):
@@ -48,7 +61,7 @@ def test_parse_query_bare_concept_falls_back(base_lattice):
 
 
 def area(kind, text, imp):
-    return ExtractionArea(kind, tokenize(text), imp, text)
+    return ExtractionArea(kind, tokenize(text), imp)
 
 
 def make_doc(doc_id, vsc, r, alt_text, colors=None, textures=None):
@@ -56,8 +69,7 @@ def make_doc(doc_id, vsc, r, alt_text, colors=None, textures=None):
     if alt_text:
         areas.append(area(AreaKind.ALT_ATTRIBUTE, alt_text, 0.9))
     return IndexRecord(
-        doc_id=doc_id, html_path=f"{doc_id}.html", vis_path=f"{doc_id}.vis",
-        areas=tuple(areas),
+        doc_id=doc_id, areas=tuple(areas),
         vis_records=(VisRecord("vo1", vsc, r, colors or {}, textures or {}),))
 
 
@@ -191,8 +203,7 @@ def test_tfidf_doc_with_query_word_beats_doc_without(base_lattice):
     }
     for doc_id, text in docs.items():
         store.add(IndexRecord(
-            doc_id, f"{doc_id}.html", f"{doc_id}.vis",
-            (area(AreaKind.SURROUNDING_TEXT, text, 0.5),),
+            doc_id, (area(AreaKind.SURROUNDING_TEXT, text, 0.5),),
             (VisRecord("vo1", "sky", 0.5),)))
     ranked = rank(store, base_lattice, cfg, Query("rose garden", ()),
                   Strategy.TFIDF, 5)

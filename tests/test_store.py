@@ -1,4 +1,10 @@
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viscx import PipelineConfig, StoreError, VisRecord
 from viscx.context import AreaKind, ContextualConcept, ExtractionArea, SyntacticTerm
@@ -19,19 +25,15 @@ def full_record(doc_id="doc1"):
         provenance=FusionProvenance("replaced", "correspondence_specialized",
                                     "rose", 0.88, 0.91))
     return IndexRecord(
-        doc_id=doc_id, html_path=f"corpus/{doc_id}.html",
-        vis_path=f"corpus/{doc_id}.vis",
-        areas=(ExtractionArea(AreaKind.ALT_ATTRIBUTE, ("red", "roses"), 0.9,
-                              "red roses"),
+        doc_id=doc_id,
+        areas=(ExtractionArea(AreaKind.ALT_ATTRIBUTE, ("red", "roses"), 0.9),
                ExtractionArea(AreaKind.SURROUNDING_TEXT,
-                              ("smooth", "roses", "here"), 0.5,
-                              "smooth roses here")),
+                              ("smooth", "roses", "here"), 0.5)),
         vis_records=(vis, vis2),
         contextual=(ContextualConcept("rose", 0.9, AreaKind.ALT_ATTRIBUTE),),
         terms=(SyntacticTerm(("rose", 0.9), frozenset({("red", 0.9)}),
                              frozenset(), frozenset()),),
-        enriched=(enriched,),
-        log=("vo1: replaced",))
+        enriched=(enriched,))
 
 
 def test_record_dict_roundtrip():
@@ -51,7 +53,7 @@ def test_store_roundtrip(tmp_path):
 
 
 def test_store_partial_record_roundtrip(tmp_path):
-    record = IndexRecord("d", "d.html", "d.vis", (), (VisRecord("vo1", "sky", 0.5),))
+    record = IndexRecord("d", (), (VisRecord("vo1", "sky", 0.5),))
     store = IndexStore()
     store.add(record)
     path = tmp_path / "index.jsonl"
@@ -111,6 +113,114 @@ def test_load_rejects_other_store_versions(tmp_path):
     path.write_text(text.replace(f'"version":{STORE_VERSION}', '"version":99'))
     with pytest.raises(StoreError, match="store version 99"):
         load_store(path)
+
+
+V1_STORE = (
+    '{"config":null,"taxonomy":null,"type":"meta","version":1}\n'
+    '{"areas":[],"contextual":null,"doc_id":"d","enriched":null,'
+    '"html_path":"c/d.html","log":[],"terms":null,"type":"record",'
+    '"vis_path":"c/d.vis","vis_records":[]}\n')
+
+
+def test_v1_store_is_refused_with_a_rebuild_hint(tmp_path):
+    path = tmp_path / "v1.jsonl"
+    path.write_text(V1_STORE, encoding="utf-8")
+    with pytest.raises(StoreError, match=r"v1\.jsonl:1: store version 1 "
+                       r".*re-run ingest and enrich"):
+        load_store(path)
+
+
+def saved_lines(tmp_path) -> list[dict]:
+    store = IndexStore(meta=StoreMeta(taxonomy="tax.tsv",
+                                      config=PipelineConfig().snapshot(),
+                                      corpus="corpus", taxonomy_sha256="0" * 64))
+    store.add(full_record("a"))
+    store.add(IndexRecord("b", (), (VisRecord("vo1", "sky", 0.5),)))
+    path = tmp_path / "index.jsonl"
+    save_store(store, path)
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _set(line: dict, keys, value) -> dict:
+    node = line
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return line
+
+
+@pytest.mark.parametrize("damage", [
+    lambda lines: lines + [[1]],
+    lambda lines: lines + ["[" * 5000],
+    lambda lines: [_set(lines[0], ["config"], "x")] + lines[1:],
+    lambda lines: [_set(lines[0], ["config", "window"], "x")] + lines[1:],
+    lambda lines: lines[:1] + [_set(lines[1], ["enriched"], "x")] + lines[2:],
+    lambda lines: lines[:1] + [_set(lines[1], ["terms"], [1])] + lines[2:],
+    lambda lines: lines[:1] + [_set(lines[1], ["areas", 0, "impact"], 5)]
+    + lines[2:],
+    lambda lines: lines[:1] + [_set(lines[1], ["areas", 0, "impact"],
+                                    10 ** 400)] + lines[2:],
+    lambda lines: lines + [lines[1]],
+], ids=["list-line", "deep-nesting", "config-string", "config-window",
+        "enriched-string", "terms-number", "impact-5",
+        "impact-huge", "duplicate-doc"])
+def test_malformed_line_gives_store_error(tmp_path, damage):
+    lines = damage(saved_lines(tmp_path))
+    path = tmp_path / "damaged.jsonl"
+    path.write_text("".join(
+        (line if isinstance(line, str) else json.dumps(line)) + "\n"
+        for line in lines), encoding="utf-8")
+    with pytest.raises(StoreError, match=r"damaged\.jsonl:\d+: "):
+        load_store(path)
+
+
+def _node_paths(node, path=()):
+    yield path
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_truncated_or_mutated_line_gives_store_error_only(data):
+    """A damaged line either still decodes or raises StoreError; no other
+    exception escapes load_store."""
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = saved_lines(Path(tmp))
+        n = data.draw(st.integers(0, len(lines) - 1))
+        how = data.draw(st.sampled_from(["truncate", "replace", "delete"]))
+        if how == "truncate":
+            text = json.dumps(lines[n])
+            lines[n] = text[:data.draw(st.integers(0, len(text) - 1))]
+        else:
+            keys = data.draw(st.sampled_from(list(_node_paths(lines[n]))))
+            if not keys:
+                lines[n] = data.draw(JSON_VALUES)
+            elif how == "delete" and isinstance(keys[-1], str):
+                node = lines[n]
+                for key in keys[:-1]:
+                    node = node[key]
+                del node[keys[-1]]
+            else:
+                _set(lines[n], keys, data.draw(JSON_VALUES))
+        path = Path(tmp) / "damaged.jsonl"
+        path.write_text("".join(
+            (line if isinstance(line, str) else json.dumps(line)) + "\n"
+            for line in lines), encoding="utf-8")
+        try:
+            load_store(path)
+        except StoreError:
+            pass
 
 
 @pytest.mark.parametrize("fault", ["encode", "rename"])
