@@ -17,9 +17,9 @@ from .errors import (ConfigError, StoreError, TaxonomyError,
                      UnindexableQueryError, UnknownConceptError,
                      UnrelatedConceptsError, VisParseError, ViscxError)
 from .fusion import (CorrespondencePair, EnrichedVisRecord, FacetKernel,
-                     FusionConfig, FusionProvenance, SimilarityMatrix,
-                     best_correspondences, build_similarity_matrix,
-                     enrich_records, fuse, structure_similarity)
+                     FusionProvenance, SimilarityMatrix, best_correspondences,
+                     build_similarity_matrix, enrich_records, fuse,
+                     structure_similarity)
 from .membership import (MembershipTable, TConormKind, aggregate_mu_tot,
                          mu_cx, mu_vsc, tconorm)
 from .pipeline import enrich_document, enrich_store, ingest_corpus, pair_corpus

@@ -25,7 +25,7 @@ from pathlib import Path
 from .config import PipelineConfig, load_config
 from .errors import ViscxError
 from .pipeline import enrich_store, ingest_corpus
-from .retrieval import (ALL_STRATEGIES, Qrels, Strategy, eval_report,
+from .retrieval import (ALL_STRATEGIES, Qrels, Query, Strategy, eval_report,
                         load_queries, parse_query, rank)
 from .store import StoreMeta, load_store, save_store
 from .taxonomy import SemanticLattice, bundled_taxonomy_path, load_taxonomy
@@ -95,7 +95,6 @@ def _cmd_search(args) -> int:
     strategy = Strategy.from_name(args.strategy)
     if strategy is Strategy.TFIDF:
         # tf-idf ranks raw tokens and needs no taxonomy
-        from .retrieval import Query
         query = Query(args.query, ())
         ranked = rank(store, None, cfg, query, strategy, args.k)
     else:
@@ -112,10 +111,7 @@ def _cmd_eval(args) -> int:
     cfg = _config_from_args(args, store.meta)
     _path, lattice = _lattice_for(args, cfg, store.meta)
     queries = load_queries(args.queries)
-    qrels_path = Path(args.qrels)
-    if not qrels_path.exists():
-        raise ViscxError(f"qrels file not found: {qrels_path}")
-    qrels = Qrels.from_path(qrels_path)
+    qrels = Qrels.from_path(args.qrels)
     strategies = (tuple(Strategy.from_name(s.strip())
                         for s in args.strategies.split(","))
                   if args.strategies else ALL_STRATEGIES)

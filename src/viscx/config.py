@@ -1,47 +1,49 @@
-"""Pipeline configuration: flat key=value file with documented defaults.
+"""Pipeline configuration: flat key=value file.
 
-Recognized keys::
+Keys and their value syntax::
 
-    taxonomy      = path/to/taxonomy.tsv
-    impact_alt    = 0.9
-    impact_src    = 0.7
-    impact_text   = 0.5
-    window        = 600
-    patterns      = COLOR SEM | TEXTURE SEM | SEM SPATIAL SEM | ...
-    tconorm       = psum          (max|psum|bsum)
-    kernel        = max           (max|min|product)
-    t_mu          = 0.1
-    t_sim         = 0.05
-    fusion_literal = false
-    ndcg_n        = 5,10,20
+    taxonomy       = path/to/taxonomy.tsv   (relative to the config file)
+    impact_alt     = number in [0,1]
+    impact_src     = number in [0,1]
+    impact_text    = number in [0,1]
+    window         = integer >= 0
+    patterns       = pattern | pattern | ...  (e.g. SEM OTHER{0,3} COLOR SEM)
+    tconorm        = max|psum|bsum
+    kernel         = max|min|product
+    t_mu           = number in [0,1]
+    t_sim          = number >= 0
+    fusion_literal = true|false  (or yes|no, on|off, 1|0)
+    ndcg_n         = integers >= 1, comma-separated
 
-Blank lines and ``#`` comments are ignored.
+Every key is optional and an unknown key is refused; blank lines and ``#``
+comments are ignored. A store's config snapshot is read back through the
+same per-key readers, which take a file's string or a JSON value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
+from enum import Enum
 from pathlib import Path
 from typing import Mapping
 
 from .context import (DEFAULT_IMPACTS, DEFAULT_PATTERNS, DEFAULT_WINDOW,
                       AreaKind, SyntacticPattern, parse_pattern)
 from .errors import ConfigError, ViscxError
-from .fusion import FacetKernel, FusionConfig
+from .fusion import FacetKernel
 from .membership import TConormKind
-
-_IMPACT_KEYS = {
-    "impact_alt": AreaKind.ALT_ATTRIBUTE,
-    "impact_src": AreaKind.SRC_TOKENS,
-    "impact_text": AreaKind.SURROUNDING_TEXT,
-}
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Every field is a config key. `t_mu` bounds the membership difference
+    still read as correspondence, `t_sim` is the similarity floor of a
+    term/record pair, and `fusion_literal` applies the printed rule."""
+
     taxonomy: str | None = None
-    impacts: Mapping[AreaKind, float] = field(
-        default_factory=lambda: dict(DEFAULT_IMPACTS))
+    impact_alt: float = DEFAULT_IMPACTS[AreaKind.ALT_ATTRIBUTE]
+    impact_src: float = DEFAULT_IMPACTS[AreaKind.SRC_TOKENS]
+    impact_text: float = DEFAULT_IMPACTS[AreaKind.SURROUNDING_TEXT]
     window: int = DEFAULT_WINDOW
     patterns: tuple[SyntacticPattern, ...] = DEFAULT_PATTERNS
     tconorm: TConormKind = TConormKind.PROBABILISTIC_SUM
@@ -52,64 +54,86 @@ class PipelineConfig:
     ndcg_n: tuple[int, ...] = (5, 10, 20)
 
     def __post_init__(self):
-        for kind, value in self.impacts.items():
-            if not (0.0 <= value <= 1.0):
-                raise ConfigError(f"impact for {kind.value} out of [0,1]: {value!r}")
+        for key in ("impact_alt", "impact_src", "impact_text", "t_mu"):
+            if not (0.0 <= getattr(self, key) <= 1.0):
+                raise ConfigError(f"{key} out of [0,1]: {getattr(self, key)!r}")
         if self.window < 0:
             raise ConfigError(f"window must be >= 0: {self.window!r}")
-        if not (0.0 <= self.t_mu <= 1.0):
-            raise ConfigError(f"t_mu out of [0,1]: {self.t_mu!r}")
-        if self.t_sim < 0.0:
+        if not (self.t_sim >= 0.0):  # also refuses nan
             raise ConfigError(f"t_sim must be >= 0: {self.t_sim!r}")
         if any(n < 1 for n in self.ndcg_n):
             raise ConfigError(f"ndcg_n cutoffs must be >= 1: {self.ndcg_n!r}")
 
-    def fusion(self) -> FusionConfig:
-        return FusionConfig(t_mu=self.t_mu, t_sim=self.t_sim,
-                            kernel=self.kernel, literal=self.fusion_literal)
+    @property
+    def impacts(self) -> dict[AreaKind, float]:
+        return {AreaKind.ALT_ATTRIBUTE: self.impact_alt,
+                AreaKind.SRC_TOKENS: self.impact_src,
+                AreaKind.SURROUNDING_TEXT: self.impact_text}
 
     def snapshot(self) -> dict:
         """JSON-friendly view, embedded in the index store meta line."""
-        return {
-            "taxonomy": self.taxonomy,
-            "impact_alt": self.impacts[AreaKind.ALT_ATTRIBUTE],
-            "impact_src": self.impacts[AreaKind.SRC_TOKENS],
-            "impact_text": self.impacts[AreaKind.SURROUNDING_TEXT],
-            "window": self.window,
-            "patterns": [p.text() for p in self.patterns],
-            "tconorm": self.tconorm.value,
-            "kernel": self.kernel.value,
-            "t_mu": self.t_mu,
-            "t_sim": self.t_sim,
-            "fusion_literal": self.fusion_literal,
-            "ndcg_n": list(self.ndcg_n),
-        }
+        return {f.name: _json(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_snapshot(cls, data: Mapping) -> "PipelineConfig":
-        return cls(
-            taxonomy=data.get("taxonomy"),
-            impacts={kind: float(data[key]) for key, kind in _IMPACT_KEYS.items()
-                     if key in data} or dict(DEFAULT_IMPACTS),
-            window=int(data.get("window", DEFAULT_WINDOW)),
-            patterns=tuple(parse_pattern(p) for p in data["patterns"])
-            if "patterns" in data else DEFAULT_PATTERNS,
-            tconorm=TConormKind.from_name(data.get("tconorm", "psum")),
-            kernel=FacetKernel.from_name(data.get("kernel", "max")),
-            t_mu=float(data.get("t_mu", 0.1)),
-            t_sim=float(data.get("t_sim", 0.05)),
-            fusion_literal=bool(data.get("fusion_literal", False)),
-            ndcg_n=tuple(int(n) for n in data.get("ndcg_n", (5, 10, 20))),
-        )
+        """A config from key -> value, where a value is a config file's
+        string or a snapshot's JSON value; a missing key keeps its default."""
+        values = {}
+        for key, value in data.items():
+            if key not in _READERS:
+                raise ConfigError(f"unknown configuration key {key!r}")
+            try:
+                values[key] = _READERS[key](value)
+            # a value of the wrong type or out of range
+            except (AttributeError, LookupError, TypeError, ValueError,
+                    ArithmeticError, ViscxError) as exc:
+                raise ConfigError(f"bad value for {key}: {exc}") from None
+        return cls(**values)
 
 
-def _parse_bool(value: str, key: str) -> bool:
-    v = value.strip().lower()
-    if v in ("true", "yes", "1", "on"):
-        return True
-    if v in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"bad boolean for {key}: {value!r}")
+def _json(value):
+    if isinstance(value, tuple):
+        return [_json(item) for item in value]
+    if isinstance(value, SyntacticPattern):
+        return value.text()
+    return value.value if isinstance(value, Enum) else value
+
+
+def _items(value, sep: str):
+    """A file's `sep`-separated string, or a snapshot's list, as items."""
+    if isinstance(value, str):
+        return [item for item in value.split(sep) if item.strip()]
+    return value
+
+
+_BOOLS = {"true": True, "yes": True, "1": True, "on": True,
+          "false": False, "no": False, "0": False, "off": False}
+
+
+def _bool(value) -> bool:
+    return value if isinstance(value, bool) else _BOOLS[value.lower()]
+
+
+def _path(value) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"expected a path, got {value!r}")
+    return value
+
+
+_READERS = {
+    "taxonomy": _path,
+    "impact_alt": float,
+    "impact_src": float,
+    "impact_text": float,
+    "window": int,
+    "patterns": lambda v: tuple(parse_pattern(p) for p in _items(v, "|")),
+    "tconorm": TConormKind.from_name,
+    "kernel": FacetKernel.from_name,
+    "t_mu": float,
+    "t_sim": float,
+    "fusion_literal": _bool,
+    "ndcg_n": lambda v: tuple(int(n) for n in _items(v, ",")),
+}
 
 
 def parse_config(text: str, *, base_dir: Path | None = None) -> PipelineConfig:
@@ -127,49 +151,14 @@ def parse_config(text: str, *, base_dir: Path | None = None) -> PipelineConfig:
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = value.strip()
-
-    cfg = PipelineConfig()
-    impacts = dict(cfg.impacts)
-    kwargs: dict = {}
-    try:
-        for key, value in values.items():
-            if key == "taxonomy":
-                path = Path(value)
-                if base_dir is not None and not path.is_absolute():
-                    path = base_dir / path
-                if not path.exists():
-                    raise ConfigError(f"taxonomy file not found: {path}")
-                kwargs["taxonomy"] = str(path)
-            elif key in _IMPACT_KEYS:
-                impacts[_IMPACT_KEYS[key]] = float(value)
-            elif key == "window":
-                kwargs["window"] = int(value)
-            elif key == "patterns":
-                kwargs["patterns"] = tuple(
-                    parse_pattern(part.strip())
-                    for part in value.split("|") if part.strip())
-            elif key == "tconorm":
-                kwargs["tconorm"] = TConormKind.from_name(value)
-            elif key == "kernel":
-                kwargs["kernel"] = FacetKernel.from_name(value)
-            elif key == "t_mu":
-                kwargs["t_mu"] = float(value)
-            elif key == "t_sim":
-                kwargs["t_sim"] = float(value)
-            elif key == "fusion_literal":
-                kwargs["fusion_literal"] = _parse_bool(value, key)
-            elif key == "ndcg_n":
-                kwargs["ndcg_n"] = tuple(
-                    int(n) for n in value.split(",") if n.strip())
-            else:
-                raise ConfigError(f"unknown configuration key {key!r}")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    except ViscxError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from None
-    return replace(cfg, impacts=impacts, **kwargs)
+    if "taxonomy" in values:
+        path = Path(values["taxonomy"])
+        if base_dir is not None and not path.is_absolute():
+            path = base_dir / path
+        if not path.is_file():
+            raise ConfigError(f"taxonomy file not found: {path}")
+        values["taxonomy"] = str(path)
+    return PipelineConfig.from_snapshot(values)
 
 
 def load_config(path: str | Path) -> PipelineConfig:

@@ -15,13 +15,16 @@ when the membership values disagree beyond a threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .context import SyntacticTerm, term_vectors
-from .errors import NamedEnum, ViscxError
+from .errors import NamedEnum
 from .membership import MembershipTable
 from .taxonomy import SemanticLattice, SemRelation
 from .vis import VOCAB_SIZE, VisRecord, facet_vectors
+
+if TYPE_CHECKING:  # config imports FacetKernel from here
+    from .config import PipelineConfig
 
 
 class FacetKernel(NamedEnum, what="facet kernel"):
@@ -35,28 +38,6 @@ _KERNELS = {
     FacetKernel.MIN: min,
     FacetKernel.PRODUCT: lambda a, b: a * b,
 }
-
-
-@dataclass(frozen=True)
-class FusionConfig:
-    """Thresholds and knobs of the correspondence/fusion stage.
-
-    `t_mu` bounds the membership difference still read as semantic
-    correspondence, `t_sim` is the similarity floor below which a pair is
-    dropped, and `literal` switches the no-correspondence branch to keep
-    the lower-valued concept (the printed rule) instead of the higher one.
-    """
-
-    t_mu: float = 0.1
-    t_sim: float = 0.05
-    kernel: FacetKernel = FacetKernel.MAX
-    literal: bool = False
-
-    def __post_init__(self):
-        if not (0.0 <= self.t_mu <= 1.0):
-            raise ViscxError(f"t_mu out of [0,1]: {self.t_mu!r}")
-        if self.t_sim < 0.0:
-            raise ViscxError(f"t_sim must be >= 0: {self.t_sim!r}")
 
 
 @dataclass(frozen=True)
@@ -170,7 +151,7 @@ class CorrespondencePair:
 
 
 def best_correspondences(matrix: SimilarityMatrix,
-                         config: FusionConfig) -> list[CorrespondencePair]:
+                         config: PipelineConfig) -> list[CorrespondencePair]:
     """Per record column, the argmax term with similarity at or above the
     floor. One term may win several columns; near-ties (within 1e-9) break
     toward the higher head impact, then the lower term index."""
@@ -207,7 +188,7 @@ def keep_unmatched(vis: VisRecord, table: MembershipTable,
 
 def fuse(pair: CorrespondencePair, vis: VisRecord, st: SyntacticTerm,
          table: MembershipTable, lattice: SemanticLattice,
-         config: FusionConfig) -> EnrichedVisRecord:
+         config: PipelineConfig) -> EnrichedVisRecord:
     """Fuse one matched term into its record.
 
     Within the correspondence band (membership difference <= t_mu) the
@@ -234,7 +215,7 @@ def fuse(pair: CorrespondencePair, vis: VisRecord, st: SyntacticTerm,
             decision, branch, new_vsc = "kept", "correspondence_unrelated", vis.vsc
         else:
             decision, branch, new_vsc = "kept", "correspondence_kept", vis.vsc
-    elif config.literal:
+    elif config.fusion_literal:
         if mu_v - mu_c < 0:
             decision, branch, new_vsc = "kept", "correction_literal_kept", vis.vsc
         else:
@@ -250,7 +231,7 @@ def fuse(pair: CorrespondencePair, vis: VisRecord, st: SyntacticTerm,
 
 def enrich_records(records: Sequence[VisRecord], terms: Sequence[SyntacticTerm],
                    table: MembershipTable, lattice: SemanticLattice,
-                   config: FusionConfig) -> tuple[list[EnrichedVisRecord],
+                   config: PipelineConfig) -> tuple[list[EnrichedVisRecord],
                                                   list[CorrespondencePair]]:
     """Run the full correspondence-and-fusion stage for one document,
     returning enriched records in input order plus the matched pairs."""

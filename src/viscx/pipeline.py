@@ -90,7 +90,7 @@ def enrich_document(record: IndexRecord, lattice: SemanticLattice,
         universe, [(r.vsc, r.r_vsc) for r in known],
         [(c.cx, c.imp) for c in contextual], lattice, cfg.tconorm)
 
-    fused, _pairs = enrich_records(known, terms, table, lattice, cfg.fusion())
+    fused, _pairs = enrich_records(known, terms, table, lattice, cfg)
     by_id = {e.vo_id: e for e in fused}
     enriched = []
     for r in record.vis_records:

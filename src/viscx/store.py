@@ -64,6 +64,13 @@ class IndexStore:
 # -- encoding -------------------------------------------------------------
 
 
+def _str(value) -> str:
+    """`value`, checked to be a string: JSON gives any type."""
+    if not isinstance(value, str):
+        raise StoreError(f"expected a string, got {value!r}")
+    return value
+
+
 def _pairs_out(pairs: frozenset[tuple[str, float]]) -> list[list]:
     return [[name, imp] for name, imp in sorted(pairs)]
 
@@ -78,8 +85,10 @@ def _area_out(area: ExtractionArea) -> dict:
 
 
 def _area_in(data) -> ExtractionArea:
-    return ExtractionArea(AreaKind(data["kind"]), tuple(data["tokens"]),
-                          float(data["impact"]))
+    tokens = tuple(data["tokens"])
+    if set(map(type, tokens)) - {str}:  # one check per area, not per token
+        raise StoreError(f"area tokens must be strings: {tokens!r}")
+    return ExtractionArea(AreaKind(data["kind"]), tokens, float(data["impact"]))
 
 
 def _vis_out(record: VisRecord) -> dict:
@@ -106,7 +115,7 @@ def _term_out(term: SyntacticTerm) -> dict:
 def _term_in(data) -> SyntacticTerm:
     head = data.get("head")
     return SyntacticTerm(
-        (head[0], float(head[1])) if head is not None else None,
+        (_str(head[0]), float(head[1])) if head is not None else None,
         _pairs_in(data["colors"]), _pairs_in(data["textures"]),
         _pairs_in(data["spatials"]))
 
@@ -116,7 +125,8 @@ def _cx_out(cx: ContextualConcept) -> dict:
 
 
 def _cx_in(data) -> ContextualConcept:
-    return ContextualConcept(data["cx"], float(data["imp"]), AreaKind(data["area"]))
+    return ContextualConcept(_str(data["cx"]), float(data["imp"]),
+                             AreaKind(data["area"]))
 
 
 def _enriched_out(record: EnrichedVisRecord) -> dict:
@@ -164,7 +174,7 @@ def record_to_dict(record: IndexRecord) -> dict:
 
 def record_from_dict(data: Mapping) -> IndexRecord:
     return IndexRecord(
-        doc_id=data["doc_id"],
+        doc_id=_str(data["doc_id"]),
         areas=tuple(_area_in(a) for a in data["areas"]),
         vis_records=tuple(_vis_in(r) for r in data["vis_records"]),
         contextual=None if data["contextual"] is None

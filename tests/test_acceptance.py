@@ -20,7 +20,7 @@ from viscx import (Concept, PipelineConfig, Qrels, RankedList,
                    ingest_corpus, insert_concept, load_store,
                    load_taxonomy, ndcg_at_n, parse_taxonomy, parse_vis,
                    save_store, serialize_vis)
-from viscx.fusion import FacetKernel, FusionConfig, SimilarityMatrix, best_correspondences
+from viscx.fusion import FacetKernel, SimilarityMatrix, best_correspondences
 from viscx.membership import TConormKind, aggregate_mu_tot, tconorm
 from viscx.taxonomy import SemRelation
 
@@ -226,7 +226,7 @@ def test_acceptance_correction_behavior(corrupted_corpus_run):
 
 def test_acceptance_best_correspondences_bruteforce():
     rng = random.Random(4242)
-    config = FusionConfig(t_sim=0.05)
+    config = PipelineConfig(t_sim=0.05)
     instances = 0
     for _ in range(1000):
         n_terms = rng.randint(1, 6)

@@ -1,9 +1,10 @@
 import hashlib
+import json
 import shutil
 
 import pytest
 
-from viscx import bundled_taxonomy_path
+from viscx import PipelineConfig, bundled_taxonomy_path
 from viscx.cli import main
 from viscx.store import load_store
 
@@ -334,6 +335,49 @@ def test_config_file_roundtrip(corpus, tmp_path):
     # enrich without --config picks the snapshot back up
     assert main(["enrich", "--index", str(index)]) == 0
     assert load_store(index).meta.config["kernel"] == "min"
+
+
+def rewrite_line(path, n, change):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[n] = json.dumps(change(json.loads(lines[n])))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def set_config_key(meta, key, value):
+    """The meta line with one config key set, or deleted when `value` is None."""
+    meta["config"].pop(key)
+    if value is not None:
+        meta["config"][key] = value
+    return meta
+
+
+@pytest.mark.parametrize("key, value", [("impact_src", None),
+                                        ("fusion_literal", "false")])
+def test_enrich_reads_a_store_snapshot_like_a_config_file(corpus, tmp_path,
+                                                          key, value):
+    index = tmp_path / "index.jsonl"
+    main(["ingest", "--corpus", str(corpus), "--out", str(index)])
+    rewrite_line(index, 0, lambda meta: set_config_key(meta, key, value))
+    assert main(["enrich", "--index", str(index)]) == 0
+    config = load_store(index).meta.config
+    assert {**config, "taxonomy": None} == PipelineConfig().snapshot()
+
+
+def test_nan_similarity_floor_is_data_error(corpus, tmp_path, capsys):
+    config = tmp_path / "pipeline.cfg"
+    config.write_text("t_sim = nan\n", encoding="utf-8")
+    assert main(["ingest", "--corpus", str(corpus), "--out",
+                 str(tmp_path / "index.jsonl"), "--config", str(config)]) == 2
+    one_error_line(capsys.readouterr(), "t_sim")
+
+
+def test_enrich_wrong_typed_doc_id_is_data_error(corpus, tmp_path, capsys):
+    index = tmp_path / "index.jsonl"
+    main(["ingest", "--corpus", str(corpus), "--out", str(index)])
+    rewrite_line(index, 1, lambda record: {**record, "doc_id": 5})
+    capsys.readouterr()
+    assert main(["enrich", "--index", str(index)]) == 2
+    one_error_line(capsys.readouterr(), f"{index}:2")
 
 
 def append_byte_ff(path):

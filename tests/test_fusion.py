@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from viscx import UnknownConceptError, VisRecord
+from viscx import PipelineConfig, UnknownConceptError, VisRecord
 from viscx.context import SyntacticTerm
-from viscx.fusion import (CorrespondencePair, FacetKernel, FusionConfig,
+from viscx.fusion import (CorrespondencePair, FacetKernel,
                           best_correspondences, enrich_records, fuse,
                           keep_unmatched, structure_similarity,
                           SimilarityMatrix)
@@ -109,7 +109,7 @@ def test_similarity_nonnegative_and_monotone(enriched_fragment):
 
 def test_best_correspondences_trivial_and_floor():
     matrix = SimilarityMatrix(((0.7,),), (0.9,))
-    config = FusionConfig(t_sim=0.1)
+    config = PipelineConfig(t_sim=0.1)
     assert best_correspondences(matrix, config) == [CorrespondencePair(0, 0, 0.7)]
 
     matrix = SimilarityMatrix(((0.9, 0.2), (0.1, 0.8)), (0.9, 0.9))
@@ -118,26 +118,26 @@ def test_best_correspondences_trivial_and_floor():
 
     # column max below the floor: that record goes unmatched
     matrix = SimilarityMatrix(((0.04, 0.9),), (0.9,))
-    pairs = best_correspondences(matrix, FusionConfig(t_sim=0.05))
+    pairs = best_correspondences(matrix, PipelineConfig(t_sim=0.05))
     assert [(p.term_index, p.vis_index) for p in pairs] == [(0, 1)]
 
 
 def test_best_correspondences_tie_breaks_by_head_imp_then_index():
     matrix = SimilarityMatrix(((0.5,), (0.5,)), (0.5, 0.9))
-    pairs = best_correspondences(matrix, FusionConfig())
+    pairs = best_correspondences(matrix, PipelineConfig())
     assert pairs[0].term_index == 1
     matrix = SimilarityMatrix(((0.5,), (0.5,)), (0.9, 0.9))
-    pairs = best_correspondences(matrix, FusionConfig())
+    pairs = best_correspondences(matrix, PipelineConfig())
     assert pairs[0].term_index == 0
 
 
 def test_best_correspondences_empty():
-    assert best_correspondences(SimilarityMatrix((), ()), FusionConfig()) == []
+    assert best_correspondences(SimilarityMatrix((), ()), PipelineConfig()) == []
 
 
 def test_best_correspondences_matches_bruteforce():
     rng = random.Random(42)
-    config = FusionConfig(t_sim=0.05)
+    config = PipelineConfig(t_sim=0.05)
     for _ in range(400):
         n_terms = rng.randint(1, 6)
         n_units = rng.randint(1, 6)
@@ -157,7 +157,7 @@ def fuse_with(mu_vsc_val, mu_cx_val, vis_concept, cx_concept, lattice,
     st = term(cx_concept)
     table = table_of({vis_concept: mu_vsc_val, cx_concept: mu_cx_val})
     pair = CorrespondencePair(0, 0, 1.0)
-    return fuse(pair, vis, st, table, lattice, config or FusionConfig())
+    return fuse(pair, vis, st, table, lattice, config or PipelineConfig())
 
 
 def test_fuse_replaces_with_more_specific(enriched_fragment):
@@ -188,7 +188,7 @@ def test_fuse_correction_installs_higher_mu(enriched_fragment):
 
 
 def test_fuse_literal_mode_follows_printed_rule(enriched_fragment):
-    config = FusionConfig(literal=True)
+    config = PipelineConfig(fusion_literal=True)
     # negative difference keeps the visual concept even though the
     # context one scores higher
     enriched = fuse_with(0.2, 0.85, "building", "cathedral",
@@ -209,7 +209,7 @@ def test_fuse_unrelated_in_band_keeps(enriched_fragment):
 def test_fuse_never_generalizes_in_band(base_lattice):
     rng = random.Random(17)
     ids = list(base_lattice.concept_ids())
-    config = FusionConfig()
+    config = PipelineConfig()
     for _ in range(300):
         vis_concept, cx_concept = rng.choice(ids), rng.choice(ids)
         mu_v = round(rng.random(), 3)
@@ -229,7 +229,7 @@ def test_fuse_headless_term_keeps(enriched_fragment):
     st = term(None, colors={("red", 0.9)})
     table = table_of({"rose": 0.77})
     enriched = fuse(CorrespondencePair(0, 0, 0.2), vis, st, table,
-                    enriched_fragment, FusionConfig())
+                    enriched_fragment, PipelineConfig())
     assert enriched.vsc == "rose"
     assert enriched.final_mu == pytest.approx(0.77)
     assert enriched.provenance.branch == "headless"
@@ -252,7 +252,7 @@ def test_enrich_records_is_deterministic(enriched_fragment):
                              [("flower", 0.7), ("building", 0.9)],
                              [("rose", 0.9), ("cathedral", 0.5)], lat,
                              TConormKind.PROBABILISTIC_SUM)
-    first, pairs1 = enrich_records(records, terms, table, lat, FusionConfig())
-    second, pairs2 = enrich_records(records, terms, table, lat, FusionConfig())
+    first, pairs1 = enrich_records(records, terms, table, lat, PipelineConfig())
+    second, pairs2 = enrich_records(records, terms, table, lat, PipelineConfig())
     assert first == second and pairs1 == pairs2
     assert [e.vo_id for e in first] == ["vo1", "vo2"]

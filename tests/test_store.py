@@ -161,9 +161,17 @@ def _set(line: dict, keys, value) -> dict:
     lambda lines: lines[:1] + [_set(lines[1], ["areas", 0, "impact"],
                                     10 ** 400)] + lines[2:],
     lambda lines: lines + [lines[1]],
+    lambda lines: lines[:1] + [_set(lines[1], ["doc_id"], 5)] + lines[2:],
+    lambda lines: lines[:1] + [_set(lines[1], ["areas", 0, "tokens", 0], 1)]
+    + lines[2:],
+    lambda lines: lines[:1] + [_set(lines[1], ["contextual", 0, "cx"], 5)]
+    + lines[2:],
+    lambda lines: lines[:1] + [_set(lines[1], ["terms", 0, "head", 0], 5)]
+    + lines[2:],
 ], ids=["list-line", "deep-nesting", "config-string", "config-window",
         "enriched-string", "terms-number", "impact-5",
-        "impact-huge", "duplicate-doc"])
+        "impact-huge", "duplicate-doc", "doc-id-number", "token-number",
+        "cx-number", "head-number"])
 def test_malformed_line_gives_store_error(tmp_path, damage):
     lines = damage(saved_lines(tmp_path))
     path = tmp_path / "damaged.jsonl"
