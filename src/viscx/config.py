@@ -114,6 +114,22 @@ def _bool(value) -> bool:
     return value if isinstance(value, bool) else _BOOLS[value.lower()]
 
 
+def _float(value) -> float:
+    """A file's string or a snapshot's number; a JSON bool is no number."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _int(value) -> int:
+    """A file's string or a snapshot's integral number."""
+    if isinstance(value, str):
+        return int(value)
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _path(value) -> str | None:
     if value is not None and not isinstance(value, str):
         raise TypeError(f"expected a path, got {value!r}")
@@ -122,17 +138,17 @@ def _path(value) -> str | None:
 
 _READERS = {
     "taxonomy": _path,
-    "impact_alt": float,
-    "impact_src": float,
-    "impact_text": float,
-    "window": int,
+    "impact_alt": _float,
+    "impact_src": _float,
+    "impact_text": _float,
+    "window": _int,
     "patterns": lambda v: tuple(parse_pattern(p) for p in _items(v, "|")),
     "tconorm": TConormKind.from_name,
     "kernel": FacetKernel.from_name,
-    "t_mu": float,
-    "t_sim": float,
+    "t_mu": _float,
+    "t_sim": _float,
     "fusion_literal": _bool,
-    "ndcg_n": lambda v: tuple(int(n) for n in _items(v, ",")),
+    "ndcg_n": lambda v: tuple(_int(n) for n in _items(v, ",")),
 }
 
 

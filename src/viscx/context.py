@@ -22,8 +22,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ViscxError
 from .taxonomy import SemanticLattice
-from .vis import (DEFAULT_VOCABS, VOCAB_SIZE, COLOR_VOCAB, SPATIAL_VOCAB,
-                  TEXTURE_VOCAB, FacetVectors, VocabSet)
+from .vis import (COLOR_VOCAB, FACET_VOCABS, SPATIAL_VOCAB, TEXTURE_VOCAB,
+                  FacetVectors, weight_vectors)
 
 log = logging.getLogger(__name__)
 
@@ -76,6 +76,10 @@ class Category(Enum):
     TEXTURE = "T"
     SPATIAL = "P"
     OTHER = "O"
+
+
+#: the attribute categories, in FACET_VOCABS (and SyntacticTerm field) order
+_ATTR_CATEGORIES = (Category.COLOR, Category.TEXTURE, Category.SPATIAL)
 
 
 @dataclass(frozen=True)
@@ -203,12 +207,21 @@ def extract_areas(page: str, image_ref: str | None = None, *,
 # -- tagging --------------------------------------------------------------
 
 
-def _tag_one(token: str, lattice: SemanticLattice,
-             vocabs: VocabSet) -> TaggedToken:
+#: the attribute vocabularies in the order tagging tries them
+_TAG_VOCABS = ((SPATIAL_VOCAB, Category.SPATIAL), (COLOR_VOCAB, Category.COLOR),
+               (TEXTURE_VOCAB, Category.TEXTURE))
+
+#: the spatial phrases by first token, longest first
+_PHRASES: dict[str, list[tuple[tuple[str, ...], TaggedToken]]] = {}
+for _phrase, _name in sorted(SPATIAL_VOCAB.phrases.items(),
+                             key=lambda item: -len(item[0])):
+    _PHRASES.setdefault(_phrase[0], []).append(
+        (_phrase, TaggedToken(" ".join(_phrase), Category.SPATIAL, _name)))
+
+
+def _tag_one(token: str, lattice: SemanticLattice) -> TaggedToken:
     folded = singularize(token)
-    for vocab, category in ((vocabs.spatial, Category.SPATIAL),
-                            (vocabs.color, Category.COLOR),
-                            (vocabs.texture, Category.TEXTURE)):
+    for vocab, category in _TAG_VOCABS:
         name = vocab.resolve(token) or vocab.resolve(folded)
         if name is not None:
             return TaggedToken(token, category, name)
@@ -218,63 +231,44 @@ def _tag_one(token: str, lattice: SemanticLattice,
     return TaggedToken(token, Category.OTHER)
 
 
-def _tag_memo(lattice: SemanticLattice, vocabs: VocabSet):
-    """The token memo and the spatial phrases by first token (longest
-    first) for this vocabulary set, kept on the immutable lattice.
-
-    VocabSet is not hashable, so the memo is keyed by its id; the entry
-    holds the VocabSet itself, which keeps that id from being reused.
-    """
-    entry = lattice._tags.get(id(vocabs))
-    if entry is None or entry[0] is not vocabs:
-        phrases: dict[str, list[tuple[tuple[str, ...], TaggedToken]]] = {}
-        for phrase, name in vocabs.spatial.phrases.items():
-            phrases.setdefault(phrase[0], []).append(
-                (phrase, TaggedToken(" ".join(phrase), Category.SPATIAL, name)))
-        for candidates in phrases.values():
-            candidates.sort(key=lambda c: -len(c[0]))
-        entry = lattice._tags[id(vocabs)] = (vocabs, {}, phrases)
-    return entry[1], entry[2]
-
-
-def tag_tokens(tokens: Sequence[str], lattice: SemanticLattice,
-               vocabs: VocabSet = DEFAULT_VOCABS) -> tuple[TaggedToken, ...]:
+def tag_tokens(tokens: Sequence[str],
+               lattice: SemanticLattice) -> tuple[TaggedToken, ...]:
     """Label each token SEM / COLOR / TEXTURE / SPATIAL / OTHER.
 
     Multi-token spatial phrases fold into one tagged token, the longest
     phrase winning. Attribute vocabularies win over the lattice on the
     rare collision; plural folding is tried when the raw token misses.
     A token's tag depends on nothing else, so it is computed once per
-    lattice and vocabulary set and looked up afterwards.
+    lattice, kept on the immutable lattice, and looked up afterwards.
     """
-    memo, phrases = _tag_memo(lattice, vocabs)
+    memo = lattice._tags
     tokens = tuple(tokens)
     tagged: list[TaggedToken] = []
     i = 0
     n = len(tokens)
     while i < n:
         token = tokens[i]
-        for phrase, hit in phrases.get(token, ()):
+        for phrase, hit in _PHRASES.get(token, ()):
             if tokens[i:i + len(phrase)] == phrase:
                 width = len(phrase)
                 break
         else:
             hit = memo.get(token)
             if hit is None:
-                hit = memo[token] = _tag_one(token, lattice, vocabs)
+                hit = memo[token] = _tag_one(token, lattice)
             width = 1
         tagged.append(hit)
         i += width
     return tuple(tagged)
 
 
-def assign_impacts(areas: Iterable[ExtractionArea], lattice: SemanticLattice,
-                   vocabs: VocabSet = DEFAULT_VOCABS) -> tuple[ContextualConcept, ...]:
+def assign_impacts(areas: Iterable[ExtractionArea],
+                   lattice: SemanticLattice) -> tuple[ContextualConcept, ...]:
     """One contextual concept per distinct lattice concept found in any
     area; its impact is the maximum base impact over all occurrences."""
     best: dict[str, tuple[float, AreaKind]] = {}
     for area in areas:
-        for tt in tag_tokens(area.tokens, lattice, vocabs):
+        for tt in tag_tokens(area.tokens, lattice):
             if tt.category is not Category.SEM or tt.concept is None:
                 continue
             current = best.get(tt.concept)
@@ -359,12 +353,6 @@ DEFAULT_PATTERNS: tuple[SyntacticPattern, ...] = tuple(parse_pattern(p) for p in
 ))
 
 
-def _valid_attr(category: Category, concept: str) -> bool:
-    vocab = {Category.COLOR: COLOR_VOCAB, Category.TEXTURE: TEXTURE_VOCAB,
-             Category.SPATIAL: SPATIAL_VOCAB}[category]
-    return concept in vocab.names
-
-
 @dataclass(frozen=True)
 class SyntacticTerm:
     """A VIS-shaped bundle mined from text: at most one semantic head and
@@ -377,16 +365,18 @@ class SyntacticTerm:
     spatials: frozenset[tuple[str, float]] = frozenset()
 
     def __post_init__(self):
-        for pair, category in ((self.colors, Category.COLOR),
-                               (self.textures, Category.TEXTURE),
-                               (self.spatials, Category.SPATIAL)):
-            for name, imp in pair:
-                if not _valid_attr(category, name):
-                    raise ViscxError(f"unknown {category.name.lower()} concept {name!r}")
+        for vocab, pairs in zip(FACET_VOCABS, self.facets()):
+            for name, imp in pairs:
+                if name not in vocab.names:
+                    raise ViscxError(f"unknown {vocab.kind} concept {name!r}")
                 if not (0.0 <= imp <= 1.0):
                     raise ViscxError(f"impact out of [0,1]: {imp!r}")
         if self.head is not None and not (0.0 <= self.head[1] <= 1.0):
             raise ViscxError(f"impact out of [0,1]: {self.head[1]!r}")
+
+    def facets(self) -> tuple[frozenset[tuple[str, float]], ...]:
+        """(colors, textures, spatials), in FACET_VOCABS order."""
+        return (self.colors, self.textures, self.spatials)
 
     def concepts(self) -> frozenset[str]:
         ids = {name for name, _imp in self.colors | self.textures | self.spatials}
@@ -405,7 +395,7 @@ def terms_from_window(window: Sequence[TaggedToken], area_impact: float,
     """
     sem_pos = [i for i, tt in enumerate(window) if tt.category is Category.SEM]
     attr_pos = [i for i, tt in enumerate(window)
-                if tt.category in (Category.COLOR, Category.TEXTURE, Category.SPATIAL)]
+                if tt.category in _ATTR_CATEGORIES]
     if not sem_pos:
         if not attr_pos:
             return []
@@ -413,11 +403,7 @@ def terms_from_window(window: Sequence[TaggedToken], area_impact: float,
         for i in attr_pos:
             tt = window[i]
             buckets.setdefault(tt.category, set()).add((tt.concept, area_impact))
-        return [SyntacticTerm(
-            None,
-            frozenset(buckets.get(Category.COLOR, ())),
-            frozenset(buckets.get(Category.TEXTURE, ())),
-            frozenset(buckets.get(Category.SPATIAL, ())))]
+        return [_term(None, buckets)]
 
     attached: dict[int, dict[Category, set[tuple[str, float]]]] = {i: {} for i in sem_pos}
     for i in attr_pos:
@@ -431,13 +417,14 @@ def terms_from_window(window: Sequence[TaggedToken], area_impact: float,
     for s in sem_pos:
         cid = window[s].concept
         imp = head_imps.get(cid, area_impact) if head_imps else area_impact
-        buckets = attached[s]
-        terms.append(SyntacticTerm(
-            (cid, imp),
-            frozenset(buckets.get(Category.COLOR, ())),
-            frozenset(buckets.get(Category.TEXTURE, ())),
-            frozenset(buckets.get(Category.SPATIAL, ()))))
+        terms.append(_term((cid, imp), attached[s]))
     return terms
+
+
+def _term(head: tuple[str, float] | None,
+          buckets: Mapping[Category, set[tuple[str, float]]]) -> SyntacticTerm:
+    return SyntacticTerm(head, *(frozenset(buckets.get(category, ()))
+                                 for category in _ATTR_CATEGORIES))
 
 
 def apply_patterns(tagged: Sequence[TaggedToken],
@@ -463,16 +450,4 @@ def apply_patterns(tagged: Sequence[TaggedToken],
 def term_vectors(term: SyntacticTerm) -> FacetVectors:
     """Vector view of a term: each attribute's impact at its vocabulary
     index (max when a concept appears with several impacts)."""
-    c = [0.0] * VOCAB_SIZE
-    for name, imp in term.colors:
-        j = COLOR_VOCAB.index(name)
-        c[j] = max(c[j], imp)
-    t = [0.0] * VOCAB_SIZE
-    for name, imp in term.textures:
-        j = TEXTURE_VOCAB.index(name)
-        t[j] = max(t[j], imp)
-    s = [0.0] * VOCAB_SIZE
-    for name, imp in term.spatials:
-        j = SPATIAL_VOCAB.index(name)
-        s[j] = max(s[j], imp)
-    return FacetVectors(tuple(c), tuple(t), tuple(s))
+    return weight_vectors(term.facets())

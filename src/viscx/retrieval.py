@@ -24,9 +24,8 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .config import PipelineConfig
-from .context import (DEFAULT_PATTERNS, DEFAULT_VOCABS, SyntacticTerm,
-                      VocabSet, apply_patterns, singularize, tag_tokens,
-                      terms_from_window, tokenize)
+from .context import (DEFAULT_PATTERNS, SyntacticTerm, apply_patterns,
+                      singularize, tag_tokens, terms_from_window, tokenize)
 from .errors import NamedEnum, StoreError, UnindexableQueryError, ViscxError
 from .fusion import scoring_view, view_similarity
 from .membership import aggregate_mu_tot
@@ -66,15 +65,14 @@ def _subsumes(a: SyntacticTerm, b: SyntacticTerm) -> bool:
     hb = b.head[0] if b.head else None
     if ha != hb:
         return False
-    for fa, fb in ((a.colors, b.colors), (a.textures, b.textures),
-                   (a.spatials, b.spatials)):
+    for fa, fb in zip(a.facets(), b.facets()):
         if not {n for n, _ in fb} <= {n for n, _ in fa}:
             return False
     return True
 
 
 def parse_query(text: str, lattice: SemanticLattice, *,
-                patterns=None, vocabs: VocabSet = DEFAULT_VOCABS) -> Query:
+                patterns=None) -> Query:
     """Tag and pattern-match the query text into syntactic terms.
 
     When no pattern fires, terms are built from the whole tagged stream
@@ -82,7 +80,7 @@ def parse_query(text: str, lattice: SemanticLattice, *,
     concept at all is rejected as unindexable.
     """
     patterns = DEFAULT_PATTERNS if patterns is None else patterns
-    tagged = tag_tokens(tokenize(text), lattice, vocabs)
+    tagged = tag_tokens(tokenize(text), lattice)
     terms = list(apply_patterns(tagged, patterns, area_impact=1.0))
     if not terms:
         terms = terms_from_window(list(tagged), 1.0, None)
@@ -91,11 +89,7 @@ def parse_query(text: str, lattice: SemanticLattice, *,
             f"query {text!r} contains no vocabulary concept")
     kept = [t for t in terms
             if not any(o is not t and _subsumes(o, t) for o in terms)]
-    deduped: list[SyntacticTerm] = []
-    for t in kept:
-        if t not in deduped:
-            deduped.append(t)
-    return Query(text, tuple(deduped))
+    return Query(text, tuple(dict.fromkeys(kept)))
 
 
 # -- scoring --------------------------------------------------------------

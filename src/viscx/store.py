@@ -253,7 +253,7 @@ def load_store(path: str | Path) -> IndexStore:
         except (json.JSONDecodeError, RecursionError) as exc:
             raise StoreError(f"{p}:{lineno}: bad JSON: {exc}") from None
         # a field of the wrong shape or out of range
-        except (AttributeError, KeyError, TypeError, ValueError,
+        except (AttributeError, LookupError, TypeError, ValueError,
                 ArithmeticError, ViscxError) as exc:
             raise StoreError(f"{p}:{lineno}: malformed line: {exc}") from None
     return store

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import TaxonomyError, UnknownConceptError, UnrelatedConceptsError
 
@@ -23,6 +23,9 @@ try:  # the built-in sha256; hashlib loads OpenSSL, about 3.5 MB resident
     from _sha256 import sha256
 except ImportError:
     from hashlib import sha256
+
+if TYPE_CHECKING:  # context imports this module
+    from .context import TaggedToken
 
 _ID_RE = re.compile(r"[a-z][a-z0-9_]*")
 
@@ -97,21 +100,19 @@ class SemanticLattice:
                     resolved.append(pid)
             self._parents[cid] = tuple(resolved)
 
-        self._children: dict[str, tuple[str, ...]] = {cid: () for cid in self._order}
         kids: dict[str, list[str]] = {cid: [] for cid in self._order}
         for cid in self._order:
             for pid in self._parents[cid]:
                 kids[pid].append(cid)
-        for cid, lst in kids.items():
-            self._children[cid] = tuple(lst)
+        self._children = {cid: tuple(lst) for cid, lst in kids.items()}
 
         self.roots: frozenset[str] = frozenset(
             cid for cid in self._order if not self._parents[cid])
         self._finalize()
         self._path_norms: dict[tuple[str, str], float] = {}
         self._epsilons: dict[tuple[str, str], float] = {}
-        #: token tags per vocabulary set, filled by context.tag_tokens
-        self._tags: dict[int, tuple] = {}
+        #: token tags, filled by context.tag_tokens
+        self._tags: dict[str, TaggedToken] = {}
 
     def _finalize(self) -> None:
         # Kahn topological pass: parents before children. Whatever survives
@@ -159,9 +160,6 @@ class SemanticLattice:
 
     def parents(self, cid: str) -> tuple[str, ...]:
         return self._parents[self.require(cid)]
-
-    def children(self, cid: str) -> tuple[str, ...]:
-        return self._children[self.require(cid)]
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         """(child, parent) pairs in declaration order."""

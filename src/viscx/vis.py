@@ -15,24 +15,21 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import VisParseError
 
-#: color concepts c_1..c_11 with their short codes
+#: color concepts c_1..c_11
 COLOR_NAMES = ("cyan", "white", "green", "grey", "yellow", "black",
                "orange", "skin", "red", "blue", "purple")
-COLOR_CODES = ("C", "W", "Gn", "G", "Y", "B", "O", "S", "R", "Bl", "P")
 
 #: texture concepts t_1..t_11
 TEXTURE_NAMES = ("bumpy", "cracked", "disordered", "interlaced", "lined",
                  "marbled", "netlike", "smeared", "spotted", "uniform", "whirly")
-TEXTURE_CODES = ("B", "C", "D", "I", "L", "M", "N", "S", "Sp", "U", "W")
 
 #: spatial relations s_1..s_11: topology, direction, metric distance
 SPATIAL_NAMES = ("covers", "covered_by", "part_of", "touches", "disconnected",
                  "right", "left", "above", "below", "near", "far")
-SPATIAL_CODES = ("C", "C_B", "P", "T", "D", "R", "L", "A", "B", "N", "F")
 
 VOCAB_SIZE = 11
 
@@ -47,7 +44,6 @@ class Vocabulary:
 
     kind: str
     names: tuple[str, ...]
-    codes: tuple[str, ...]
     synonyms: Mapping[str, str] = field(default_factory=dict)
     phrases: Mapping[tuple[str, ...], str] = field(default_factory=dict)
 
@@ -61,12 +57,11 @@ class Vocabulary:
         return self.synonyms.get(token)
 
 
-COLOR_VOCAB = Vocabulary("color", COLOR_NAMES, COLOR_CODES,
-                         synonyms={"gray": "grey"})
-TEXTURE_VOCAB = Vocabulary("texture", TEXTURE_NAMES, TEXTURE_CODES,
+COLOR_VOCAB = Vocabulary("color", COLOR_NAMES, synonyms={"gray": "grey"})
+TEXTURE_VOCAB = Vocabulary("texture", TEXTURE_NAMES,
                            synonyms={"smooth": "uniform", "swirly": "whirly"})
 SPATIAL_VOCAB = Vocabulary(
-    "spatial", SPATIAL_NAMES, SPATIAL_CODES,
+    "spatial", SPATIAL_NAMES,
     synonyms={
         "behind": "covered_by",
         "inside": "part_of",
@@ -92,15 +87,8 @@ SPATIAL_VOCAB = Vocabulary(
     },
 )
 
-
-@dataclass(frozen=True)
-class VocabSet:
-    color: Vocabulary = COLOR_VOCAB
-    texture: Vocabulary = TEXTURE_VOCAB
-    spatial: Vocabulary = SPATIAL_VOCAB
-
-
-DEFAULT_VOCABS = VocabSet()
+#: the facet vocabularies in FacetVectors order
+FACET_VOCABS = (COLOR_VOCAB, TEXTURE_VOCAB, SPATIAL_VOCAB)
 
 _TOKEN_OK = re.compile(r"[a-z][a-z0-9_]*")
 
@@ -130,16 +118,14 @@ class VisRecord:
             raise ValueError(f"invalid semantic concept {self.vsc!r}")
         if not (0.0 <= self.r_vsc <= 1.0):
             raise ValueError(f"recognition probability out of [0,1]: {self.r_vsc!r}")
-        for name, w in self.colors.items():
-            if name not in COLOR_NAMES:
-                raise ValueError(f"unknown color concept {name!r}")
-            _check_weight(name, w)
-        if sum(self.colors.values()) > 1.0 + 1e-9:
-            raise ValueError("color weights sum beyond 1")
-        for name, w in self.textures.items():
-            if name not in TEXTURE_NAMES:
-                raise ValueError(f"unknown texture concept {name!r}")
-            _check_weight(name, w)
+        for vocab, weights in ((COLOR_VOCAB, self.colors),
+                               (TEXTURE_VOCAB, self.textures)):
+            for name, w in weights.items():
+                if name not in vocab.names:
+                    raise ValueError(f"unknown {vocab.kind} concept {name!r}")
+                _check_weight(name, w)
+            if vocab is COLOR_VOCAB and sum(weights.values()) > 1.0 + 1e-9:
+                raise ValueError("color weights sum beyond 1")
         for rel, target in self.spatial:
             if rel not in SPATIAL_NAMES:
                 raise ValueError(f"unknown spatial relation {rel!r}")
@@ -160,16 +146,22 @@ class FacetVectors:
 def facet_vectors(record: VisRecord) -> FacetVectors:
     """Vector view of a record: color/texture weights at their vocabulary
     index, 1.0 for each spatial relation kind that appears."""
-    c = [0.0] * VOCAB_SIZE
-    for name, w in record.colors.items():
-        c[COLOR_VOCAB.index(name)] = w
-    t = [0.0] * VOCAB_SIZE
-    for name, w in record.textures.items():
-        t[TEXTURE_VOCAB.index(name)] = w
-    s = [0.0] * VOCAB_SIZE
-    for rel, _target in record.spatial:
-        s[SPATIAL_VOCAB.index(rel)] = 1.0
-    return FacetVectors(tuple(c), tuple(t), tuple(s))
+    return weight_vectors((record.colors.items(), record.textures.items(),
+                           [(rel, 1.0) for rel, _target in record.spatial]))
+
+
+def weight_vectors(facets: Iterable[Iterable[tuple[str, float]]]) -> FacetVectors:
+    """Vectors from (name, weight) pairs per facet, in FACET_VOCABS order:
+    each weight at its name's index, the largest when a name repeats."""
+    vectors = []
+    for vocab, pairs in zip(FACET_VOCABS, facets):
+        v = [0.0] * VOCAB_SIZE
+        for name, w in pairs:
+            j = vocab.names.index(name)
+            if w > v[j]:
+                v[j] = w
+        vectors.append(tuple(v))
+    return FacetVectors(*vectors)
 
 
 # -- grammar ------------------------------------------------------------
@@ -253,22 +245,22 @@ class _Parser:
         self._tok = self._lexer.next()
         return value
 
-    def _weight_pairs(self, facet: str, names: Sequence[str],
+    def _weight_pairs(self, vocab: Vocabulary,
                       bare_default: float | None = None) -> dict[str, float]:
         pairs: dict[str, float] = {}
         while self._tok[0] == "ident":
             _kind, name, line, col = self._tok
-            if name not in names:
-                raise VisParseError(f"unknown {facet} concept {name!r}", line, col)
+            if name not in vocab.names:
+                raise VisParseError(f"unknown {vocab.kind} concept {name!r}", line, col)
             if name in pairs:
-                raise VisParseError(f"duplicate {facet} entry {name!r}", line, col)
+                raise VisParseError(f"duplicate {vocab.kind} entry {name!r}", line, col)
             self._tok = self._lexer.next()
             if self._accept("sym", "=") is not None:
-                pairs[name] = self._number(f"{facet} weight")
+                pairs[name] = self._number(f"{vocab.kind} weight")
             elif bare_default is not None:
                 pairs[name] = bare_default
             else:
-                raise self._fail(f"expected '=' after {facet} concept {name!r}")
+                raise self._fail(f"expected '=' after {vocab.kind} concept {name!r}")
             if self._accept("sym", ",") is None:
                 break
         return pairs
@@ -302,7 +294,7 @@ class _Parser:
 
         self._expect("ident", "color")
         self._expect("sym", ":")
-        colors = self._weight_pairs("color", COLOR_NAMES)
+        colors = self._weight_pairs(COLOR_VOCAB)
         if sum(colors.values()) > 1.0 + 1e-9:
             raise VisParseError(
                 f"color weights of {vo_id!r} sum beyond 1", vo_line, vo_col)
@@ -311,7 +303,7 @@ class _Parser:
         self._expect("ident", "texture")
         self._expect("sym", ":")
         # a bare texture concept means the detector emitted it unweighted
-        textures = self._weight_pairs("texture", TEXTURE_NAMES, bare_default=1.0)
+        textures = self._weight_pairs(TEXTURE_VOCAB, bare_default=1.0)
         self._expect("sym", ";")
 
         self._expect("ident", "spa")
@@ -366,12 +358,9 @@ def serialize_vis(records: Iterable[VisRecord]) -> str:
             if target not in ids:
                 raise ValueError(
                     f"spatial target {target!r} of {r.vo_id!r} not in document")
-        colors = ", ".join(
-            f"{n}={_fmt(w)}"
-            for n, w in sorted(r.colors.items(), key=lambda kv: COLOR_VOCAB.index(kv[0])))
-        textures = ", ".join(
-            f"{n}={_fmt(w)}"
-            for n, w in sorted(r.textures.items(), key=lambda kv: TEXTURE_VOCAB.index(kv[0])))
+        colors, textures = (
+            ", ".join(f"{n}={_fmt(weights[n])}" for n in vocab.names if n in weights)
+            for vocab, weights in ((COLOR_VOCAB, r.colors), (TEXTURE_VOCAB, r.textures)))
         spatial = ", ".join(
             f"{rel}({target})"
             for rel, target in sorted(

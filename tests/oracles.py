@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 
 from viscx.context import Category, TaggedToken, singularize
+from viscx.vis import COLOR_VOCAB, SPATIAL_VOCAB, TEXTURE_VOCAB
 
 
 def ancestors_of(parents: dict[str, tuple[str, ...]], node: str) -> set[str]:
@@ -242,19 +243,19 @@ def random_taxonomy(rng, n_concepts: int):
     return "\n".join(lines) + "\n", parents
 
 
-def tag_tokens_oracle(tokens, lattice, vocabs):
+def tag_tokens_oracle(tokens, lattice):
     """The plain tagging loop: no memo, every spatial phrase tried at
     every position, the longest match winning."""
-    vocab_cats = ((vocabs.spatial, Category.SPATIAL),
-                  (vocabs.color, Category.COLOR),
-                  (vocabs.texture, Category.TEXTURE))
+    vocab_cats = ((SPATIAL_VOCAB, Category.SPATIAL),
+                  (COLOR_VOCAB, Category.COLOR),
+                  (TEXTURE_VOCAB, Category.TEXTURE))
     tokens = tuple(tokens)
     tagged = []
     i = 0
     n = len(tokens)
     while i < n:
         phrase_hit = None
-        for phrase, name in vocabs.spatial.phrases.items():
+        for phrase, name in SPATIAL_VOCAB.phrases.items():
             if tokens[i:i + len(phrase)] == phrase:
                 if phrase_hit is None or len(phrase) > len(phrase_hit[0]):
                     phrase_hit = (phrase, name)

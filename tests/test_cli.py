@@ -1,10 +1,18 @@
+import functools
 import hashlib
+import io
 import json
 import shutil
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from viscx import PipelineConfig, bundled_taxonomy_path
+from test_store import damaged_text, damages
+from viscx import ALL_STRATEGIES, PipelineConfig, bundled_taxonomy_path
 from viscx.cli import main
 from viscx.store import load_store
 
@@ -21,14 +29,18 @@ PAGES = {
 }
 
 
-@pytest.fixture()
-def corpus(tmp_path):
-    corpus_dir = tmp_path / "corpus"
+def write_corpus(parent: Path) -> Path:
+    corpus_dir = parent / "corpus"
     corpus_dir.mkdir()
     for stem, (html, vis) in PAGES.items():
         (corpus_dir / f"{stem}.html").write_text(html, encoding="utf-8")
         (corpus_dir / f"{stem}.vis").write_text(vis, encoding="utf-8")
     return corpus_dir
+
+
+@pytest.fixture()
+def corpus(tmp_path):
+    return write_corpus(tmp_path)
 
 
 def test_ingest_and_enrich(corpus, tmp_path, capsys):
@@ -414,3 +426,43 @@ def test_eval_non_utf8_input_is_data_error(corpus, tmp_path, capsys, bad):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and str(files[bad]) in captured.err
     assert "UTF-8" in captured.err or "utf-8" in captured.err
+
+
+@functools.cache
+def enriched_lines() -> list[dict]:
+    """The lines of the ingested and enriched store of PAGES, built once."""
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus_dir = write_corpus(Path(tmp))
+        index = Path(tmp) / "index.jsonl"
+        with redirect_stdout(io.StringIO()):
+            assert main(["ingest", "--corpus", str(corpus_dir),
+                         "--out", str(index)]) == 0
+            assert main(["enrich", "--index", str(index)]) == 0
+        return [json.loads(line)
+                for line in index.read_text(encoding="utf-8").splitlines()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.deferred(lambda: damages(enriched_lines())))
+@example((1, "replace", ("terms", 0, "head"), []))
+def test_damaged_store_exits_0_or_2_with_one_error_line(damage):
+    """search under every strategy and enrich, on a store with one damaged
+    line, exit 0 or 2 and raise nothing; exit 2 prints one error line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        index = Path(tmp) / "index.jsonl"
+        index.write_text(damaged_text(enriched_lines(), damage),
+                         encoding="utf-8")
+        search = ["search", "--index", str(index), "--query", "Red Roses"]
+        runs = [[*search, "--strategy", strategy.value]
+                for strategy in ALL_STRATEGIES]
+        runs.append(["enrich", "--index", str(index),
+                     "--out", str(Path(tmp) / "out.jsonl")])
+        for argv in runs:
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2), argv
+            if code == 2:
+                errors = [line for line in err.getvalue().splitlines()
+                          if line.startswith("error:")]
+                assert len(errors) == 1, err.getvalue()

@@ -100,9 +100,16 @@ def test_snapshot_fusion_literal_is_read_as_in_a_file(value, expected):
     {"patterns": [5]},
     {"ndcg_n": 5},
     {"taxonomy": 5},
+    {"window": 600.9},
+    {"window": True},
+    {"impact_alt": True},
+    {"t_sim": False},
+    {"ndcg_n": [5.5]},
+    {"ndcg_n": [5, True]},
 ])
 def test_bad_snapshot_is_refused(snapshot):
-    with pytest.raises(ConfigError):
+    [key] = snapshot
+    with pytest.raises(ConfigError, match=key):
         PipelineConfig.from_snapshot(snapshot)
 
 

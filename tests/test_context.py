@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +12,7 @@ from viscx.context import (DEFAULT_IMPACTS, DEFAULT_PATTERNS, AreaKind,
                            parse_pattern, singularize, tag_tokens,
                            term_vectors, tokenize)
 from viscx.errors import ViscxError
-from viscx.vis import DEFAULT_VOCABS, VocabSet
+from viscx.vis import FACET_VOCABS, SPATIAL_VOCAB
 
 ALT_SRC_PAGE = '<html><body><img src="red_rose.jpg" alt="a rose in the garden"></body></html>'
 
@@ -192,33 +191,13 @@ def test_tagging_is_deterministic(base_lattice):
 LATTICE = load_taxonomy(bundled_taxonomy_path())
 NEW_CONCEPT = Concept("peony", frozenset({"paeony"}))
 
-#: a second vocabulary set: extra aliases, a color synonym that collides
-#: with a lattice concept, and phrases sharing first tokens and prefixes
-OTHER_VOCABS = VocabSet(
-    color=replace(DEFAULT_VOCABS.color,
-                  synonyms={"crimson": "red", "rose": "red"}),
-    spatial=replace(DEFAULT_VOCABS.spatial, phrases={
-        **DEFAULT_VOCABS.spatial.phrases,
-        ("in", "front"): "covers",
-        ("on", "top", "of"): "above",
-        ("on", "top"): "above",
-        ("close", "by"): "near",
-    }))
-
-
-def _vocab_words(vocabs):
-    words = set()
-    for vocab in (vocabs.color, vocabs.texture, vocabs.spatial):
-        words.update(vocab.names, vocab.synonyms)
-        for phrase in vocab.phrases:
-            words.update(phrase)
-    return words
-
-
+_VOCAB_WORDS = {word for vocab in FACET_VOCABS
+                for word in (*vocab.names, *vocab.synonyms)}
+_PHRASE_WORDS = {word for phrase in SPATIAL_VOCAB.phrases for word in phrase}
 _LATTICE_WORDS = set(LATTICE.concept_ids()) | {
     syn for c in LATTICE.concepts() for syn in c.synonyms}
-KNOWN_WORDS = sorted(_vocab_words(DEFAULT_VOCABS) | _vocab_words(OTHER_VOCABS)
-                     | _LATTICE_WORDS | {NEW_CONCEPT.id, *NEW_CONCEPT.synonyms})
+KNOWN_WORDS = sorted(_VOCAB_WORDS | _PHRASE_WORDS | _LATTICE_WORDS
+                     | {NEW_CONCEPT.id, *NEW_CONCEPT.synonyms})
 
 
 def _plural(word: str, suffix: str) -> str:
@@ -227,8 +206,7 @@ def _plural(word: str, suffix: str) -> str:
     return word + suffix
 
 
-PHRASES = sorted(set(DEFAULT_VOCABS.spatial.phrases)
-                 | set(OTHER_VOCABS.spatial.phrases))
+PHRASES = sorted(SPATIAL_VOCAB.phrases)
 
 TOKENS = st.one_of(
     st.sampled_from(KNOWN_WORDS),
@@ -251,13 +229,12 @@ CHUNKS = st.one_of(
 def test_tag_tokens_matches_oracle(tokens):
     extended = LATTICE.with_concept(NEW_CONCEPT, ["flower"])
     for lattice in (LATTICE, extended):
-        for vocabs in (DEFAULT_VOCABS, OTHER_VOCABS):
-            for _ in range(2):  # the second pass reads the memo
-                assert (tag_tokens(tokens, lattice, vocabs)
-                        == oracles.tag_tokens_oracle(tokens, lattice, vocabs))
+        for _ in range(2):  # the second pass reads the memo
+            assert (tag_tokens(tokens, lattice)
+                    == oracles.tag_tokens_oracle(tokens, lattice))
 
 
-def test_tag_memo_is_per_lattice_and_vocabs():
+def test_tag_memo_is_per_lattice():
     lattice = load_taxonomy(bundled_taxonomy_path())
     tokens = ("paeonies", "on", "top", "of", "rose")
     assert cats(tag_tokens(tokens, lattice)) == [
@@ -267,8 +244,6 @@ def test_tag_memo_is_per_lattice_and_vocabs():
     assert tag_tokens(tokens, extended)[0] == TaggedToken(
         "paeonies", Category.SEM, "peony")
     assert tag_tokens(tokens, lattice)[0].category is Category.OTHER
-    assert [t.concept for t in tag_tokens(tokens, lattice, OTHER_VOCABS)] == [
-        None, "above", "red"]
 
 
 def test_pattern_parsing_and_validation():

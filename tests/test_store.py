@@ -1,3 +1,4 @@
+import copy
 import json
 import tempfile
 from pathlib import Path
@@ -141,6 +142,12 @@ def saved_lines(tmp_path) -> list[dict]:
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
+def store_text(lines) -> str:
+    """Store text with one line per item: a dict as JSON, a string as is."""
+    return "".join((line if isinstance(line, str) else json.dumps(line)) + "\n"
+                   for line in lines)
+
+
 def _set(line: dict, keys, value) -> dict:
     node = line
     for key in keys[:-1]:
@@ -168,16 +175,18 @@ def _set(line: dict, keys, value) -> dict:
     + lines[2:],
     lambda lines: lines[:1] + [_set(lines[1], ["terms", 0, "head", 0], 5)]
     + lines[2:],
+    lambda lines: lines[:1] + [_set(lines[1], ["terms", 0, "head"], [])]
+    + lines[2:],
+    lambda lines: lines[:1] + [_set(lines[1], ["terms", 0, "head"], ["rose"])]
+    + lines[2:],
 ], ids=["list-line", "deep-nesting", "config-string", "config-window",
         "enriched-string", "terms-number", "impact-5",
         "impact-huge", "duplicate-doc", "doc-id-number", "token-number",
-        "cx-number", "head-number"])
+        "cx-number", "head-number", "head-empty", "head-short"])
 def test_malformed_line_gives_store_error(tmp_path, damage):
     lines = damage(saved_lines(tmp_path))
     path = tmp_path / "damaged.jsonl"
-    path.write_text("".join(
-        (line if isinstance(line, str) else json.dumps(line)) + "\n"
-        for line in lines), encoding="utf-8")
+    path.write_text(store_text(lines), encoding="utf-8")
     with pytest.raises(StoreError, match=r"damaged\.jsonl:\d+: "):
         load_store(path)
 
@@ -198,6 +207,37 @@ JSON_VALUES = st.recursive(
     max_leaves=5)
 
 
+@st.composite
+def damages(draw, lines):
+    """One damage to one of `lines`: (line index, how, key path, value),
+    where `value` is the cut for "truncate"; see damaged_text."""
+    n = draw(st.integers(0, len(lines) - 1))
+    how = draw(st.sampled_from(["truncate", "replace", "delete"]))
+    if how == "truncate":
+        return n, how, (), draw(st.integers(0, len(json.dumps(lines[n])) - 1))
+    keys = draw(st.sampled_from(list(_node_paths(lines[n]))))
+    return n, how, keys, draw(JSON_VALUES)
+
+
+def damaged_text(lines, damage) -> str:
+    """The store text of `lines` with one line truncated, replaced by a
+    JSON value, or with one node replaced or one key deleted."""
+    n, how, keys, value = damage
+    lines = copy.deepcopy(lines)
+    if how == "truncate":
+        lines[n] = json.dumps(lines[n])[:value]
+    elif not keys:
+        lines[n] = value
+    elif how == "delete" and isinstance(keys[-1], str):
+        node = lines[n]
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
+    else:
+        _set(lines[n], keys, value)
+    return store_text(lines)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_truncated_or_mutated_line_gives_store_error_only(data):
@@ -205,26 +245,9 @@ def test_truncated_or_mutated_line_gives_store_error_only(data):
     exception escapes load_store."""
     with tempfile.TemporaryDirectory() as tmp:
         lines = saved_lines(Path(tmp))
-        n = data.draw(st.integers(0, len(lines) - 1))
-        how = data.draw(st.sampled_from(["truncate", "replace", "delete"]))
-        if how == "truncate":
-            text = json.dumps(lines[n])
-            lines[n] = text[:data.draw(st.integers(0, len(text) - 1))]
-        else:
-            keys = data.draw(st.sampled_from(list(_node_paths(lines[n]))))
-            if not keys:
-                lines[n] = data.draw(JSON_VALUES)
-            elif how == "delete" and isinstance(keys[-1], str):
-                node = lines[n]
-                for key in keys[:-1]:
-                    node = node[key]
-                del node[keys[-1]]
-            else:
-                _set(lines[n], keys, data.draw(JSON_VALUES))
         path = Path(tmp) / "damaged.jsonl"
-        path.write_text("".join(
-            (line if isinstance(line, str) else json.dumps(line)) + "\n"
-            for line in lines), encoding="utf-8")
+        path.write_text(damaged_text(lines, data.draw(damages(lines))),
+                        encoding="utf-8")
         try:
             load_store(path)
         except StoreError:
