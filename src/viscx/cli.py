@@ -12,6 +12,8 @@ file that is not UTF-8). The index store remembers the taxonomy path and
 config snapshot from enrichment, so search and eval run without repeating
 them, and the sha256 of the taxonomy text, so search and eval refuse a
 taxonomy whose content differs from the one the store was enriched with.
+search decodes and checks only the record fields its strategy reads, and
+eval those of its strategies; enrich decodes every field.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import PipelineConfig, load_config
-from .errors import ViscxError
+from .errors import ViscxError, one_line
 from .pipeline import enrich_store, ingest_corpus
-from .retrieval import (ALL_STRATEGIES, Qrels, Query, Strategy, eval_report,
-                        load_queries, parse_query, rank)
+from .retrieval import (ALL_STRATEGIES, STRATEGY_FIELDS, Qrels, Query,
+                        Strategy, eval_report, load_queries, parse_query, rank)
 from .store import StoreMeta, load_store, save_store
 from .taxonomy import SemanticLattice, bundled_taxonomy_path, load_taxonomy
 
@@ -64,7 +66,8 @@ def _lattice_for(args, cfg: PipelineConfig, store_meta: StoreMeta,
     lattice = load_taxonomy(path)
     if verify and store_meta.taxonomy_sha256 not in (None, lattice.fingerprint):
         raise ViscxError(
-            f"taxonomy {path} is not the one {args.index} was enriched with "
+            f"taxonomy {one_line(path)} is not the one {one_line(args.index)} "
+            "was enriched with "
             "(its sha256 differs); re-run enrich with it, or pass the "
             "original with --taxonomy")
     return path, lattice
@@ -90,9 +93,9 @@ def _cmd_enrich(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    store = load_store(args.index)
-    cfg = _config_from_args(args, store.meta)
     strategy = Strategy.from_name(args.strategy)
+    store = load_store(args.index, STRATEGY_FIELDS[strategy])
+    cfg = _config_from_args(args, store.meta)
     if strategy is Strategy.TFIDF:
         # tf-idf ranks raw tokens and needs no taxonomy
         query = Query(args.query, ())
@@ -107,14 +110,15 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    store = load_store(args.index)
+    strategies = (tuple(Strategy.from_name(s.strip())
+                        for s in args.strategies.split(","))
+                  if args.strategies else ALL_STRATEGIES)
+    store = load_store(args.index, [f for s in strategies
+                                    for f in STRATEGY_FIELDS[s]])
     cfg = _config_from_args(args, store.meta)
     _path, lattice = _lattice_for(args, cfg, store.meta)
     queries = load_queries(args.queries)
     qrels = Qrels.from_path(args.qrels)
-    strategies = (tuple(Strategy.from_name(s.strip())
-                        for s in args.strategies.split(","))
-                  if args.strategies else ALL_STRATEGIES)
     report = eval_report(store, lattice, cfg, queries, qrels, strategies)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -29,7 +29,7 @@ from typing import Mapping
 
 from .context import (DEFAULT_IMPACTS, DEFAULT_PATTERNS, DEFAULT_WINDOW,
                       AreaKind, SyntacticPattern, parse_pattern)
-from .errors import ConfigError, ViscxError
+from .errors import ConfigError, ViscxError, one_line, read_text
 from .fusion import FacetKernel
 from .membership import TConormKind
 
@@ -172,15 +172,11 @@ def parse_config(text: str, *, base_dir: Path | None = None) -> PipelineConfig:
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         if not path.is_file():
-            raise ConfigError(f"taxonomy file not found: {path}")
+            raise ConfigError(f"taxonomy file not found: {one_line(path)}")
         values["taxonomy"] = str(path)
     return PipelineConfig.from_snapshot(values)
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {p}: {exc}") from None
-    return parse_config(text, base_dir=p.parent)
+    text = read_text(path, "config", ConfigError)
+    return parse_config(text, base_dir=Path(path).parent)

@@ -1,11 +1,13 @@
-"""Exception hierarchy shared across the package, and the by-name enum
-lookup whose failure is one of them.
+"""Exception hierarchy shared across the package, the by-name enum
+lookup whose failure is one of them, and the file reader whose messages
+name the file on one line.
 
 Everything raised on bad data derives from ViscxError so the CLI can map
 data problems to a single exit code.
 """
 
 from enum import Enum
+from pathlib import Path
 
 
 class ViscxError(Exception):
@@ -43,6 +45,21 @@ class StoreError(ViscxError):
 
 class UnindexableQueryError(ViscxError):
     """The query text contains no vocabulary concept to search with."""
+
+
+def one_line(path) -> str:
+    """`path` as text with its control characters escaped, so that an
+    error message naming it stays on one line; a plain path reads as is."""
+    return repr(str(path))[1:-1]
+
+
+def read_text(path, what: str, error: type[ViscxError] = ViscxError) -> str:
+    """The UTF-8 text of the `what` file at `path`, or `error`."""
+    p = Path(path)
+    try:
+        return p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {one_line(p)}: {exc}") from None
 
 
 class NamedEnum(Enum):

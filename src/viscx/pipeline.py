@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .config import PipelineConfig
 from .context import apply_patterns, assign_impacts, extract_areas, tag_tokens
-from .errors import VisParseError, ViscxError
+from .errors import VisParseError, ViscxError, one_line
 from .fusion import FusionProvenance, _enrich, enrich_records
 from .membership import aggregate_mu_tot
 from .store import IndexRecord, IndexStore, StoreMeta
@@ -33,7 +33,7 @@ def pair_corpus(corpus_dir: str | Path) -> list[tuple[str, Path, Path]]:
     sorted by stem; unpaired files are skipped with a warning."""
     root = Path(corpus_dir)
     if not root.is_dir():
-        raise ViscxError(f"corpus directory not found: {root}")
+        raise ViscxError(f"corpus directory not found: {one_line(root)}")
     html_files = {p.stem: p for p in sorted(root.glob("*.html"))}
     vis_files = {p.stem: p for p in sorted(root.glob("*.vis"))}
     for stem in sorted(set(html_files) - set(vis_files)):

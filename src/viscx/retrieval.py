@@ -26,7 +26,8 @@ from typing import Mapping, Sequence
 from .config import PipelineConfig
 from .context import (DEFAULT_PATTERNS, SyntacticTerm, apply_patterns,
                       singularize, tag_tokens, terms_from_window, tokenize)
-from .errors import NamedEnum, StoreError, UnindexableQueryError, ViscxError
+from .errors import (NamedEnum, StoreError, UnindexableQueryError, ViscxError,
+                     read_text)
 from .fusion import scoring_view, view_similarity
 from .membership import aggregate_mu_tot
 from .store import IndexStore
@@ -43,6 +44,12 @@ class Strategy(NamedEnum, what="strategy"):
 
 
 ALL_STRATEGIES = (Strategy.VIS, Strategy.CX, Strategy.VIS_CX, Strategy.TFIDF)
+
+#: the IndexRecord fields each strategy scores; a one-shot search decodes
+#: only these (``load_store(path, STRATEGY_FIELDS[strategy])``)
+STRATEGY_FIELDS = {Strategy.VIS: ("vis_records",),
+                   Strategy.CX: ("terms", "contextual"),
+                   Strategy.VIS_CX: ("enriched",), Strategy.TFIDF: ("areas",)}
 
 
 @dataclass(frozen=True)
@@ -220,6 +227,10 @@ class RankedList:
 
 def make_scorer(store: IndexStore, lattice: SemanticLattice,
                 cfg: PipelineConfig, strategy: Strategy) -> _Scorer:
+    if missing := [f for f in STRATEGY_FIELDS[strategy]
+                   if f not in store.fields]:
+        raise ViscxError(f"{strategy.value} search reads {', '.join(missing)}, "
+                         "which the store was loaded without")
     return _Scorer(store, lattice, cfg, strategy)
 
 
@@ -240,8 +251,6 @@ def rank(store: IndexStore, lattice: SemanticLattice, cfg: PipelineConfig,
          query: Query, strategy: Strategy, k: int = 10,
          query_id: str = "") -> RankedList:
     """Top-k documents for a parsed query under one strategy."""
-    if not isinstance(strategy, Strategy):
-        strategy = Strategy.from_name(strategy)
     return rank_with_scorer(make_scorer(store, lattice, cfg, strategy),
                             query, k, query_id)
 
@@ -297,15 +306,7 @@ class Qrels:
 
     @classmethod
     def from_path(cls, path: str | Path) -> "Qrels":
-        return cls.from_text(_read_text(path, "qrels"))
-
-
-def _read_text(path: str | Path, what: str) -> str:
-    p = Path(path)
-    try:
-        return p.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ViscxError(f"cannot read {what} {p}: {exc}") from None
+        return cls.from_text(read_text(path, "qrels"))
 
 
 def load_queries(path: str | Path) -> list[tuple[str, str]]:
@@ -313,7 +314,7 @@ def load_queries(path: str | Path) -> list[tuple[str, str]]:
     queries = []
     first_line: dict[str, int] = {}
     for lineno, line in enumerate(
-            _read_text(path, "queries").splitlines(), start=1):
+            read_text(path, "queries").splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         qid, tab, text = line.partition("\t")

@@ -18,11 +18,11 @@ import os
 import shutil
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .context import AreaKind, ContextualConcept, ExtractionArea, SyntacticTerm
 from .config import PipelineConfig
-from .errors import StoreError, ViscxError
+from .errors import StoreError, ViscxError, one_line, read_text
 from .fusion import EnrichedVisRecord, FusionProvenance
 from .vis import VisRecord
 
@@ -54,6 +54,8 @@ class IndexRecord:
 class IndexStore:
     meta: StoreMeta = field(default_factory=StoreMeta)
     records: dict[str, IndexRecord] = field(default_factory=dict)
+    #: the IndexRecord fields its records hold; the others are None
+    fields: tuple[str, ...] = field(default_factory=lambda: RECORD_FIELDS)
 
     def add(self, record: IndexRecord) -> None:
         if record.doc_id in self.records:
@@ -64,9 +66,9 @@ class IndexStore:
 # -- encoding -------------------------------------------------------------
 
 
-def _str(value) -> str:
-    """`value`, checked to be a string: JSON gives any type."""
-    if not isinstance(value, str):
+def _str(value, null_ok: bool = False) -> str:
+    """`value`, a string (or None with `null_ok`): JSON gives any type."""
+    if not isinstance(value, str) and not (null_ok and value is None):
         raise StoreError(f"expected a string, got {value!r}")
     return value
 
@@ -98,11 +100,13 @@ def _vis_out(record: VisRecord) -> dict:
             "spatial": sorted(list(pair) for pair in record.spatial)}
 
 
-def _vis_in(data) -> VisRecord:
-    return VisRecord(data["vo"], data["vsc"], float(data["r"]),
-                     {k: float(v) for k, v in data["colors"].items()},
-                     {k: float(v) for k, v in data["textures"].items()},
-                     frozenset((rel, target) for rel, target in data["spatial"]))
+def _vis_in(data, cls=VisRecord, *extra) -> VisRecord:
+    """A VisRecord, or a `cls` subclass with its `extra` fields."""
+    return cls(data["vo"], data["vsc"], float(data["r"]),
+               {k: float(v) for k, v in data["colors"].items()},
+               {k: float(v) for k, v in data["textures"].items()},
+               frozenset((rel, target) for rel, target in data["spatial"]),
+               *extra)
 
 
 def _term_out(term: SyntacticTerm) -> dict:
@@ -145,15 +149,12 @@ def _enriched_out(record: EnrichedVisRecord) -> dict:
 
 def _enriched_in(data) -> EnrichedVisRecord:
     prov = data.get("provenance")
-    return EnrichedVisRecord(
-        vo_id=data["vo"], vsc=data["vsc"], r_vsc=float(data["r"]),
-        colors={k: float(v) for k, v in data["colors"].items()},
-        textures={k: float(v) for k, v in data["textures"].items()},
-        spatial=frozenset((rel, target) for rel, target in data["spatial"]),
-        original_vsc=data["original_vsc"], final_mu=float(data["final_mu"]),
-        provenance=None if prov is None else FusionProvenance(
-            prov["decision"], prov["branch"], prov["matched_head"],
-            float(prov["mu_vsc"]),
+    return _vis_in(
+        data, EnrichedVisRecord, _str(data["original_vsc"]),
+        float(data["final_mu"]),
+        None if prov is None else FusionProvenance(
+            _str(prov["decision"]), _str(prov["branch"]),
+            _str(prov["matched_head"], null_ok=True), float(prov["mu_vsc"]),
             float(prov["mu_cx"]) if prov["mu_cx"] is not None else None))
 
 
@@ -172,18 +173,23 @@ def record_to_dict(record: IndexRecord) -> dict:
     }
 
 
-def record_from_dict(data: Mapping) -> IndexRecord:
-    return IndexRecord(
-        doc_id=_str(data["doc_id"]),
-        areas=tuple(_area_in(a) for a in data["areas"]),
-        vis_records=tuple(_vis_in(r) for r in data["vis_records"]),
-        contextual=None if data["contextual"] is None
-        else tuple(_cx_in(c) for c in data["contextual"]),
-        terms=None if data["terms"] is None
-        else tuple(_term_in(t) for t in data["terms"]),
-        enriched=None if data["enriched"] is None
-        else tuple(_enriched_in(e) for e in data["enriched"]),
-    )
+#: IndexRecord field -> decoder of one of its items; `load_store` builds
+#: only the fields it is asked for and leaves the others None
+_FIELD_DECODERS = {"areas": _area_in, "vis_records": _vis_in,
+                   "contextual": _cx_in, "terms": _term_in,
+                   "enriched": _enriched_in}
+RECORD_FIELDS = tuple(_FIELD_DECODERS)
+_NULLABLE = {"contextual", "terms", "enriched"}  # null before enrich
+
+
+def record_from_dict(data: Mapping,
+                     fields: tuple[str, ...] = RECORD_FIELDS) -> IndexRecord:
+    values = dict.fromkeys(RECORD_FIELDS)
+    for name in fields:
+        items = data[name]
+        if items is not None or name not in _NULLABLE:
+            values[name] = tuple(map(_FIELD_DECODERS[name], items))
+    return IndexRecord(doc_id=_str(data["doc_id"]), **values)
 
 
 def _meta_in(data: Mapping) -> StoreMeta:
@@ -214,6 +220,9 @@ def save_store(store: IndexStore, path: str | Path) -> None:
     bits are kept. There is no fsync, so this protects against a process
     that dies mid-write, not against power loss.
     """
+    if missing := [f for f in RECORD_FIELDS if f not in store.fields]:
+        raise StoreError(f"cannot save a store loaded without its records' "
+                         f"{', '.join(missing)}")
     target = Path(path).resolve()
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
@@ -229,13 +238,17 @@ def save_store(store: IndexStore, path: str | Path) -> None:
         raise
 
 
-def load_store(path: str | Path) -> IndexStore:
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise StoreError(f"cannot read index store {p}: {exc}") from None
-    store = IndexStore()
+def load_store(path: str | Path,
+               fields: Iterable[str] | None = None) -> IndexStore:
+    """The store at `path`, its records holding only the IndexRecord `fields`
+    (all when None): an unread field is neither decoded nor checked, while
+    the meta line and every line's JSON, type and document id always are."""
+    wanted = set(RECORD_FIELDS if fields is None else fields)
+    if unknown := wanted - set(RECORD_FIELDS):
+        raise ValueError(f"not IndexRecord fields: {sorted(unknown)}")
+    text = read_text(path, "index store", StoreError)
+    name = one_line(Path(path))
+    store = IndexStore(fields=tuple(f for f in RECORD_FIELDS if f in wanted))
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -245,15 +258,15 @@ def load_store(path: str | Path) -> IndexStore:
             if kind == "meta":
                 store.meta = _meta_in(data)
             elif kind == "record":
-                store.add(record_from_dict(data))
+                store.add(record_from_dict(data, store.fields))
             else:
                 raise StoreError(f"unknown line type {kind!r}")
         except StoreError as exc:
-            raise StoreError(f"{p}:{lineno}: {exc}") from None
+            raise StoreError(f"{name}:{lineno}: {exc}") from None
         except (json.JSONDecodeError, RecursionError) as exc:
-            raise StoreError(f"{p}:{lineno}: bad JSON: {exc}") from None
+            raise StoreError(f"{name}:{lineno}: bad JSON: {exc}") from None
         # a field of the wrong shape or out of range
         except (AttributeError, LookupError, TypeError, ValueError,
                 ArithmeticError, ViscxError) as exc:
-            raise StoreError(f"{p}:{lineno}: malformed line: {exc}") from None
+            raise StoreError(f"{name}:{lineno}: malformed line: {exc}") from None
     return store

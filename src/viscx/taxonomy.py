@@ -17,7 +17,8 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .errors import TaxonomyError, UnknownConceptError, UnrelatedConceptsError
+from .errors import (TaxonomyError, UnknownConceptError, UnrelatedConceptsError,
+                     one_line, read_text)
 
 try:  # the built-in sha256; hashlib loads OpenSSL, about 3.5 MB resident
     from _sha256 import sha256
@@ -326,12 +327,8 @@ def parse_taxonomy(text: str, source: str = "<string>") -> SemanticLattice:
 
 def load_taxonomy(path: str | Path) -> SemanticLattice:
     """Load a lattice from a taxonomy file (UTF-8)."""
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise TaxonomyError(f"cannot read taxonomy {p}: {exc}") from None
-    return parse_taxonomy(text, source=str(p))
+    text = read_text(path, "taxonomy", TaxonomyError)
+    return parse_taxonomy(text, source=one_line(Path(path)))
 
 
 def bundled_taxonomy_path() -> Path:

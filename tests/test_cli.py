@@ -177,6 +177,62 @@ def test_search_malformed_store_line_is_data_error(corpus, tmp_path, capsys):
     one_error_line(capsys.readouterr(), f"{index}:5")
 
 
+def test_search_reads_only_the_fields_of_its_strategy(corpus, tmp_path,
+                                                     capsys):
+    """A damaged field that vis search does not read leaves its output
+    as it was; vis+cx search, which reads it, and enrich report it."""
+    index = enriched_index(corpus, tmp_path)
+    vis = ["search", "--index", str(index), "--strategy", "vis",
+           "--query", "Red Roses", "-k", "1000"]
+    capsys.readouterr()
+    assert main(vis) == 0
+    before = capsys.readouterr().out
+    assert before.startswith("1\td1\t")
+    rewrite_line(index, 1, lambda record: {**record, "enriched": "x"})
+    assert main(vis) == 0
+    assert capsys.readouterr().out == before
+    for argv in (["search", "--index", str(index), "--strategy", "vis+cx",
+                  "--query", "Red Roses"],
+                 ["enrich", "--index", str(index)]):
+        assert main(argv) == 2
+        one_error_line(capsys.readouterr(), f"{index}:2: malformed line")
+
+
+def test_eval_reads_only_the_fields_of_its_strategies(corpus, tmp_path,
+                                                      capsys):
+    index = enriched_index(corpus, tmp_path)
+    rewrite_line(index, 1, lambda record: {**record, "areas": "x"})
+    queries = tmp_path / "queries.tsv"
+    queries.write_text("q1\tRed Roses\n", encoding="utf-8")
+    qrels = tmp_path / "qrels.tsv"
+    qrels.write_text("q1\td1\t2\n", encoding="utf-8")
+    run = ["eval", "--index", str(index), "--queries", str(queries),
+           "--qrels", str(qrels), "--out", str(tmp_path / "r")]
+    capsys.readouterr()
+    assert main(run + ["--strategies", "vis,cx,vis+cx"]) == 0
+    summary = capsys.readouterr().out.splitlines()
+    assert {line.split("\t")[0] for line in summary[1:]} == {"vis", "cx",
+                                                           "vis+cx"}
+    for strategies in (["--strategies", "vis,tfidf"], []):
+        assert main(run + strategies) == 2
+        one_error_line(capsys.readouterr(), f"{index}:2: malformed line")
+
+
+def test_error_naming_a_path_with_a_newline_stays_on_one_line(corpus, tmp_path,
+                                                              capsys):
+    index = enriched_index(corpus, tmp_path)
+    # the meta line holds the taxonomy path in its config snapshot too
+    rewrite_line(index, 0, lambda meta: set_config_key(
+        {**meta, "taxonomy": "a\nb"}, "taxonomy", "a\nb"))
+    capsys.readouterr()
+    assert main(["search", "--index", str(index), "--strategy", "vis",
+                 "--query", "Red Roses"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read taxonomy a\\nb: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_search_output_format(corpus, tmp_path, capsys):
     index = enriched_index(corpus, tmp_path)
     capsys.readouterr()

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -10,12 +11,15 @@ from viscx.context import AreaKind, ExtractionArea, tokenize
 from viscx.fusion import FacetKernel
 from viscx.membership import TConormKind
 from viscx.pipeline import enrich_document
-from viscx.retrieval import (ALL_STRATEGIES, Qrels, Query, RankedList,
-                             Strategy, eval_report, load_queries, make_scorer,
-                             ndcg_at_n, parse_query, rank, rank_with_scorer)
-from viscx.store import IndexRecord, IndexStore
+from viscx.retrieval import (ALL_STRATEGIES, STRATEGY_FIELDS, Qrels, Query,
+                             RankedList, Strategy, eval_report, load_queries,
+                             make_scorer, ndcg_at_n, parse_query, rank,
+                             rank_with_scorer)
+from viscx.store import (RECORD_FIELDS, IndexRecord, IndexStore, load_store,
+                         save_store)
 
 import corpusgen
+import decoding
 import oracles
 
 
@@ -175,6 +179,42 @@ def test_scorer_matches_score_oracle(acceptance_run, base_lattice, kernel):
                     cfg.tconorm.value, kernel.value, vocabs)
                 got = scorer.score(query, doc_id)
                 assert abs(got - want) <= 1e-12, (strategy, query.raw, doc_id)
+
+
+@pytest.mark.parametrize("kernel", [None, FacetKernel.MIN, FacetKernel.PRODUCT],
+                         ids=["default", "min", "product"])
+def test_partial_load_ranks_as_the_full_load(acceptance_run, base_lattice,
+                                             tmp_path, kernel):
+    """Each strategy ranks the 30-query mix (k=1000) over a store loaded
+    with only its fields exactly as over the fully loaded store."""
+    store, cfg, _queries = acceptance_run
+    path = tmp_path / "acceptance.jsonl"
+    save_store(store, path)
+    cfg = PipelineConfig() if kernel is None else replace(cfg, kernel=kernel)
+    queries = decoding.query_mix(base_lattice)
+    assert len(queries) == 30
+    assert decoding.partial_load_differences(path, base_lattice, cfg,
+                                             queries) == []
+
+
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+def test_make_scorer_refuses_a_store_without_its_fields(acceptance_run,
+                                                        base_lattice, tmp_path,
+                                                        strategy):
+    store, cfg, _queries = acceptance_run
+    path = tmp_path / "acceptance.jsonl"
+    save_store(store, path)
+    wanted = STRATEGY_FIELDS[strategy]
+    others = [name for name in RECORD_FIELDS if name not in wanted]
+    with pytest.raises(ViscxError, match=f"{re.escape(strategy.value)} search "
+                       f"reads {', '.join(wanted)}, which the store was "
+                       "loaded without"):
+        make_scorer(load_store(path, others), base_lattice, cfg, strategy)
+    if len(wanted) > 1:  # every field it reads is needed
+        with pytest.raises(ViscxError, match=f"reads {wanted[0]},"):
+            make_scorer(load_store(path, others + list(wanted[1:])),
+                        base_lattice, cfg, strategy)
+    make_scorer(load_store(path, wanted), base_lattice, cfg, strategy)
 
 
 def test_scorer_reused_across_queries_matches_fresh_scorers(acceptance_run,

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from viscx import PipelineConfig, StoreError, VisRecord
 from viscx.context import AreaKind, ContextualConcept, ExtractionArea, SyntacticTerm
 from viscx.fusion import EnrichedVisRecord, FusionProvenance
-from viscx.store import (STORE_VERSION, IndexRecord, IndexStore, StoreMeta,
-                         load_store, record_from_dict, record_to_dict,
-                         save_store)
+from viscx.store import (RECORD_FIELDS, STORE_VERSION, IndexRecord,
+                         IndexStore, StoreMeta, load_store, record_from_dict,
+                         record_to_dict, save_store)
 
 
 def full_record(doc_id="doc1"):
@@ -179,16 +179,102 @@ def _set(line: dict, keys, value) -> dict:
     + lines[2:],
     lambda lines: lines[:1] + [_set(lines[1], ["terms", 0, "head"], ["rose"])]
     + lines[2:],
+    lambda lines: lines[:1] + [_set(lines[1], ["enriched", 0, "original_vsc"],
+                                    5)] + lines[2:],
+    lambda lines: lines[:1] + [_set(lines[1], ["enriched", 0, "provenance",
+                                               "decision"], 5)] + lines[2:],
+    lambda lines: lines[:1] + [_set(lines[1], ["enriched", 0, "provenance",
+                                               "branch"], [])] + lines[2:],
+    lambda lines: lines[:1] + [_set(lines[1], ["enriched", 0, "provenance",
+                                               "matched_head"], 5)] + lines[2:],
 ], ids=["list-line", "deep-nesting", "config-string", "config-window",
         "enriched-string", "terms-number", "impact-5",
         "impact-huge", "duplicate-doc", "doc-id-number", "token-number",
-        "cx-number", "head-number", "head-empty", "head-short"])
+        "cx-number", "head-number", "head-empty", "head-short",
+        "original-vsc-number", "decision-number", "branch-list",
+        "matched-head-number"])
 def test_malformed_line_gives_store_error(tmp_path, damage):
     lines = damage(saved_lines(tmp_path))
     path = tmp_path / "damaged.jsonl"
     path.write_text(store_text(lines), encoding="utf-8")
     with pytest.raises(StoreError, match=r"damaged\.jsonl:\d+: "):
         load_store(path)
+
+
+def test_null_matched_head_loads(tmp_path):
+    lines = saved_lines(tmp_path)
+    _set(lines[1], ["enriched", 0, "provenance", "matched_head"], None)
+    path = tmp_path / "null_head.jsonl"
+    path.write_text(store_text(lines), encoding="utf-8")
+    prov = load_store(path).records["a"].enriched[0].provenance
+    assert prov.matched_head is None and prov.branch == "correspondence_specialized"
+
+
+@pytest.mark.parametrize("fields", [(), ("areas",), ("terms", "contextual"),
+                                    ("enriched", "vis_records")])
+def test_partial_load_builds_only_the_named_fields(tmp_path, fields):
+    saved_lines(tmp_path)
+    full = load_store(tmp_path / "index.jsonl")
+    partial = load_store(tmp_path / "index.jsonl", fields)
+    assert set(partial.fields) == set(fields)
+    assert partial.meta == full.meta
+    assert list(partial.records) == list(full.records)
+    for doc_id, record in partial.records.items():
+        for name in RECORD_FIELDS:
+            want = getattr(full.records[doc_id], name) if name in fields else None
+            assert getattr(record, name) == want, name
+
+
+def test_partial_load_refuses_unknown_field_names(tmp_path):
+    saved_lines(tmp_path)
+    with pytest.raises(ValueError, match="not IndexRecord fields.*'vis'"):
+        load_store(tmp_path / "index.jsonl", ["vis"])
+
+
+@pytest.mark.parametrize("damage", [
+    lambda lines: lines + [[1]],
+    lambda lines: lines + ["{"],
+    lambda lines: [_set(lines[0], ["config", "window"], "x")] + lines[1:],
+    lambda lines: [_set(lines[0], ["version"], 1)] + lines[1:],
+    lambda lines: lines[:1] + [_set(lines[1], ["type"], "recrod")] + lines[2:],
+    lambda lines: lines[:1] + [_set(lines[1], ["doc_id"], 5)] + lines[2:],
+    lambda lines: lines + [lines[1]],
+], ids=["list-line", "bad-json", "config-window", "meta-version", "type",
+        "doc-id-number", "duplicate-doc"])
+def test_partial_load_checks_every_line(tmp_path, damage):
+    """What every line must get right is checked whichever fields are
+    read, even none."""
+    path = tmp_path / "damaged.jsonl"
+    path.write_text(store_text(damage(saved_lines(tmp_path))), encoding="utf-8")
+    for fields in [()] + [(name,) for name in RECORD_FIELDS]:
+        with pytest.raises(StoreError, match=r"damaged\.jsonl:\d+: "):
+            load_store(path, fields)
+
+
+@pytest.mark.parametrize("name", RECORD_FIELDS)
+def test_partial_load_leaves_an_unread_field_unchecked(tmp_path, name):
+    lines = saved_lines(tmp_path)
+    _set(lines[1], [name], "x")
+    path = tmp_path / "damaged.jsonl"
+    path.write_text(store_text(lines), encoding="utf-8")
+    with pytest.raises(StoreError, match=r"damaged\.jsonl:2: malformed"):
+        load_store(path)
+    others = [field for field in RECORD_FIELDS if field != name]
+    assert load_store(path, others).records["a"].doc_id == "a"
+
+
+def test_save_refuses_a_partly_loaded_store(tmp_path):
+    saved_lines(tmp_path)
+    path = tmp_path / "index.jsonl"
+    before = path.read_bytes()
+    partial = load_store(path, ("vis_records",))
+    with pytest.raises(StoreError, match="cannot save a store loaded without "
+                       "its records' areas, contextual, terms, enriched"):
+        save_store(partial, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["index.jsonl"]
+    save_store(load_store(path), path)  # a full load saves as it was read
+    assert path.read_bytes() == before
 
 
 def _node_paths(node, path=()):
