@@ -80,20 +80,28 @@ def scoring_view(unit: SyntacticTerm | VisRecord,
     return head, (vec.textures, vec.spatials, vec.colors)
 
 
+def view_part(a: ScoringView, b: ScoringView, lattice: SemanticLattice,
+              kernel: FacetKernel = FacetKernel.MAX) -> tuple[float, float | None]:
+    """The part of `view_similarity` that reads no membership table: the
+    three facet sums added from 0.0, and the path similarity of the two
+    heads (None when either view has no head)."""
+    k = _KERNELS[kernel]
+    facets = 0.0
+    for x, y in zip(a[1], b[1]):
+        facets += sum(map(k, x, y)) / VOCAB_SIZE
+    if a[0] is None or b[0] is None:
+        return facets, None
+    return facets, lattice.path_sim_epsilon(a[0], b[0])
+
+
 def view_similarity(a: ScoringView, b: ScoringView, table: MembershipTable,
                     lattice: SemanticLattice,
                     kernel: FacetKernel = FacetKernel.MAX) -> float:
     """Similarity of two scoring views; see `structure_similarity`."""
-    k = _KERNELS[kernel]
-    a_head, a_vecs = a
-    b_head, b_vecs = b
-    total = 0.0
-    for x, y in zip(a_vecs, b_vecs):
-        total += sum(map(k, x, y)) / VOCAB_SIZE
-    if a_head is not None and b_head is not None:
-        total += (lattice.path_sim_epsilon(a_head, b_head)
-                  * (table.total(b_head) + table.total(a_head)))
-    return total
+    facets, eps = view_part(a, b, lattice, kernel)
+    if eps is None:
+        return facets
+    return facets + eps * (table.total(b[0]) + table.total(a[0]))
 
 
 def structure_similarity(st: SyntacticTerm, unit: SyntacticTerm | VisRecord,

@@ -15,6 +15,7 @@ descending score (ties broken by document id):
 
 from __future__ import annotations
 
+import functools
 import heapq
 import logging
 import math
@@ -28,7 +29,7 @@ from .context import (DEFAULT_PATTERNS, SyntacticTerm, apply_patterns,
                       singularize, tag_tokens, terms_from_window, tokenize)
 from .errors import (NamedEnum, StoreError, UnindexableQueryError, ViscxError,
                      read_text)
-from .fusion import scoring_view, view_similarity
+from .fusion import ScoringView, scoring_view, view_part
 from .membership import aggregate_mu_tot
 from .store import IndexStore
 from .taxonomy import SemanticLattice
@@ -109,8 +110,9 @@ class _TfIdfIndex:
     def __init__(self, store: IndexStore):
         self.doc_tf: dict[str, Counter] = {}
         self.df: Counter = Counter()
+        fold = functools.cache(singularize)  # once per distinct token
         for doc_id, record in store.records.items():
-            tf = Counter(singularize(tok)
+            tf = Counter(fold(tok)
                          for area in record.areas for tok in area.tokens)
             self.doc_tf[doc_id] = tf
             self.df.update(tf.keys())
@@ -141,11 +143,17 @@ class _TfIdfIndex:
 
 
 class _Scorer:
-    """Scores documents under one strategy. Each document's membership
-    table and the scoring views of its units are built on first use and
-    kept; the query's views (or tf-idf weights) are rebuilt only when a
-    different query object comes in, so ranking every document for one
-    query, and evaluating many queries, stays cheap."""
+    """Scores documents under one strategy.
+
+    Per scorer, equal scoring views of document units are interned, so
+    they are one object. Per document, built on first use and kept: the
+    membership table and one ``(view, mu of the unit's head)`` pair per
+    unit, mu None for a headless unit or a head the lattice does not
+    know. Per query, rebuilt only when a different query object comes in:
+    each term's view (or the tf-idf weights) and a memo from the ``id`` of
+    an interned view to `view_part`, so a term is compared with each
+    distinct unit view once, and per document only the membership part is
+    added, with the term head's mu read once."""
 
     def __init__(self, store: IndexStore, lattice: SemanticLattice,
                  cfg: PipelineConfig, strategy: Strategy):
@@ -154,6 +162,7 @@ class _Scorer:
         self.cfg = cfg
         self.strategy = strategy
         self.tfidf = _TfIdfIndex(store) if strategy is Strategy.TFIDF else None
+        self._views: dict[ScoringView, ScoringView] = {}
         self._cache: dict[str, tuple] = {}
         self._query: Query | None = None
         self._query_state = None
@@ -186,31 +195,49 @@ class _Scorer:
             cx_pairs = []
         table = aggregate_mu_tot(lattice.concept_ids(), vis_pairs, cx_pairs,
                                  lattice, self.cfg.tconorm)
-        state = ([scoring_view(unit, lattice) for unit in units], table)
-        self._cache[doc_id] = state
+        pairs = []
+        for unit in units:
+            view = scoring_view(unit, lattice)
+            view = self._views.setdefault(view, view)
+            head = view[0]
+            pairs.append((view, table.total(head)
+                          if head is not None and head in lattice else None))
+        state = self._cache[doc_id] = (pairs, table)
         return state
 
-    def _query_views(self, query: Query):
+    def _query_terms(self, query: Query):
         if query is not self._query:
             if self.strategy is Strategy.TFIDF:
                 state = self.tfidf.query_weights(query.raw)
             else:
-                state = [scoring_view(term, self.lattice) for term in query.terms]
+                state = [(scoring_view(term, self.lattice), {})
+                         for term in query.terms]
             self._query, self._query_state = query, state
         return self._query_state
 
     def score(self, query: Query, doc_id: str) -> float:
-        query_views = self._query_views(query)
+        query_terms = self._query_terms(query)
         if self.strategy is Strategy.TFIDF:
-            return self.tfidf.score(query_views, doc_id)
-        views, table = self._doc_state(doc_id)
-        if not views:
+            return self.tfidf.score(query_terms, doc_id)
+        units, table = self._doc_state(doc_id)
+        if not units:
             return 0.0
         lattice, kernel = self.lattice, self.cfg.kernel
         total = 0.0
-        for query_view in query_views:
-            total += max(view_similarity(query_view, view, table, lattice, kernel)
-                         for view in views)
+        for term_view, memo in query_terms:
+            mu_term = None if term_view[0] is None else table.total(term_view[0])
+            best = 0.0  # similarities are non-negative
+            for view, mu in units:
+                part = memo.get(id(view))
+                if part is None:
+                    part = memo[id(view)] = view_part(term_view, view,
+                                                      lattice, kernel)
+                sim, eps = part
+                if eps is not None:
+                    sim += eps * (mu + mu_term)
+                if sim > best:
+                    best = sim
+            total += best
         return total
 
 
@@ -265,18 +292,21 @@ class Qrels:
     grades: Mapping[tuple[str, str], int]
 
     def __post_init__(self):
+        by_query: dict[str, list[int]] = {}  # grades per query id, in order
         for (qid, doc_id), grade in self.grades.items():
             if grade < 0:
                 raise ViscxError(f"negative grade for ({qid}, {doc_id})")
+            by_query.setdefault(qid, []).append(grade)
+        object.__setattr__(self, "_by_query", by_query)
 
     def grade(self, query_id: str, doc_id: str) -> int:
         return self.grades.get((query_id, doc_id), 0)
 
     def has_query(self, query_id: str) -> bool:
-        return any(qid == query_id for qid, _doc in self.grades)
+        return query_id in self._by_query
 
     def grades_for(self, query_id: str) -> list[int]:
-        return [g for (qid, _doc), g in self.grades.items() if qid == query_id]
+        return list(self._by_query.get(query_id, ()))
 
     @classmethod
     def from_text(cls, text: str) -> "Qrels":

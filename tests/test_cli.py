@@ -233,6 +233,29 @@ def test_error_naming_a_path_with_a_newline_stays_on_one_line(corpus, tmp_path,
     assert captured.err.count("\n") == 1
 
 
+def test_cx_search_with_an_unknown_term_head(corpus, tmp_path, capsys):
+    """A cx term head the taxonomy lacks fails a search only when a headed
+    query term meets it; a headless query ranks as on the intact store."""
+    index = enriched_index(corpus, tmp_path)
+    cx = ["search", "--index", str(index), "--strategy", "cx", "-k", "1000",
+          "--query"]
+    capsys.readouterr()
+    assert main(cx + ["red"]) == 0
+    before = capsys.readouterr().out
+    assert before == "1\td2\t0.172727\n2\td3\t0.172727\n3\td1\t0.136364\n"
+
+    def unknown_head(record):
+        record["terms"][0]["head"][0] = "zzz"
+        return record
+    rewrite_line(index, 1, unknown_head)
+    assert main(cx + ["Red Roses"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown concept 'zzz'\n"
+    assert main(cx + ["red"]) == 0
+    assert capsys.readouterr().out == before
+
+
 def test_search_output_format(corpus, tmp_path, capsys):
     index = enriched_index(corpus, tmp_path)
     capsys.readouterr()

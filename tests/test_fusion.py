@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from viscx import PipelineConfig, UnknownConceptError, VisRecord
+from viscx import (COLOR_NAMES, SPATIAL_NAMES, TEXTURE_NAMES, PipelineConfig,
+                   UnknownConceptError, VisRecord)
 from viscx.context import SyntacticTerm
 from viscx.fusion import (CorrespondencePair, FacetKernel,
                           best_correspondences, enrich_records, fuse,
-                          keep_unmatched, structure_similarity,
-                          SimilarityMatrix)
+                          keep_unmatched, scoring_view, structure_similarity,
+                          view_part, view_similarity, SimilarityMatrix)
 from viscx.membership import MembershipTable, TConormKind, aggregate_mu_tot
 
 import oracles
@@ -105,6 +108,51 @@ def test_similarity_nonnegative_and_monotone(enriched_fragment):
         if kernel is FacetKernel.MAX:
             assert (structure_similarity(a, b, table, lat, kernel)
                     == structure_similarity(b, a, table, lat, kernel))
+
+
+HEADS = ("flower", "rose", "building", "cathedral", "entity")
+weights = hst.floats(0.0, 1.0)
+shares = hst.floats(0.0, 0.25)  # a record's (at most 4) colors sum to <= 1
+
+
+def facet_pairs(names):
+    return hst.frozensets(hst.tuples(hst.sampled_from(names), weights),
+                          max_size=4)
+
+
+terms = hst.builds(
+    SyntacticTerm,
+    hst.one_of(hst.none(), hst.tuples(hst.sampled_from(HEADS), weights)),
+    facet_pairs(COLOR_NAMES), facet_pairs(TEXTURE_NAMES),
+    facet_pairs(SPATIAL_NAMES))
+records = hst.builds(
+    VisRecord, hst.just("vo1"), hst.sampled_from(HEADS), weights,
+    hst.dictionaries(hst.sampled_from(COLOR_NAMES), shares, max_size=4),
+    hst.dictionaries(hst.sampled_from(TEXTURE_NAMES), weights, max_size=4),
+    hst.frozensets(hst.tuples(hst.sampled_from(SPATIAL_NAMES),
+                              hst.just("vo2")), max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_=terms, unit=hst.one_of(terms, records),
+       mus=hst.fixed_dictionaries({head: weights for head in HEADS}),
+       kernel=hst.sampled_from(list(FacetKernel)))
+def test_view_similarity_is_view_part_plus_membership(base_lattice, term_,
+                                                      unit, mus, kernel):
+    """Bit for bit: the facet sums and epsilon of `view_part`, plus
+    epsilon times the two heads' membership, unit head first; no epsilon
+    (and no membership read) when either view is headless."""
+    lat = base_lattice
+    a, b = scoring_view(term_, lat), scoring_view(unit, lat)
+    facets, eps = view_part(a, b, lat, kernel)
+    if a[0] is None or b[0] is None:
+        assert eps is None
+        # an empty table raises on any read
+        assert view_similarity(a, b, table_of({}), lat, kernel) == facets
+    else:
+        assert eps == lat.path_sim_epsilon(a[0], b[0])
+        assert (view_similarity(a, b, table_of(mus), lat, kernel)
+                == facets + eps * (mus[b[0]] + mus[a[0]]))
 
 
 def test_best_correspondences_trivial_and_floor():

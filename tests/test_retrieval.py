@@ -8,8 +8,8 @@ from viscx import (COLOR_NAMES, SPATIAL_NAMES, TEXTURE_NAMES, PipelineConfig,
                    UnindexableQueryError, ViscxError, VisRecord,
                    enrich_store, ingest_corpus)
 from viscx.context import AreaKind, ExtractionArea, tokenize
-from viscx.fusion import FacetKernel
-from viscx.membership import TConormKind
+from viscx.fusion import FacetKernel, scoring_view, view_similarity
+from viscx.membership import TConormKind, aggregate_mu_tot
 from viscx.pipeline import enrich_document
 from viscx.retrieval import (ALL_STRATEGIES, STRATEGY_FIELDS, Qrels, Query,
                              RankedList, Strategy, eval_report, load_queries,
@@ -181,6 +181,56 @@ def test_scorer_matches_score_oracle(acceptance_run, base_lattice, kernel):
                 assert abs(got - want) <= 1e-12, (strategy, query.raw, doc_id)
 
 
+def reference_score(store, lattice, cfg, strategy, query, doc_id) -> float:
+    """The plain scorer: over the query terms, the max over the document's
+    units of `view_similarity`, with a membership table built per call."""
+    record = store.records[doc_id]
+    if strategy is Strategy.VIS:
+        units = [r for r in record.vis_records if r.vsc in lattice]
+        vis, cx = [(r.vsc, r.r_vsc) for r in units], []
+    elif strategy is Strategy.CX:
+        units = list(record.terms)
+        vis, cx = [], [(c.cx, c.imp) for c in record.contextual]
+    else:
+        units = [e for e in record.enriched if e.vsc in lattice]
+        vis, cx = [(e.vsc, e.final_mu) for e in units], []
+    if not units:
+        return 0.0
+    table = aggregate_mu_tot(lattice.concept_ids(), vis, cx, lattice,
+                             cfg.tconorm)
+    total = 0.0
+    for term in query.terms:
+        total += max(view_similarity(scoring_view(term, lattice),
+                                     scoring_view(unit, lattice), table,
+                                     lattice, cfg.kernel)
+                     for unit in units)
+    return total
+
+
+HEADLESS_QUERIES = ["red", "red spotted", "left of"]
+
+
+@pytest.mark.parametrize("tconorm", list(TConormKind))
+@pytest.mark.parametrize("kernel", list(FacetKernel))
+def test_scorer_equals_the_plain_reference(acceptance_run, base_lattice,
+                                           kernel, tconorm):
+    """One warm scorer per strategy scores every document exactly (==) as
+    `reference_score`, over the 30-query mix and headless queries."""
+    store, cfg, _queries = acceptance_run
+    cfg = replace(cfg, kernel=kernel, tconorm=tconorm)
+    queries = [parse_query(text, base_lattice, patterns=cfg.patterns)
+               for text in decoding.query_mix(base_lattice) + HEADLESS_QUERIES]
+    assert all(term.head is None for query in queries[-3:]
+               for term in query.terms)
+    for strategy in (Strategy.VIS, Strategy.CX, Strategy.VIS_CX):
+        scorer = make_scorer(store, base_lattice, cfg, strategy)
+        for query in queries:
+            for doc_id in store.records:
+                assert (scorer.score(query, doc_id) == reference_score(
+                    store, base_lattice, cfg, strategy, query, doc_id)), (
+                        strategy, query.raw, doc_id)
+
+
 @pytest.mark.parametrize("kernel", [None, FacetKernel.MIN, FacetKernel.PRODUCT],
                          ids=["default", "min", "product"])
 def test_partial_load_ranks_as_the_full_load(acceptance_run, base_lattice,
@@ -237,8 +287,8 @@ def test_tfidf_doc_with_query_word_beats_doc_without(base_lattice):
     cfg = PipelineConfig()
     store = IndexStore()
     docs = {
-        "d1": "rose rose garden",
-        "d2": "sky garden",
+        "d1": "rose roses garden",  # plurals fold to the query words
+        "d2": "sky gardens",
         "d3": "sky cloud",
     }
     for doc_id, text in docs.items():
