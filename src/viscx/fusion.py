@@ -5,11 +5,13 @@ records.
 Similarity adds three facet sums (one per vocabulary, each normalized by
 the vocabulary size 11) to a semantic part: the lattice path similarity of
 the two head concepts weighted by the sum of their aggregated membership
-values. It is computed between scoring views: a unit's canonical head and
-its three facet vectors, built once per term or record and reused for
-every pair it takes part in. Fusion then either keeps the visual concept,
-replaces it with a more specific contextual one, or corrects it wholesale
-when the membership values disagree beyond a threshold.
+values. It is computed between scoring views, built once per term or
+record and reused for every pair it takes part in: a unit's canonical head
+and, per facet, only its non-zero (vocabulary index, weight) entries with
+their mass, so a facet sum walks the few entries a unit has rather than
+all 11. Fusion then either keeps the visual concept, replaces it with a
+more specific contextual one, or corrects it wholesale when the
+membership values disagree beyond a threshold.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .context import SyntacticTerm, term_vectors
+from .context import SyntacticTerm
 from .errors import NamedEnum
 from .membership import MembershipTable
 from .taxonomy import SemanticLattice, SemRelation
-from .vis import VOCAB_SIZE, VisRecord, facet_vectors
+from .vis import (COLOR_NAMES, SPATIAL_NAMES, TEXTURE_NAMES, VOCAB_SIZE,
+                  VisRecord)
 
 if TYPE_CHECKING:  # config imports FacetKernel from here
     from .config import PipelineConfig
@@ -33,8 +36,9 @@ class FacetKernel(NamedEnum, what="facet kernel"):
     PRODUCT = "product"
 
 
-_KERNELS = {
-    FacetKernel.MAX: max,
+#: the kernels that are 0 where either side is 0 (`view_part` walks ``max``
+#: over the union of two facets instead)
+_INTERSECTION_KERNELS = {
     FacetKernel.MIN: min,
     FacetKernel.PRODUCT: lambda a, b: a * b,
 }
@@ -61,34 +65,93 @@ class EnrichedVisRecord(VisRecord):
     provenance: FusionProvenance | None = None
 
 
-#: a unit's canonical head (None when headless) and its facet vectors in
-#: (textures, spatials, colors) order, the order the facet sums are added in
-ScoringView = tuple[str | None, tuple[tuple[float, ...], ...]]
+#: one facet of a scoring view: the (vocabulary index, weight) entries with
+#: weight > 0 in index order, the largest weight where a name repeats, and
+#: the facet's mass, the builtin `sum` of those weights
+Facet = tuple[tuple[tuple[int, float], ...], float]
+
+#: a unit's canonical head (None when headless) and its facets in
+#: (textures, spatials, colors) order, the order the facet sums are added in;
+#: hashable, so equal views can be interned
+ScoringView = tuple[str | None, tuple[Facet, Facet, Facet]]
+
+_NO_FACET: Facet = ((), 0.0)
+
+_TEXTURE_INDEX, _SPATIAL_INDEX, _COLOR_INDEX = (
+    {name: j for j, name in enumerate(names)}
+    for names in (TEXTURE_NAMES, SPATIAL_NAMES, COLOR_NAMES))
+
+
+def _facet(index: dict[str, int], pairs) -> Facet:
+    """The facet of a collection of (name, weight) pairs."""
+    if not pairs:
+        return _NO_FACET
+    if len(pairs) == 1:
+        (name, w), = pairs
+        return (((index[name], w),), w) if w > 0.0 else _NO_FACET
+    best: dict[int, float] = {}
+    for name, w in pairs:
+        j = index[name]
+        if w > best.get(j, 0.0):
+            best[j] = w
+    if not best:
+        return _NO_FACET
+    entries = tuple(sorted(best.items()))
+    return entries, sum([w for _j, w in entries])
 
 
 def scoring_view(unit: SyntacticTerm | VisRecord,
                  lattice: SemanticLattice) -> ScoringView:
-    """What similarity reads of a term or record. An unknown head is kept
-    as written, so it raises only when paired with another head."""
+    """What similarity reads of a term or record: a record's spatial
+    relations weigh 1.0 per relation kind. An unknown head is kept as
+    written, so it raises only when paired with another head."""
     if isinstance(unit, SyntacticTerm):
         head = unit.head[0] if unit.head is not None else None
-        vec = term_vectors(unit)
+        textures, spatials, colors = unit.textures, unit.spatials, unit.colors
     else:
-        head, vec = unit.vsc, facet_vectors(unit)
+        head = unit.vsc
+        textures, colors = unit.textures.items(), unit.colors.items()
+        spatials = [(rel, 1.0) for rel, _target in unit.spatial]
     if head is not None:
         head = lattice.resolve(head) or head
-    return head, (vec.textures, vec.spatials, vec.colors)
+    return head, (_facet(_TEXTURE_INDEX, textures),
+                  _facet(_SPATIAL_INDEX, spatials),
+                  _facet(_COLOR_INDEX, colors))
 
 
 def view_part(a: ScoringView, b: ScoringView, lattice: SemanticLattice,
               kernel: FacetKernel = FacetKernel.MAX) -> tuple[float, float | None]:
     """The part of `view_similarity` that reads no membership table: the
     three facet sums added from 0.0, and the path similarity of the two
-    heads (None when either view has no head)."""
-    k = _KERNELS[kernel]
+    heads (None when either view has no head).
+
+    A facet sum is ``sum(map(kernel, x, y)) / VOCAB_SIZE`` over the two
+    dense 11-entry weight vectors, computed from the non-zero entries
+    alone. Under ``max`` it walks the union of the two facets (an empty
+    side adds the other side's mass); under ``min`` and ``product`` the
+    intersection (an empty one adds 0 and is left out). The result is the
+    dense sum bit for bit: every weight is finite and in [0,1], so each
+    entry the walk skips is a kernel value of +0.0, and ``x + 0.0 == x``;
+    the walk keeps index order and adds with the builtin `sum`, whose
+    compensated float summation (Python >= 3.12) is also unchanged by
+    +0.0 terms.
+    """
     facets = 0.0
-    for x, y in zip(a[1], b[1]):
-        facets += sum(map(k, x, y)) / VOCAB_SIZE
+    if kernel is FacetKernel.MAX:
+        for (xs, x_mass), (ys, y_mass) in zip(a[1], b[1]):
+            if not xs:
+                facets += y_mass / VOCAB_SIZE
+            elif not ys:
+                facets += x_mass / VOCAB_SIZE
+            else:  # sorted, a repeated index keeps its larger weight last
+                facets += sum(dict(sorted(xs + ys)).values()) / VOCAB_SIZE
+    else:
+        k = _INTERSECTION_KERNELS[kernel]
+        for (xs, _x_mass), (ys, _y_mass) in zip(a[1], b[1]):
+            if xs and ys:
+                other = dict(ys)
+                facets += sum([k(w, other[j]) for j, w in xs
+                               if j in other]) / VOCAB_SIZE
     if a[0] is None or b[0] is None:
         return facets, None
     return facets, lattice.path_sim_epsilon(a[0], b[0])

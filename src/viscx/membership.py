@@ -36,6 +36,11 @@ def tconorm(kind: TConormKind, a: float, b: float) -> float:
     [0,1], the identity element is 0."""
     _check_unit(a, "t-conorm operand")
     _check_unit(b, "t-conorm operand")
+    return _tconorm(kind, a, b)
+
+
+def _tconorm(kind: TConormKind, a: float, b: float) -> float:
+    """`tconorm` on operands already known to lie in [0,1]."""
     if kind is TConormKind.MAX:
         return a if a >= b else b
     if kind is TConormKind.PROBABILISTIC_SUM:
@@ -137,8 +142,9 @@ def aggregate_mu_tot(universe: Sequence[str],
     For every universe concept the visual column folds mu_vsc over
     `vis_concepts` and the context column folds mu_cx over `cx_concepts`
     (left to right, identity 0); the combined value is their t-conorm.
-    Concepts and evidence values are validated here; each column value is
-    computed on its first read.
+    Concepts and evidence values are validated here, so the folds, whose
+    every operand then lies in [0,1], skip `tconorm`'s checks; each column
+    value is computed on its first read.
     """
     if universe is lattice.concept_ids():
         ids = tuple(universe)
@@ -156,12 +162,12 @@ def aggregate_mu_tot(universe: Sequence[str],
         def compute(cid: str) -> float:
             acc = 0.0
             for anchor, value in pairs:
-                acc = tconorm(kind, acc, _membership(cid, anchor, value, lattice))
+                acc = _tconorm(kind, acc, _membership(cid, anchor, value, lattice))
             return acc
         return compute
 
     vis_col = _LazyColumn(ids, members, fold(vis_pairs))
     cx_col = _LazyColumn(ids, members, fold(cx_pairs))
     tot_col = _LazyColumn(
-        ids, members, lambda cid: tconorm(kind, vis_col[cid], cx_col[cid]))
+        ids, members, lambda cid: _tconorm(kind, vis_col[cid], cx_col[cid]))
     return MembershipTable(ids, vis_col, cx_col, tot_col)

@@ -160,6 +160,24 @@ def _facets_oracle(unit):
     return head, list(unit.colors), list(unit.textures), list(unit.spatials)
 
 
+def dense_view_part(a, b, lattice, kernel: str):
+    """`fusion.view_part` of a term against a term or a VIS record, from
+    dense 11-entry vectors: per facet in (textures, spatials, colors)
+    order, ``sum(map(k, x, y)) / 11`` added from 0.0; then the lattice
+    path similarity of the two heads (None when either is headless)."""
+    k = _KERNEL_ORACLES[kernel]
+    head_a, *facets_a = _facets_oracle(a)
+    head_b, *facets_b = _facets_oracle(b)
+    facets = 0.0
+    for f, vocab in ((1, TEXTURE_VOCAB), (2, SPATIAL_VOCAB), (0, COLOR_VOCAB)):
+        x = _dense_oracle(vocab.names, facets_a[f])
+        y = _dense_oracle(vocab.names, facets_b[f])
+        facets += sum(map(k, x, y)) / len(vocab.names)
+    if head_a is None or head_b is None:
+        return facets, None
+    return facets, lattice.path_sim_epsilon(head_a, head_b)
+
+
 def score_oracle(parents, record, query_terms, strategy: str, tconorm: str,
                  kernel: str, vocabs) -> float:
     """Score of one document for a query under vis, cx or vis+cx, from

@@ -1,7 +1,8 @@
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from viscx import (COLOR_NAMES, SPATIAL_NAMES, TEXTURE_NAMES, PipelineConfig,
@@ -153,6 +154,78 @@ def test_view_similarity_is_view_part_plus_membership(base_lattice, term_,
         assert eps == lat.path_sim_epsilon(a[0], b[0])
         assert (view_similarity(a, b, table_of(mus), lat, kernel)
                 == facets + eps * (mus[b[0]] + mus[a[0]]))
+
+
+# edge weights: both zeros pass the [0,1] checks, and the product of two
+# subnormals underflows to 0.0
+edge_weights = hst.one_of(weights, hst.sampled_from((0.0, -0.0, 1.0, 5e-324)),
+                          hst.floats(0.0, sys.float_info.min))
+edge_shares = hst.one_of(shares, hst.sampled_from((0.0, -0.0, 5e-324)),
+                         hst.floats(0.0, sys.float_info.min))
+
+
+def few(names):
+    """Four names spread over the vocabulary, so that two units often
+    share an entry and a term often repeats a name."""
+    return hst.sampled_from(names[::3])
+
+
+def edge_pairs(names):
+    return hst.frozensets(hst.tuples(few(names), edge_weights), max_size=4)
+
+
+edge_terms = hst.builds(
+    SyntacticTerm,
+    hst.one_of(hst.none(), hst.tuples(hst.sampled_from(HEADS), edge_weights)),
+    edge_pairs(COLOR_NAMES), edge_pairs(TEXTURE_NAMES),
+    edge_pairs(SPATIAL_NAMES))
+edge_records = hst.builds(
+    VisRecord, hst.just("vo1"), hst.sampled_from(HEADS), edge_weights,
+    hst.dictionaries(few(COLOR_NAMES), edge_shares, max_size=4),
+    hst.dictionaries(few(TEXTURE_NAMES), edge_weights, max_size=4),
+    hst.frozensets(hst.tuples(few(SPATIAL_NAMES),
+                              hst.sampled_from(("vo2", "vo3", "vo4"))),
+                   max_size=5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=edge_terms, b=hst.one_of(edge_terms, edge_records),
+       kernel=hst.sampled_from(list(FacetKernel)))
+@example(a=term(None, textures={("bumpy", 5e-324), ("bumpy", 0.5)}),
+         b=VisRecord("vo1", "rose", 0.5, textures={"bumpy": 5e-324},
+                     spatial=frozenset({("left", "vo2"), ("left", "vo3")})),
+         kernel=FacetKernel.PRODUCT)
+@example(a=term("rose", -0.0, colors={("red", -0.0)}),
+         b=term("flower", 1.0, colors={("red", 0.0)}, spatials={("far", 1.0)}),
+         kernel=FacetKernel.MAX)
+def test_sparse_view_part_equals_the_dense_oracle(base_lattice, a, b, kernel):
+    """Bit for bit: `view_part` on the sparse views of a term and a term or
+    record equals the dense 11-entry sums and epsilon of the oracle."""
+    lat = base_lattice
+    got = view_part(scoring_view(a, lat), scoring_view(b, lat), lat, kernel)
+    want = oracles.dense_view_part(a, b, lat, kernel.value)
+    assert got == want and repr(got) == repr(want)
+
+
+def test_equal_units_give_equal_hashable_views(base_lattice):
+    """A record and a term with the same head and non-zero weights give
+    one view, whatever their ids, zero weights, recognition probability,
+    impacts or spatial targets; the view can key a dict."""
+    lat = base_lattice
+    record = VisRecord("vo1", "rose", 0.8, colors={"red": 0.5, "blue": 0.0},
+                       textures={"lined": 0.3},
+                       spatial=frozenset({("left", "vo2"), ("left", "vo3")}))
+    same = VisRecord("vo7", "rose", 0.2, colors={"red": 0.5},
+                     textures={"lined": 0.3},
+                     spatial=frozenset({("left", "vo9")}))
+    as_term = term("rose", 0.4, colors={("red", 0.5), ("red", 0.1)},
+                   textures={("lined", 0.3)}, spatials={("left", 1.0)})
+    views = [scoring_view(unit, lat) for unit in (record, same, as_term)]
+    assert views[0] == views[1] == views[2]
+    assert len({view: None for view in views}) == 1
+    other = term("rose", 0.4, colors={("red", 0.6)}, textures={("lined", 0.3)},
+                 spatials={("left", 1.0)})
+    assert scoring_view(other, lat) != views[0]
 
 
 def test_best_correspondences_trivial_and_floor():

@@ -8,7 +8,7 @@ from viscx import (COLOR_NAMES, SPATIAL_NAMES, TEXTURE_NAMES, PipelineConfig,
                    UnindexableQueryError, ViscxError, VisRecord,
                    enrich_store, ingest_corpus)
 from viscx.context import AreaKind, ExtractionArea, tokenize
-from viscx.fusion import FacetKernel, scoring_view, view_similarity
+from viscx.fusion import FacetKernel
 from viscx.membership import TConormKind, aggregate_mu_tot
 from viscx.pipeline import enrich_document
 from viscx.retrieval import (ALL_STRATEGIES, STRATEGY_FIELDS, Qrels, Query,
@@ -183,7 +183,9 @@ def test_scorer_matches_score_oracle(acceptance_run, base_lattice, kernel):
 
 def reference_score(store, lattice, cfg, strategy, query, doc_id) -> float:
     """The plain scorer: over the query terms, the max over the document's
-    units of `view_similarity`, with a membership table built per call."""
+    units of the dense `oracles.dense_view_part` plus epsilon times the
+    membership of the unit's and the term's heads, with a membership
+    table built per call."""
     record = store.records[doc_id]
     if strategy is Strategy.VIS:
         units = [r for r in record.vis_records if r.vsc in lattice]
@@ -198,12 +200,20 @@ def reference_score(store, lattice, cfg, strategy, query, doc_id) -> float:
         return 0.0
     table = aggregate_mu_tot(lattice.concept_ids(), vis, cx, lattice,
                              cfg.tconorm)
+
+    def mu(unit) -> float:
+        head = unit.vsc if isinstance(unit, VisRecord) else unit.head[0]
+        return table.total(lattice.require(head))
+
     total = 0.0
     for term in query.terms:
-        total += max(view_similarity(scoring_view(term, lattice),
-                                     scoring_view(unit, lattice), table,
-                                     lattice, cfg.kernel)
-                     for unit in units)
+        sims = []
+        for unit in units:
+            facets, eps = oracles.dense_view_part(term, unit, lattice,
+                                                  cfg.kernel.value)
+            sims.append(facets if eps is None
+                        else facets + eps * (mu(unit) + mu(term)))
+        total += max(sims)
     return total
 
 
