@@ -5,19 +5,21 @@ content: one anchored on a contextual concept with its impact, one on a
 visual semantic concept with its recognition probability. Evidence is
 propagated unchanged to more generic concepts and reinforced (impact plus
 normalized chain length, clamped at 1) toward more specific ones;
-unrelated concepts score 0. Per-document evidence is folded with a
-configurable t-conorm into a membership table over the concept universe.
-The table computes a concept's value on its first read and memoises it,
-since fusion and scoring read only a few concepts of each document.
+unrelated concepts score 0. The lattice keeps, per concept, the step by
+which each related anchor reaches it (`SemanticLattice.membership_steps`),
+so a membership value is one dict read and at most one addition. A
+document's membership table folds its visual and its contextual evidence
+with a configurable t-conorm and combines the two sides; it computes a
+concept's total on its first read and memoises it, since fusion and
+scoring read only a few concepts of each document.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .errors import NamedEnum, UnknownConceptError, ViscxError
-from .taxonomy import SemanticLattice, SemRelation
+from .errors import NamedEnum, ViscxError
+from .taxonomy import SemanticLattice
 
 
 class TConormKind(NamedEnum, what="t-conorm"):
@@ -48,126 +50,94 @@ def _tconorm(kind: TConormKind, a: float, b: float) -> float:
     return min(a + b, 1.0)
 
 
-def _membership(c: str, anchor: str, value: float,
-                lattice: SemanticLattice) -> float:
-    rel = lattice.relation(c, anchor)
-    if rel is SemRelation.EQUAL or rel is SemRelation.GENERIC:
-        return value
-    if rel is SemRelation.SPECIFIC:
-        return min(value + lattice.path_length_norm(anchor, c), 1.0)
-    return 0.0
+def _membership(steps: Mapping[str, float | None], anchor: str,
+                value: float) -> float:
+    """Evidence `value` on the canonical `anchor`, carried to the concept
+    whose `SemanticLattice.membership_steps` are `steps`."""
+    if anchor not in steps:
+        return 0.0
+    step = steps[anchor]
+    return value if step is None else min(value + step, 1.0)
 
 
 def mu_cx(c: str, cx: str, imp: float, lattice: SemanticLattice) -> float:
     """Likelihood that concept c describes a visual entity also described
     by the contextual concept cx carrying impact imp."""
     _check_unit(imp, "impact")
-    return _membership(c, cx, imp, lattice)
+    return _membership(lattice.membership_steps(lattice.require(c)),
+                       lattice.require(cx), imp)
 
 
 def mu_vsc(c: str, vsc: str, r: float, lattice: SemanticLattice) -> float:
     """Likelihood that concept c describes the content indexed by the
     visual semantic concept vsc recognized with probability r."""
     _check_unit(r, "recognition probability")
-    return _membership(c, vsc, r, lattice)
+    return _membership(lattice.membership_steps(lattice.require(c)),
+                       lattice.require(vsc), r)
 
 
-class _LazyColumn(Mapping[str, float]):
-    """One membership column over the universe: a concept's value is
-    computed on its first read and memoised."""
-
-    def __init__(self, universe: tuple[str, ...], members: frozenset[str],
-                 compute: Callable[[str], float]):
-        self._universe = universe
-        self._members = members
-        self._compute = compute
-        self._memo: dict[str, float] = {}
-
-    def __getitem__(self, concept: str) -> float:
-        try:
-            return self._memo[concept]
-        except KeyError:
-            if concept not in self._members:
-                raise
-        value = self._memo[concept] = self._compute(concept)
-        return value
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._universe)
-
-    def __len__(self) -> int:
-        return len(self._universe)
-
-    def __contains__(self, concept: object) -> bool:
-        return concept in self._members
-
-
-@dataclass(frozen=True)
 class MembershipTable:
-    """Aggregated likelihoods over the document's concept universe:
-    the visual-evidence column, the context-evidence column, and their
-    t-conorm combination. The columns built by `aggregate_mu_tot` compute
-    each concept's value on its first read and memoise it."""
+    """A document's aggregated likelihoods over the lattice concepts: the
+    visual side folds the visual evidence, the context side the contextual
+    evidence, and the total is their t-conorm. Built by `aggregate_mu_tot`
+    from validated, canonical evidence. A total is computed on its first
+    read and memoised; the two sides, which the pipeline never reads, are
+    folded on each read."""
 
-    universe: tuple[str, ...]
-    mu_tot_vis: Mapping[str, float]
-    mu_tot_cx: Mapping[str, float]
-    mu_tot: Mapping[str, float]
+    def __init__(self, vis_pairs: list[tuple[str, float]],
+                 cx_pairs: list[tuple[str, float]], lattice: SemanticLattice,
+                 kind: TConormKind):
+        self._vis = vis_pairs
+        self._cx = cx_pairs
+        self._lattice = lattice
+        self._kind = kind
+        self._totals: dict[str, float] = {}
 
-    def _get(self, table: Mapping[str, float], concept: str) -> float:
-        try:
-            return table[concept]
-        except KeyError:
-            raise UnknownConceptError(
-                f"concept {concept!r} missing from membership table") from None
+    @property
+    def universe(self) -> tuple[str, ...]:
+        """The canonical ids a table can be read at: every lattice concept."""
+        return self._lattice.concept_ids()
+
+    def _fold(self, pairs: list[tuple[str, float]],
+              steps: Mapping[str, float | None]) -> float:
+        acc = 0.0
+        for anchor, value in pairs:
+            acc = _tconorm(self._kind, acc, _membership(steps, anchor, value))
+        return acc
 
     def total(self, concept: str) -> float:
-        return self._get(self.mu_tot, concept)
+        value = self._totals.get(concept)
+        if value is None:
+            steps = self._lattice.membership_steps(concept)
+            value = self._totals[concept] = _tconorm(
+                self._kind, self._fold(self._vis, steps),
+                self._fold(self._cx, steps))
+        return value
 
     def vis_side(self, concept: str) -> float:
-        return self._get(self.mu_tot_vis, concept)
+        return self._fold(self._vis, self._lattice.membership_steps(concept))
 
     def cx_side(self, concept: str) -> float:
-        return self._get(self.mu_tot_cx, concept)
+        return self._fold(self._cx, self._lattice.membership_steps(concept))
 
 
-def aggregate_mu_tot(universe: Sequence[str],
-                     vis_concepts: Sequence[tuple[str, float]],
+def aggregate_mu_tot(vis_concepts: Sequence[tuple[str, float]],
                      cx_concepts: Sequence[tuple[str, float]],
                      lattice: SemanticLattice,
                      kind: TConormKind = TConormKind.PROBABILISTIC_SUM
                      ) -> MembershipTable:
     """Fold the two membership functions over the document evidence.
 
-    For every universe concept the visual column folds mu_vsc over
-    `vis_concepts` and the context column folds mu_cx over `cx_concepts`
-    (left to right, identity 0); the combined value is their t-conorm.
-    Concepts and evidence values are validated here, so the folds, whose
-    every operand then lies in [0,1], skip `tconorm`'s checks; each column
-    value is computed on its first read.
+    At a concept the visual side folds mu_vsc over `vis_concepts` and the
+    context side folds mu_cx over `cx_concepts` (left to right, identity
+    0); the total is their t-conorm. Concepts and evidence values are
+    validated here, so the folds, whose every operand then lies in [0,1],
+    skip `tconorm`'s checks.
     """
-    if universe is lattice.concept_ids():
-        ids = tuple(universe)
-    else:
-        ids = tuple(dict.fromkeys(lattice.require(token) for token in universe))
-    members = frozenset(ids)
     vis_pairs = [(lattice.require(vsc), r) for vsc, r in vis_concepts]
     cx_pairs = [(lattice.require(cx), imp) for cx, imp in cx_concepts]
     for _vsc, r in vis_pairs:
         _check_unit(r, "recognition probability")
     for _cx, imp in cx_pairs:
         _check_unit(imp, "impact")
-
-    def fold(pairs: list[tuple[str, float]]) -> Callable[[str], float]:
-        def compute(cid: str) -> float:
-            acc = 0.0
-            for anchor, value in pairs:
-                acc = _tconorm(kind, acc, _membership(cid, anchor, value, lattice))
-            return acc
-        return compute
-
-    vis_col = _LazyColumn(ids, members, fold(vis_pairs))
-    cx_col = _LazyColumn(ids, members, fold(cx_pairs))
-    tot_col = _LazyColumn(
-        ids, members, lambda cid: _tconorm(kind, vis_col[cid], cx_col[cid]))
-    return MembershipTable(ids, vis_col, cx_col, tot_col)
+    return MembershipTable(vis_pairs, cx_pairs, lattice, kind)

@@ -85,9 +85,8 @@ def enrich_document(record: IndexRecord, lattice: SemanticLattice,
                 terms.append(term)
 
     known = [r for r in record.vis_records if r.vsc in lattice]
-    universe = lattice.concept_ids()
     table = aggregate_mu_tot(
-        universe, [(r.vsc, r.r_vsc) for r in known],
+        [(r.vsc, r.r_vsc) for r in known],
         [(c.cx, c.imp) for c in contextual], lattice, cfg.tconorm)
 
     fused, _pairs = enrich_records(known, terms, table, lattice, cfg)

@@ -193,8 +193,7 @@ class _Scorer:
             units = [e for e in record.enriched if e.vsc in lattice]
             vis_pairs = [(e.vsc, e.final_mu) for e in units]
             cx_pairs = []
-        table = aggregate_mu_tot(lattice.concept_ids(), vis_pairs, cx_pairs,
-                                 lattice, self.cfg.tconorm)
+        table = aggregate_mu_tot(vis_pairs, cx_pairs, lattice, self.cfg.tconorm)
         pairs = []
         for unit in units:
             view = scoring_view(unit, lattice)

@@ -60,8 +60,9 @@ class SemanticLattice:
     `longest_path` is the edge count of the longest root-to-leaf chain and
     is recomputed whenever the lattice is extended; it normalizes the
     chain-length queries below. Path queries are memoised per canonical
-    pair on the instance, and token tags per token, which is safe because
-    the lattice never changes; an extended copy starts with empty memos.
+    pair on the instance, membership steps per concept and token tags per
+    token, which is safe because the lattice never changes; an extended
+    copy starts with empty memos.
     """
 
     def __init__(self, concepts: Sequence[Concept], parents: Mapping[str, Sequence[str]],
@@ -112,6 +113,7 @@ class SemanticLattice:
         self._finalize()
         self._path_norms: dict[tuple[str, str], float] = {}
         self._epsilons: dict[tuple[str, str], float] = {}
+        self._steps: dict[str, dict[str, float | None]] = {}
         #: token tags, filled by context.tag_tokens
         self._tags: dict[str, TaggedToken] = {}
 
@@ -169,6 +171,8 @@ class SemanticLattice:
 
     def resolve(self, token: str) -> str | None:
         """Canonical id for a token, via synonyms; None when unknown."""
+        if token in self._concepts:  # a canonical id is already normalized
+            return token
         t = token.strip().lower()
         if t in self._concepts:
             return t
@@ -238,6 +242,23 @@ class SemanticLattice:
         norm = self._path_norms[ca, cb] = min(
             edges / max(self.longest_path, 1), 1.0)
         return norm
+
+    def membership_steps(self, cid: str) -> dict[str, float | None]:
+        """How evidence on each related anchor reaches canonical concept
+        `cid`: None when `cid` is the anchor or lies above it (the value
+        passes unchanged), `path_length_norm(anchor, cid)` when `cid` lies
+        below it (the value is reinforced by it, clamped at 1). Unrelated
+        anchors are absent. Built on the first call per concept."""
+        steps = self._steps.get(cid)
+        if steps is None:
+            if cid not in self._concepts:
+                raise UnknownConceptError(f"{cid!r} is not a canonical concept id")
+            steps = {a: None for a in self._order
+                     if a == cid or cid in self._ancestors[a]}
+            for anchor in self._ancestors[cid]:
+                steps[anchor] = self.path_length_norm(anchor, cid)
+            self._steps[cid] = steps
+        return steps
 
     def path_sim_epsilon(self, a: str, b: str) -> float:
         """Path similarity 1/(1+d) with d the shortest undirected is_a

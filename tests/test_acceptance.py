@@ -76,7 +76,7 @@ def test_acceptance_mu_tot_oracle_equivalence():
         vis = [(rng.choice(ids), rng.random()) for _ in range(rng.randint(0, 5))]
         cx = [(rng.choice(ids), rng.random()) for _ in range(rng.randint(0, 5))]
         kind = rng.choice(["max", "psum", "bsum"])
-        table = aggregate_mu_tot(ids, vis, cx, lattice,
+        table = aggregate_mu_tot(vis, cx, lattice,
                                  TConormKind.from_name(kind))
         vis_col, cx_col, tot_col = oracles.mu_table_oracle(
             parents, ids, vis, cx, kind)

@@ -12,14 +12,22 @@ from viscx.fusion import (CorrespondencePair, FacetKernel,
                           best_correspondences, enrich_records, fuse,
                           keep_unmatched, scoring_view, structure_similarity,
                           view_part, view_similarity, SimilarityMatrix)
-from viscx.membership import MembershipTable, TConormKind, aggregate_mu_tot
+from viscx.membership import TConormKind, aggregate_mu_tot
 
 import oracles
 
 
-def table_of(values: dict[str, float]) -> MembershipTable:
-    return MembershipTable(tuple(values), dict.fromkeys(values, 0.0),
-                           dict.fromkeys(values, 0.0), dict(values))
+class table_of:
+    """A stand-in membership table with the given totals, raising as the
+    real one does at a concept it cannot read."""
+
+    def __init__(self, values: dict[str, float]):
+        self.values = values
+
+    def total(self, concept: str) -> float:
+        if concept not in self.values:
+            raise UnknownConceptError(concept)
+        return self.values[concept]
 
 
 def term(head, imp=0.9, colors=(), textures=(), spatials=()):
@@ -40,8 +48,7 @@ def test_similarity_worked_example(enriched_fragment):
     lat = enriched_fragment
     st = term("flower", 0.9, colors={("red", 0.9)})
     vis = VisRecord("vo1", "rose", 0.8, colors={"red": 0.55})
-    table = aggregate_mu_tot(lat.concept_ids(), [("rose", 0.8)],
-                             [("flower", 0.9)], lat,
+    table = aggregate_mu_tot([("rose", 0.8)], [("flower", 0.9)], lat,
                              TConormKind.PROBABILISTIC_SUM)
     value = structure_similarity(st, vis, table, lat, FacetKernel.MAX)
     # color: max(0.9, 0.55)/11; semantic: eps(rose, flower)=0.5 times
@@ -369,8 +376,7 @@ def test_enrich_records_is_deterministic(enriched_fragment):
     records = [VisRecord("vo1", "flower", 0.7, colors={"red": 0.5}),
                VisRecord("vo2", "building", 0.9)]
     terms = [term("rose", 0.9, colors={("red", 0.9)}), term("cathedral", 0.5)]
-    table = aggregate_mu_tot(lat.concept_ids(),
-                             [("flower", 0.7), ("building", 0.9)],
+    table = aggregate_mu_tot([("flower", 0.7), ("building", 0.9)],
                              [("rose", 0.9), ("cathedral", 0.5)], lat,
                              TConormKind.PROBABILISTIC_SUM)
     first, pairs1 = enrich_records(records, terms, table, lat, PipelineConfig())

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viscx import UnknownConceptError, ViscxError, membership, parse_taxonomy
+from viscx import SemRelation, UnknownConceptError, ViscxError, parse_taxonomy
 from viscx.membership import (MembershipTable, TConormKind, aggregate_mu_tot,
                               mu_cx, mu_vsc, tconorm)
 
@@ -12,6 +12,8 @@ import oracles
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 KINDS = list(TConormKind)
+#: evidence weights: the bounds, a signed zero, subnormals, anything in [0,1]
+WEIGHTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-310]), UNIT)
 
 
 def test_tconorm_examples():
@@ -87,7 +89,7 @@ def test_propagation_and_specificity_laws(base_lattice):
 
 def test_aggregate_empty_context_collapses_to_vis(enriched_fragment):
     lat = enriched_fragment
-    table = aggregate_mu_tot(lat.concept_ids(), [("rose", 0.8)], [], lat,
+    table = aggregate_mu_tot([("rose", 0.8)], [], lat,
                              TConormKind.PROBABILISTIC_SUM)
     for cid in table.universe:
         assert table.cx_side(cid) == 0.0
@@ -96,15 +98,14 @@ def test_aggregate_empty_context_collapses_to_vis(enriched_fragment):
 
 def test_aggregate_singleton_max(enriched_fragment):
     lat = enriched_fragment
-    table = aggregate_mu_tot(["rose"], [("rose", 0.8)], [("rose", 0.9)], lat,
+    table = aggregate_mu_tot([("rose", 0.8)], [("rose", 0.9)], lat,
                              TConormKind.MAX)
     assert table.total("rose") == 0.9
 
 
 def test_aggregate_matches_spec_example(enriched_fragment):
     lat = enriched_fragment
-    table = aggregate_mu_tot(["entity", "vegetation", "flower", "rose"],
-                             [("rose", 0.8)], [("flower", 0.9)], lat,
+    table = aggregate_mu_tot([("rose", 0.8)], [("flower", 0.9)], lat,
                              TConormKind.PROBABILISTIC_SUM)
     assert table.total("flower") == pytest.approx(0.98)
     # rose: specific of flower on the context side, clamped to 1
@@ -113,14 +114,15 @@ def test_aggregate_matches_spec_example(enriched_fragment):
 
 
 def test_aggregate_unknown_concept(enriched_fragment):
-    with pytest.raises(UnknownConceptError):
-        aggregate_mu_tot(["nonesuch"], [], [], enriched_fragment,
-                         TConormKind.MAX)
-    table = aggregate_mu_tot(["rose"], [], [], enriched_fragment,
-                             TConormKind.MAX)
-    for read in (table.total, table.vis_side, table.cx_side):
+    for vis, cx in ([("nonesuch", 0.5)], []), ([], [("nonesuch", 0.5)]):
         with pytest.raises(UnknownConceptError):
-            read("cathedral")
+            aggregate_mu_tot(vis, cx, enriched_fragment, TConormKind.MAX)
+    table = aggregate_mu_tot([], [], enriched_fragment, TConormKind.MAX)
+    for read in (table.total, table.vis_side, table.cx_side):
+        # a table is read at canonical ids only
+        for concept in ("nonesuch", "Rose"):
+            with pytest.raises(UnknownConceptError):
+                read(concept)
 
 
 def test_aggregate_order_invariance(base_lattice):
@@ -130,11 +132,11 @@ def test_aggregate_order_invariance(base_lattice):
     for kind in KINDS:
         vis = [(rng.choice(ids), round(rng.uniform(0, 1), 6)) for _ in range(4)]
         cx = [(rng.choice(ids), round(rng.uniform(0, 1), 6)) for _ in range(4)]
-        table = aggregate_mu_tot(ids, vis, cx, lat, kind)
+        table = aggregate_mu_tot(vis, cx, lat, kind)
         for _ in range(3):
             rng.shuffle(vis)
             rng.shuffle(cx)
-            shuffled = aggregate_mu_tot(ids, vis, cx, lat, kind)
+            shuffled = aggregate_mu_tot(vis, cx, lat, kind)
             for cid in ids:
                 assert shuffled.total(cid) == pytest.approx(table.total(cid),
                                                             abs=1e-12)
@@ -155,7 +157,7 @@ def test_aggregate_equals_bruteforce_oracle_sample():
     rng = random.Random(99)
     for _ in range(60):
         lat, parents, ids, vis, cx, kind = _random_instance(rng)
-        table = aggregate_mu_tot(ids, vis, cx, lat, TConormKind.from_name(kind))
+        table = aggregate_mu_tot(vis, cx, lat, TConormKind.from_name(kind))
         vis_col, cx_col, tot_col = oracles.mu_table_oracle(
             parents, ids, vis, cx, kind)
         for cid in ids:
@@ -164,10 +166,43 @@ def test_aggregate_equals_bruteforce_oracle_sample():
             assert table.total(cid) == tot_col[cid]
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 16),
+       st.lists(st.tuples(st.integers(0, 15), WEIGHTS), max_size=5),
+       st.lists(st.tuples(st.integers(0, 15), WEIGHTS), max_size=5))
+def test_table_and_steps_equal_the_oracles(rng, n, vis_at, cx_at):
+    """On random taxonomies, every t-conorm's table equals the brute-force
+    oracle at every concept, and each step of the lattice's step table is
+    what `relation` and `path_length_norm` give for that pair."""
+    text, parents = oracles.random_taxonomy(rng, n)
+    lat = parse_taxonomy(text)
+    ids = list(parents)
+    vis = [(ids[i % n], w) for i, w in vis_at]
+    cx = [(ids[i % n], w) for i, w in cx_at]
+    for kind in KINDS:
+        table = aggregate_mu_tot(vis, cx, lat, kind)
+        vis_col, cx_col, tot_col = oracles.mu_table_oracle(
+            parents, ids, vis, cx, kind.value)
+        for cid in ids:
+            assert table.total(cid) == tot_col[cid]
+            assert table.vis_side(cid) == vis_col[cid]
+            assert table.cx_side(cid) == cx_col[cid]
+    for c in ids:
+        steps = lat.membership_steps(c)
+        assert set(steps) <= set(ids)
+        for anchor in ids:
+            rel = lat.relation(c, anchor)
+            if rel is SemRelation.UNRELATED:
+                assert anchor not in steps
+            elif rel is SemRelation.SPECIFIC:
+                assert steps[anchor] == lat.path_length_norm(anchor, c)
+            else:
+                assert anchor in steps and steps[anchor] is None
+
+
 def test_membership_table_invariant(base_lattice):
     lat = base_lattice
-    table = aggregate_mu_tot(lat.concept_ids(), [("rose", 0.7)],
-                             [("cathedral", 0.6)], lat,
+    table = aggregate_mu_tot([("rose", 0.7)], [("cathedral", 0.6)], lat,
                              TConormKind.PROBABILISTIC_SUM)
     assert isinstance(table, MembershipTable)
     for cid in table.universe:
@@ -177,27 +212,18 @@ def test_membership_table_invariant(base_lattice):
         assert 0.0 <= table.total(cid) <= 1.0
 
 
-def test_table_computes_on_first_read_and_memoises(base_lattice, monkeypatch):
-    calls = []
-    original = membership._membership
-
-    def counted(*args):
-        calls.append(args[0])
-        return original(*args)
-
-    monkeypatch.setattr(membership, "_membership", counted)
+def test_table_computes_on_first_read_and_memoises(base_lattice):
     lat = base_lattice
     vis, cx = [("rose", 0.7), ("sky", 0.4)], [("flower", 0.6)]
-    table = aggregate_mu_tot(lat.concept_ids(), vis, cx, lat)
-    assert calls == []
+    table = aggregate_mu_tot(vis, cx, lat)
     first = table.total("flower")
-    assert calls == ["flower"] * (len(vis) + len(cx))
     assert table.total("flower") is first
-    assert table.vis_side("flower") is table.vis_side("flower")
-    assert len(calls) == len(vis) + len(cx)
-    # a universe given as tokens resolves and deduplicates to the same table
-    tokens = aggregate_mu_tot(list(lat.concept_ids()) + ["Rose"], vis, cx, lat)
-    assert tokens.universe == table.universe
+    assert first == tconorm(TConormKind.PROBABILISTIC_SUM,
+                            table.vis_side("flower"), table.cx_side("flower"))
+    # evidence given as synonyms or in another case resolves to the same table
+    tokens = aggregate_mu_tot([("Rose", 0.7), ("sky", 0.4)], [("FLOWER", 0.6)],
+                              lat)
+    assert tokens.universe == table.universe == lat.concept_ids()
     assert tokens.total("flower") == first
 
 
@@ -208,4 +234,4 @@ def test_table_computes_on_first_read_and_memoises(base_lattice, monkeypatch):
 ])
 def test_aggregate_rejects_out_of_range_evidence_eagerly(base_lattice, vis, cx):
     with pytest.raises(ViscxError):
-        aggregate_mu_tot(["sky"], vis, cx, base_lattice)
+        aggregate_mu_tot(vis, cx, base_lattice)

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 from dataclasses import replace
@@ -9,7 +10,7 @@ from viscx import (COLOR_NAMES, SPATIAL_NAMES, TEXTURE_NAMES, PipelineConfig,
                    enrich_store, ingest_corpus)
 from viscx.context import AreaKind, ExtractionArea, tokenize
 from viscx.fusion import FacetKernel
-from viscx.membership import TConormKind, aggregate_mu_tot
+from viscx.membership import TConormKind
 from viscx.pipeline import enrich_document
 from viscx.retrieval import (ALL_STRATEGIES, STRATEGY_FIELDS, Qrels, Query,
                              RankedList, Strategy, eval_report, load_queries,
@@ -181,11 +182,25 @@ def test_scorer_matches_score_oracle(acceptance_run, base_lattice, kernel):
                 assert abs(got - want) <= 1e-12, (strategy, query.raw, doc_id)
 
 
+@functools.cache
+def _reference_parents(lattice) -> dict[str, tuple[str, ...]]:
+    return {cid: lattice.parents(cid) for cid in lattice.concept_ids()}
+
+
+@functools.cache
+def _reference_mu(lattice, vis, cx, kind: str, concept: str) -> float:
+    """mu_tot of one concept from `oracles.mu_table_oracle`, memoised per
+    (evidence, concept) across the calls of `reference_score`."""
+    _vis_col, _cx_col, tot_col = oracles.mu_table_oracle(
+        _reference_parents(lattice), [concept], vis, cx, kind)
+    return tot_col[concept]
+
+
 def reference_score(store, lattice, cfg, strategy, query, doc_id) -> float:
     """The plain scorer: over the query terms, the max over the document's
     units of the dense `oracles.dense_view_part` plus epsilon times the
-    membership of the unit's and the term's heads, with a membership
-    table built per call."""
+    membership of the unit's and the term's heads, taken from the
+    brute-force `oracles.mu_table_oracle`."""
     record = store.records[doc_id]
     if strategy is Strategy.VIS:
         units = [r for r in record.vis_records if r.vsc in lattice]
@@ -198,12 +213,13 @@ def reference_score(store, lattice, cfg, strategy, query, doc_id) -> float:
         vis, cx = [(e.vsc, e.final_mu) for e in units], []
     if not units:
         return 0.0
-    table = aggregate_mu_tot(lattice.concept_ids(), vis, cx, lattice,
-                             cfg.tconorm)
+    vis, cx = (tuple((lattice.require(c), w) for c, w in pairs)
+               for pairs in (vis, cx))
 
     def mu(unit) -> float:
         head = unit.vsc if isinstance(unit, VisRecord) else unit.head[0]
-        return table.total(lattice.require(head))
+        return _reference_mu(lattice, vis, cx, cfg.tconorm.value,
+                             lattice.require(head))
 
     total = 0.0
     for term in query.terms:

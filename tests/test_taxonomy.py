@@ -4,8 +4,8 @@ import random
 import pytest
 
 from viscx import (Concept, SemRelation, TaxonomyError, UnknownConceptError,
-                   UnrelatedConceptsError, insert_concept, load_taxonomy,
-                   parse_taxonomy)
+                   UnrelatedConceptsError, bundled_taxonomy_path,
+                   insert_concept, load_taxonomy, parse_taxonomy)
 
 import oracles
 
@@ -121,6 +121,25 @@ def test_synonyms_resolve(base_lattice):
     assert base_lattice.relation("people", "person") is SemRelation.EQUAL
     assert base_lattice.resolve("OCEAN") == "sea"
     assert base_lattice.resolve("nonesuch") is None
+
+
+def test_resolve_matches_the_normalizing_lookup(base_lattice):
+    """`resolve` returns a canonical id as given, before normalizing; every
+    id, synonym and padded or upper-case variant resolves as the plain
+    lookup of the stripped, lowercased token in the taxonomy file."""
+    names: dict[str, str] = {}
+    for line in bundled_taxonomy_path().read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            cid, _parents, synonyms = (line.split("\t") + ["", ""])[:3]
+            names[cid] = cid
+            names.update((syn, cid) for syn in synonyms.split(",") if syn)
+    assert set(names.values()) == set(base_lattice.concept_ids())
+    assert len(names) > len(base_lattice)  # synonyms are covered too
+    for name in names:
+        for token in (name, f"  {name}\t", name.upper(), f" {name.title()} "):
+            assert base_lattice.resolve(token) == names.get(
+                token.strip().lower()), token
+    assert base_lattice.resolve(" nonesuch ") is None
 
 
 def test_relation_antisymmetry_all_pairs(base_lattice):
