@@ -295,11 +295,6 @@ class SyntacticPattern:
             if lo < 0 or hi < lo:
                 raise ViscxError(f"bad repetition bounds {{{lo},{hi}}} for {cat.name}")
 
-    @property
-    def max_gap(self) -> int:
-        gaps = [hi for cat, _lo, hi in self.elements if cat is Category.OTHER]
-        return max(gaps, default=0)
-
     def regex(self) -> re.Pattern[str]:
         """The compiled pattern, built once per instance."""
         return self._compiled

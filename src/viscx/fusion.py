@@ -189,14 +189,6 @@ class SimilarityMatrix:
     values: tuple[tuple[float, ...], ...]
     head_imps: tuple[float, ...]
 
-    @property
-    def n_terms(self) -> int:
-        return len(self.values)
-
-    @property
-    def n_units(self) -> int:
-        return len(self.values[0]) if self.values else 0
-
 
 def build_similarity_matrix(terms: Sequence[SyntacticTerm],
                             units: Sequence[VisRecord | SyntacticTerm],
@@ -227,10 +219,7 @@ def best_correspondences(matrix: SimilarityMatrix,
     floor. One term may win several columns; near-ties (within 1e-9) break
     toward the higher head impact, then the lower term index."""
     pairs: list[CorrespondencePair] = []
-    for k in range(matrix.n_units):
-        column = [matrix.values[i][k] for i in range(matrix.n_terms)]
-        if not column:
-            continue
+    for k, column in enumerate(zip(*matrix.values)):
         best = max(column)
         if best < config.t_sim:
             continue

@@ -75,14 +75,11 @@ def enrich_document(record: IndexRecord, lattice: SemanticLattice,
     """Mine context, build the membership table, match and fuse."""
     contextual = assign_impacts(record.areas, lattice)
     head_imps = {c.cx: c.imp for c in contextual}
-    terms = []
-    for area in record.areas:
-        tagged = tag_tokens(area.tokens, lattice)
-        for term in apply_patterns(tagged, cfg.patterns,
-                                   area_impact=area.base_impact,
-                                   head_imps=head_imps):
-            if term not in terms:
-                terms.append(term)
+    terms = tuple(dict.fromkeys(  # first-seen order, duplicates dropped
+        term for area in record.areas
+        for term in apply_patterns(tag_tokens(area.tokens, lattice),
+                                   cfg.patterns, area_impact=area.base_impact,
+                                   head_imps=head_imps)))
 
     known = [r for r in record.vis_records if r.vsc in lattice]
     table = aggregate_mu_tot(
@@ -98,7 +95,7 @@ def enrich_document(record: IndexRecord, lattice: SemanticLattice,
             e = _enrich(r, r.vsc, r.r_vsc, FusionProvenance(
                 "kept", "unknown_concept", None, r.r_vsc, None))
         enriched.append(e)
-    return replace(record, contextual=contextual, terms=tuple(terms),
+    return replace(record, contextual=contextual, terms=terms,
                    enriched=tuple(enriched))
 
 

@@ -61,10 +61,6 @@ class Query:
     raw: str
     terms: tuple[SyntacticTerm, ...]
 
-    @property
-    def term(self) -> SyntacticTerm:
-        return self.terms[0]
-
 
 def _subsumes(a: SyntacticTerm, b: SyntacticTerm) -> bool:
     """True when term a covers term b: same head concept and a superset

@@ -158,28 +158,21 @@ def _enriched_in(data) -> EnrichedVisRecord:
             float(prov["mu_cx"]) if prov["mu_cx"] is not None else None))
 
 
-def record_to_dict(record: IndexRecord) -> dict:
-    return {
-        "type": "record",
-        "doc_id": record.doc_id,
-        "areas": [_area_out(a) for a in record.areas],
-        "vis_records": [_vis_out(r) for r in record.vis_records],
-        "contextual": None if record.contextual is None
-        else [_cx_out(c) for c in record.contextual],
-        "terms": None if record.terms is None
-        else [_term_out(t) for t in record.terms],
-        "enriched": None if record.enriched is None
-        else [_enriched_out(e) for e in record.enriched],
-    }
-
-
-#: IndexRecord field -> decoder of one of its items; `load_store` builds
-#: only the fields it is asked for and leaves the others None
-_FIELD_DECODERS = {"areas": _area_in, "vis_records": _vis_in,
-                   "contextual": _cx_in, "terms": _term_in,
-                   "enriched": _enriched_in}
-RECORD_FIELDS = tuple(_FIELD_DECODERS)
+#: IndexRecord field -> (encoder, decoder) of one of its items; `load_store`
+#: decodes only the fields it is asked for and leaves the others None
+_CODECS = {"areas": (_area_out, _area_in), "vis_records": (_vis_out, _vis_in),
+           "contextual": (_cx_out, _cx_in), "terms": (_term_out, _term_in),
+           "enriched": (_enriched_out, _enriched_in)}
+RECORD_FIELDS = tuple(_CODECS)
 _NULLABLE = {"contextual", "terms", "enriched"}  # null before enrich
+
+
+def record_to_dict(record: IndexRecord) -> dict:
+    out = {"type": "record", "doc_id": record.doc_id}
+    for name, (encode, _decode) in _CODECS.items():
+        items = getattr(record, name)
+        out[name] = None if items is None else list(map(encode, items))
+    return out
 
 
 def record_from_dict(data: Mapping,
@@ -188,7 +181,7 @@ def record_from_dict(data: Mapping,
     for name in fields:
         items = data[name]
         if items is not None or name not in _NULLABLE:
-            values[name] = tuple(map(_FIELD_DECODERS[name], items))
+            values[name] = tuple(map(_CODECS[name][1], items))
     return IndexRecord(doc_id=_str(data["doc_id"]), **values)
 
 

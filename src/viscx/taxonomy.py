@@ -2,10 +2,10 @@
 
 The lattice is a directed acyclic graph of lowercase concept ids connected
 by is_a edges (child -> parent). It is loaded from a tab-separated taxonomy
-file and can be extended one concept at a time; extension returns a new
-lattice, the original is never mutated. All queries resolve synonyms to
-their canonical id first. A lattice parsed from text carries the sha256 of
-that text as its fingerprint.
+file; `insert_concept` builds a new lattice with one more concept, the
+original is never mutated. All queries resolve synonyms to their canonical
+id first. A lattice parsed from text carries the sha256 of that text as its
+fingerprint.
 """
 
 from __future__ import annotations
@@ -57,12 +57,13 @@ class Concept:
 class SemanticLattice:
     """Immutable is_a DAG over concepts.
 
-    `longest_path` is the edge count of the longest root-to-leaf chain and
-    is recomputed whenever the lattice is extended; it normalizes the
-    chain-length queries below. Path queries are memoised per canonical
-    pair on the instance, membership steps per concept and token tags per
-    token, which is safe because the lattice never changes; an extended
-    copy starts with empty memos.
+    The topological pass of the constructor keeps, per concept, the edge
+    count of the shortest upward chain to each of its ancestors; relations
+    and chain lengths are reads of that table. `longest_path` is the edge
+    count of the longest root-to-leaf chain; it normalizes the chain
+    lengths. Undirected path similarities are memoised per canonical pair,
+    membership steps per concept and token tags per token, which is safe
+    because the lattice never changes.
     """
 
     def __init__(self, concepts: Sequence[Concept], parents: Mapping[str, Sequence[str]],
@@ -108,10 +109,7 @@ class SemanticLattice:
                 kids[pid].append(cid)
         self._children = {cid: tuple(lst) for cid, lst in kids.items()}
 
-        self.roots: frozenset[str] = frozenset(
-            cid for cid in self._order if not self._parents[cid])
         self._finalize()
-        self._path_norms: dict[tuple[str, str], float] = {}
         self._epsilons: dict[tuple[str, str], float] = {}
         self._steps: dict[str, dict[str, float | None]] = {}
         #: token tags, filled by context.tag_tokens
@@ -119,37 +117,37 @@ class SemanticLattice:
 
     def _finalize(self) -> None:
         # Kahn topological pass: parents before children. Whatever survives
-        # with unprocessed parents sits on a cycle.
+        # with unprocessed parents sits on a cycle. up[cid] maps each
+        # ancestor to the edge count of the shortest upward chain to it.
         pending = {cid: len(self._parents[cid]) for cid in self._order}
         queue = deque(cid for cid in self._order if pending[cid] == 0)
         depth: dict[str, int] = {cid: 0 for cid in queue}
-        ancestors: dict[str, frozenset[str]] = {}
-        topo: list[str] = []
+        up: dict[str, dict[str, int]] = {}
         while queue:
             cid = queue.popleft()
-            topo.append(cid)
-            parent_ids = self._parents[cid]
-            anc: set[str] = set()
+            chains: dict[str, int] = {}
             d = 0
-            for pid in parent_ids:
-                anc.add(pid)
-                anc |= ancestors[pid]
+            for pid in self._parents[cid]:
+                for anc, edges in up[pid].items():
+                    if anc not in chains or edges + 1 < chains[anc]:
+                        chains[anc] = edges + 1
+                chains[pid] = 1
                 d = max(d, depth[pid] + 1)
-            ancestors[cid] = frozenset(anc)
+            up[cid] = chains
             depth[cid] = d
             for kid in self._children[cid]:
                 pending[kid] -= 1
                 if pending[kid] == 0:
                     queue.append(kid)
-        if len(topo) < len(self._order):
-            stuck = {cid for cid in self._order if cid not in ancestors}
+        if len(up) < len(self._order):
+            stuck = {cid for cid in self._order if cid not in up}
             edges = sorted(
                 (cid, pid)
                 for cid in stuck
                 for pid in self._parents[cid]
                 if pid in stuck)
             raise TaxonomyError(f"cycle detected among is_a edges: {edges}")
-        self._ancestors = ancestors
+        self._up = up
         self.longest_path: int = max(depth.values())
 
     # -- lookup ---------------------------------------------------------
@@ -158,16 +156,8 @@ class SemanticLattice:
         """All canonical ids in declaration order."""
         return self._order
 
-    def concepts(self) -> tuple[Concept, ...]:
-        return tuple(self._concepts[cid] for cid in self._order)
-
     def parents(self, cid: str) -> tuple[str, ...]:
         return self._parents[self.require(cid)]
-
-    def edges(self) -> tuple[tuple[str, str], ...]:
-        """(child, parent) pairs in declaration order."""
-        return tuple(
-            (cid, pid) for cid in self._order for pid in self._parents[cid])
 
     def resolve(self, token: str) -> str | None:
         """Canonical id for a token, via synonyms; None when unknown."""
@@ -197,51 +187,28 @@ class SemanticLattice:
         ca, cb = self.require(a), self.require(b)
         if ca == cb:
             return SemRelation.EQUAL
-        if ca in self._ancestors[cb]:
+        if ca in self._up[cb]:
             return SemRelation.GENERIC
-        if cb in self._ancestors[ca]:
+        if cb in self._up[ca]:
             return SemRelation.SPECIFIC
         return SemRelation.UNRELATED
 
-    def _chain_edges(self, descendant: str, ancestor: str) -> int:
-        # shortest upward chain; multiple inheritance picks the short one
-        seen = {descendant}
-        queue = deque([(descendant, 0)])
-        while queue:
-            cid, d = queue.popleft()
-            if cid == ancestor:
-                return d
-            for pid in self._parents[cid]:
-                if pid not in seen:
-                    seen.add(pid)
-                    queue.append((pid, d + 1))
-        raise UnrelatedConceptsError(
-            f"no is_a chain from {descendant!r} up to {ancestor!r}")
+    def _norm(self, edges: int) -> float:
+        return min(edges / max(self.longest_path, 1), 1.0)
 
     def path_length_norm(self, a: str, b: str) -> float:
-        """Edge count of the is_a chain between two related concepts,
-        normalized by the lattice's longest root-to-leaf chain.
+        """Edge count of the shortest is_a chain between two related
+        concepts, normalized by the lattice's longest root-to-leaf chain.
 
         Zero for equal concepts; raises for unrelated ones, callers are
         expected to check `relation` first.
         """
         ca, cb = self.require(a), self.require(b)
-        norm = self._path_norms.get((ca, cb))
-        if norm is not None:
-            return norm
-        rel = self.relation(ca, cb)
-        if rel is SemRelation.EQUAL:
-            edges = 0
-        elif rel is SemRelation.GENERIC:
-            edges = self._chain_edges(cb, ca)
-        elif rel is SemRelation.SPECIFIC:
-            edges = self._chain_edges(ca, cb)
-        else:
+        edges = 0 if ca == cb else self._up[cb].get(ca) or self._up[ca].get(cb)
+        if edges is None:
             raise UnrelatedConceptsError(
                 f"concepts {ca!r} and {cb!r} share no is_a chain")
-        norm = self._path_norms[ca, cb] = min(
-            edges / max(self.longest_path, 1), 1.0)
-        return norm
+        return self._norm(edges)
 
     def membership_steps(self, cid: str) -> dict[str, float | None]:
         """How evidence on each related anchor reaches canonical concept
@@ -254,9 +221,9 @@ class SemanticLattice:
             if cid not in self._concepts:
                 raise UnknownConceptError(f"{cid!r} is not a canonical concept id")
             steps = {a: None for a in self._order
-                     if a == cid or cid in self._ancestors[a]}
-            for anchor in self._ancestors[cid]:
-                steps[anchor] = self.path_length_norm(anchor, cid)
+                     if a == cid or cid in self._up[a]}
+            for anchor, edges in self._up[cid].items():
+                steps[anchor] = self._norm(edges)
             self._steps[cid] = steps
         return steps
 
@@ -288,32 +255,21 @@ class SemanticLattice:
                     queue.append((nxt, d + 1))
         return 0.0
 
-    # -- extension --------------------------------------------------------
-
-    def with_concept(self, concept: Concept, parents: Iterable[str]) -> "SemanticLattice":
-        """Extended copy with `concept` attached below `parents`.
-
-        A no-op returning self when the id (or one of its synonyms) already
-        resolves to an existing concept.
-        """
-        if self.resolve(concept.id) is not None:
-            return self
-        parent_list = tuple(parents)
-        for token in parent_list:
-            if self.resolve(token) is None:
-                raise UnknownConceptError(
-                    f"unknown parent {token!r} for new concept {concept.id!r}")
-        concepts = list(self.concepts()) + [concept]
-        parent_map = {cid: self._parents[cid] for cid in self._order}
-        parent_map[concept.id] = parent_list
-        return SemanticLattice(concepts, parent_map)
-
 
 def insert_concept(lattice: SemanticLattice, concept: Concept,
                    parents: Iterable[str]) -> SemanticLattice:
-    """Attach a contextual concept below existing parents; see
-    SemanticLattice.with_concept for the no-op and error rules."""
-    return lattice.with_concept(concept, parents)
+    """A new lattice with `concept` attached below `parents`; `lattice`
+    itself when the id (or one of its synonyms) already resolves to an
+    existing concept."""
+    if lattice.resolve(concept.id) is not None:
+        return lattice
+    parent_list = tuple(parents)
+    for token in parent_list:
+        if lattice.resolve(token) is None:
+            raise UnknownConceptError(
+                f"unknown parent {token!r} for new concept {concept.id!r}")
+    return SemanticLattice([*lattice._concepts.values(), concept],
+                           {**lattice._parents, concept.id: parent_list})
 
 
 def parse_taxonomy(text: str, source: str = "<string>") -> SemanticLattice:

@@ -180,36 +180,29 @@ _LEX_RE = re.compile(
     r"|(?P<sym>[{}();:,@=])")
 
 
+def _error(text: str, message: str, offset: int) -> VisParseError:
+    """The error at character `offset`, located by 1-based line and column."""
+    return VisParseError(message, text.count("\n", 0, offset) + 1,
+                         offset - text.rfind("\n", 0, offset))
+
+
 class _Lexer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
 
-    def _advance(self, chunk: str) -> None:
-        newlines = chunk.count("\n")
-        if newlines:
-            self.line += newlines
-            self.col = len(chunk) - chunk.rfind("\n")
-        else:
-            self.col += len(chunk)
-        self.pos += len(chunk)
-
-    def next(self) -> tuple[str, str, int, int]:
-        while self.pos < len(self.text):
-            m = _LEX_RE.match(self.text, self.pos)
+    def next(self) -> tuple[str, str, int]:
+        """The next token as (kind, value, offset of its first character)."""
+        text = self.text
+        while self.pos < len(text):
+            m = _LEX_RE.match(text, self.pos)
             if m is None:
-                raise VisParseError(
-                    f"unexpected character {self.text[self.pos]!r}", self.line, self.col)
-            kind = m.lastgroup or ""
-            value = m.group()
-            line, col = self.line, self.col
-            self._advance(value)
-            if kind == "ws":
-                continue
-            return kind, value, line, col
-        return "eof", "", self.line, self.col
+                raise _error(text, f"unexpected character {text[self.pos]!r}",
+                             self.pos)
+            start, self.pos = self.pos, m.end()
+            if m.lastgroup != "ws":
+                return m.lastgroup or "", m.group(), start
+        return "eof", "", self.pos
 
 
 class _Parser:
@@ -217,12 +210,13 @@ class _Parser:
         self._lexer = _Lexer(text)
         self._tok = self._lexer.next()
 
-    def _fail(self, message: str) -> "VisParseError":
-        _kind, _value, line, col = self._tok
-        return VisParseError(message, line, col)
+    def _fail(self, message: str, offset: int | None = None) -> VisParseError:
+        """The error at `offset`, by default at the current token."""
+        return _error(self._lexer.text, message,
+                      self._tok[2] if offset is None else offset)
 
     def _accept(self, kind: str, value: str | None = None):
-        tkind, tvalue, _l, _c = self._tok
+        tkind, tvalue, _offset = self._tok
         if tkind != kind or (value is not None and tvalue != value):
             return None
         self._tok = self._lexer.next()
@@ -236,12 +230,12 @@ class _Parser:
         return got
 
     def _number(self, what: str) -> float:
-        tkind, tvalue, line, col = self._tok
+        tkind, tvalue, _offset = self._tok
         if tkind != "num":
             raise self._fail(f"expected a number for {what}")
         value = float(tvalue)
         if not (0.0 <= value <= 1.0):
-            raise VisParseError(f"{what} out of [0,1]: {tvalue}", line, col)
+            raise self._fail(f"{what} out of [0,1]: {tvalue}")
         self._tok = self._lexer.next()
         return value
 
@@ -249,11 +243,11 @@ class _Parser:
                       bare_default: float | None = None) -> dict[str, float]:
         pairs: dict[str, float] = {}
         while self._tok[0] == "ident":
-            _kind, name, line, col = self._tok
+            name = self._tok[1]
             if name not in vocab.names:
-                raise VisParseError(f"unknown {vocab.kind} concept {name!r}", line, col)
+                raise self._fail(f"unknown {vocab.kind} concept {name!r}")
             if name in pairs:
-                raise VisParseError(f"duplicate {vocab.kind} entry {name!r}", line, col)
+                raise self._fail(f"duplicate {vocab.kind} entry {name!r}")
             self._tok = self._lexer.next()
             if self._accept("sym", "=") is not None:
                 pairs[name] = self._number(f"{vocab.kind} weight")
@@ -268,9 +262,9 @@ class _Parser:
     def _spatial_terms(self) -> set[tuple[str, str]]:
         rels: set[tuple[str, str]] = set()
         while self._tok[0] == "ident":
-            _kind, name, line, col = self._tok
+            name = self._tok[1]
             if name not in SPATIAL_NAMES:
-                raise VisParseError(f"unknown spatial relation {name!r}", line, col)
+                raise self._fail(f"unknown spatial relation {name!r}")
             self._tok = self._lexer.next()
             self._expect("sym", "(")
             target = self._expect("ident")
@@ -281,7 +275,7 @@ class _Parser:
         return rels
 
     def _record(self) -> VisRecord:
-        vo_line, vo_col = self._tok[2], self._tok[3]
+        vo_at = self._tok[2]
         vo_id = self._expect("ident")
         self._expect("sym", "{")
 
@@ -296,8 +290,7 @@ class _Parser:
         self._expect("sym", ":")
         colors = self._weight_pairs(COLOR_VOCAB)
         if sum(colors.values()) > 1.0 + 1e-9:
-            raise VisParseError(
-                f"color weights of {vo_id!r} sum beyond 1", vo_line, vo_col)
+            raise self._fail(f"color weights of {vo_id!r} sum beyond 1", vo_at)
         self._expect("sym", ";")
 
         self._expect("ident", "texture")
@@ -318,11 +311,11 @@ class _Parser:
         records: list[VisRecord] = []
         seen: dict[str, None] = {}
         while self._tok[0] != "eof":
-            line, col = self._tok[2], self._tok[3]
+            at = self._tok[2]
             self._expect("ident", "vis")
             record = self._record()
             if record.vo_id in seen:
-                raise VisParseError(f"duplicate vo id {record.vo_id!r}", line, col)
+                raise self._fail(f"duplicate vo id {record.vo_id!r}", at)
             seen[record.vo_id] = None
             records.append(record)
         ids = set(seen)

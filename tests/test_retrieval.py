@@ -39,13 +39,13 @@ def test_from_name(enum, message):
 def test_parse_query_examples(base_lattice):
     q = parse_query("Whirly Flowers", base_lattice)
     assert len(q.terms) == 1
-    assert q.term.head == ("flower", 1.0)
-    assert q.term.textures == frozenset({("whirly", 1.0)})
+    assert q.terms[0].head == ("flower", 1.0)
+    assert q.terms[0].textures == frozenset({("whirly", 1.0)})
 
     q = parse_query("Green and White Walls", base_lattice)
     assert len(q.terms) == 1
-    assert q.term.head == ("wall", 1.0)
-    assert {name for name, _ in q.term.colors} == {"green", "white"}
+    assert q.terms[0].head == ("wall", 1.0)
+    assert {name for name, _ in q.terms[0].colors} == {"green", "white"}
 
     with pytest.raises(UnindexableQueryError):
         parse_query("asdf qwer", base_lattice)
@@ -61,8 +61,8 @@ def test_parse_query_spatial_phrase(base_lattice):
 
 def test_parse_query_bare_concept_falls_back(base_lattice):
     q = parse_query("roses", base_lattice)
-    assert q.term.head == ("rose", 1.0)
-    assert q.term.colors == frozenset()
+    assert q.terms[0].head == ("rose", 1.0)
+    assert q.terms[0].colors == frozenset()
 
 
 def area(kind, text, imp):

@@ -13,15 +13,16 @@ import oracles
 def test_fragment_loads_with_expected_shape(fragment_lattice):
     assert len(fragment_lattice) == 5
     assert fragment_lattice.longest_path == 2
-    assert fragment_lattice.roots == {"entity"}
-    assert fragment_lattice.edges() == (
-        ("vegetation", "entity"), ("flower", "vegetation"),
-        ("construction", "entity"), ("building", "construction"))
+    assert {cid: fragment_lattice.parents(cid)
+            for cid in fragment_lattice.concept_ids()} == {
+        "entity": (), "vegetation": ("entity",), "flower": ("vegetation",),
+        "construction": ("entity",), "building": ("construction",)}
 
 
 def test_bundled_taxonomy_shape(base_lattice):
     assert base_lattice.longest_path == 3
-    assert base_lattice.roots == {"entity"}
+    assert [cid for cid in base_lattice.concept_ids()
+            if not base_lattice.parents(cid)] == ["entity"]
     for cid in ("entity", "vegetation", "flower", "rose", "construction",
                 "building", "cathedral"):
         assert cid in base_lattice
@@ -106,6 +107,26 @@ def test_path_length_norm_examples(enriched_fragment):
     assert lat.path_length_norm("rose", "entity") == pytest.approx(1.0)
     with pytest.raises(UnrelatedConceptsError):
         lat.path_length_norm("rose", "cathedral")
+
+
+@pytest.mark.parametrize("bottom_parents", ["r2,left", "left,r2"])
+def test_diamond_with_unequal_arms_takes_the_shortest_chain(bottom_parents):
+    # bottom reaches top in 2 edges through left and in 3 through r2 and r1
+    lat = parse_taxonomy("top\t\t\nleft\ttop\t\nr1\ttop\t\nr2\tr1\t\n"
+                         f"bottom\t{bottom_parents}\t\n")
+    assert lat.longest_path == 3
+    assert lat.relation("bottom", "top") is SemRelation.SPECIFIC
+    assert lat.relation("left", "r2") is SemRelation.UNRELATED
+    assert lat.path_length_norm("bottom", "top") == 2 / 3
+    assert lat.path_length_norm("top", "bottom") == 2 / 3
+    assert lat.path_length_norm("bottom", "r1") == 2 / 3
+    assert lat.membership_steps("bottom") == {
+        "bottom": None, "top": 2 / 3, "left": 1 / 3, "r1": 2 / 3, "r2": 1 / 3}
+    assert lat.membership_steps("top") == dict.fromkeys(lat.concept_ids())
+    # a concept added below keeps the short arm
+    deeper = insert_concept(lat, Concept("base"), ["bottom"])
+    assert deeper.longest_path == 4
+    assert deeper.path_length_norm("base", "top") == 3 / 4
 
 
 def test_epsilon_examples(enriched_fragment):
@@ -225,7 +246,7 @@ def test_memoised_paths_match_oracles_on_random_taxonomies():
             _check_paths_against_oracles(lat, parents)
         # an extension made after the parent was queried gets its own memo
         new_parents = tuple(rng.sample(list(parents), min(2, len(parents))))
-        extended = lat.with_concept(Concept("extra"), new_parents)
+        extended = insert_concept(lat, Concept("extra"), new_parents)
         _check_paths_against_oracles(extended, {**parents, "extra": new_parents})
         _check_paths_against_oracles(lat, parents)
 
@@ -236,7 +257,7 @@ def test_extension_does_not_reuse_parent_path_memo(fragment_lattice):
     assert lat.path_length_norm("flower", "entity") == 1.0
     # a concept below both branches shortens their distance and deepens
     # the lattice, so both memoised values change in the extension
-    extended = lat.with_concept(Concept("hedge"), ["flower", "building"])
+    extended = insert_concept(lat, Concept("hedge"), ["flower", "building"])
     assert extended.path_sim_epsilon("flower", "building") == pytest.approx(1 / 3)
     assert extended.path_length_norm("flower", "entity") == pytest.approx(2 / 3)
     assert lat.path_sim_epsilon("flower", "building") == pytest.approx(1 / 5)

@@ -53,6 +53,37 @@ def test_syntax_error_has_location():
     assert err.value.column > 0
 
 
+MULTI_LINE = ("vis vo1 { sem: rose@0.5; color: ; texture: ; spa: ; }\n"
+              "\n"
+              "vis vo2 {\n"
+              "  sem: sky@0.5;\n"
+              "\tcolor: blue=0.5;\n"
+              "  texture: ;\n"
+              "  spa: near(vo1);\n"
+              "}\n")
+
+
+@pytest.mark.parametrize("old, new, line, column, message", [
+    ("sky@0.5", "sky@1.5", 4, 12, "recognition probability out of [0,1]: 1.5"),
+    ("sky@0.5", "sky 0.5", 4, 12, "expected '@', found '0.5'"),
+    ("blue=0.5", "pink=0.5", 5, 9, "unknown color concept 'pink'"),
+    ("  texture: ;", "  texture: #;", 6, 12, "unexpected character '#'"),
+    ("near(vo1)", "near(vo1", 7, 16, "expected ')', found ';'"),
+    ("\n}\n", "\n", 8, 1, "expected '}', found ''"),
+    # record-level errors point at the record's `vis` or its id
+    ("vis vo2", "vis vo1", 3, 1, "duplicate vo id 'vo1'"),
+    ("blue=0.5", "blue=0.7, red=0.6", 3, 5, "color weights of 'vo2' sum beyond 1"),
+])
+def test_error_location_in_multi_line_document(old, new, line, column, message):
+    """Lines count newlines before the offending token and columns count
+    characters (a tab is one) from the start of its line, both from 1."""
+    assert MULTI_LINE.count(old) == 1
+    with pytest.raises(VisParseError) as err:
+        parse_vis(MULTI_LINE.replace(old, new))
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+
+
 def test_unknown_vocabulary_name():
     with pytest.raises(VisParseError, match="unknown color concept 'pink'"):
         parse_vis("vis vo1 { sem: rose@0.5; color: pink=0.2; texture: ; spa: ; }")
