@@ -157,6 +157,12 @@ def view_part(a: ScoringView, b: ScoringView, lattice: SemanticLattice,
     return facets, lattice.path_sim_epsilon(a[0], b[0])
 
 
+def view_mass(view: ScoringView) -> float:
+    """The sum of a view's three facet masses."""
+    (_xs, texture_mass), (_ys, spatial_mass), (_zs, color_mass) = view[1]
+    return texture_mass + spatial_mass + color_mass
+
+
 def view_similarity(a: ScoringView, b: ScoringView, table: MembershipTable,
                     lattice: SemanticLattice,
                     kernel: FacetKernel = FacetKernel.MAX) -> float:

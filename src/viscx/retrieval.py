@@ -29,10 +29,12 @@ from .context import (DEFAULT_PATTERNS, SyntacticTerm, apply_patterns,
                       singularize, tag_tokens, terms_from_window, tokenize)
 from .errors import (NamedEnum, StoreError, UnindexableQueryError, ViscxError,
                      read_text)
-from .fusion import ScoringView, scoring_view, view_part
+from .fusion import (FacetKernel, ScoringView, scoring_view, view_mass,
+                     view_part)
 from .membership import aggregate_mu_tot
 from .store import IndexStore
 from .taxonomy import SemanticLattice
+from .vis import VOCAB_SIZE
 
 log = logging.getLogger(__name__)
 
@@ -143,13 +145,15 @@ class _Scorer:
 
     Per scorer, equal scoring views of document units are interned, so
     they are one object. Per document, built on first use and kept: the
-    membership table and one ``(view, mu of the unit's head)`` pair per
-    unit, mu None for a headless unit or a head the lattice does not
-    know. Per query, rebuilt only when a different query object comes in:
-    each term's view (or the tf-idf weights) and a memo from the ``id`` of
-    an interned view to `view_part`, so a term is compared with each
+    membership table, one ``(view, mu of the unit's head)`` pair per unit,
+    mu None for a headless unit or a head the lattice does not know, and
+    for `bounds` one ``(head, mu, largest view mass)`` triple per distinct
+    unit head. Per query, rebuilt only when a different query object comes
+    in: each term's view (or the tf-idf weights) and a memo from the ``id``
+    of an interned view to `view_part`, so a term is compared with each
     distinct unit view once, and per document only the membership part is
-    added, with the term head's mu read once."""
+    added, with the term head's mu read once; for `bounds`, each term's
+    view mass and a memo of epsilon per unit head."""
 
     def __init__(self, store: IndexStore, lattice: SemanticLattice,
                  cfg: PipelineConfig, strategy: Strategy):
@@ -191,13 +195,18 @@ class _Scorer:
             cx_pairs = []
         table = aggregate_mu_tot(vis_pairs, cx_pairs, lattice, self.cfg.tconorm)
         pairs = []
+        heads: dict[str | None, tuple] = {}
         for unit in units:
             view = scoring_view(unit, lattice)
             view = self._views.setdefault(view, view)
             head = view[0]
-            pairs.append((view, table.total(head)
-                          if head is not None and head in lattice else None))
-        state = self._cache[doc_id] = (pairs, table)
+            mu = (table.total(head)
+                  if head is not None and head in lattice else None)
+            pairs.append((view, mu))
+            mass = view_mass(view)
+            if head not in heads or mass > heads[head][2]:
+                heads[head] = (head, mu, mass)
+        state = self._cache[doc_id] = (pairs, table, list(heads.values()))
         return state
 
     def _query_terms(self, query: Query):
@@ -205,8 +214,10 @@ class _Scorer:
             if self.strategy is Strategy.TFIDF:
                 state = self.tfidf.query_weights(query.raw)
             else:
-                state = [(scoring_view(term, self.lattice), {})
-                         for term in query.terms]
+                state = []
+                for term in query.terms:
+                    view = scoring_view(term, self.lattice)
+                    state.append((view, {}, view_mass(view), {}))
             self._query, self._query_state = query, state
         return self._query_state
 
@@ -214,12 +225,12 @@ class _Scorer:
         query_terms = self._query_terms(query)
         if self.strategy is Strategy.TFIDF:
             return self.tfidf.score(query_terms, doc_id)
-        units, table = self._doc_state(doc_id)
+        units, table, _heads = self._doc_state(doc_id)
         if not units:
             return 0.0
         lattice, kernel = self.lattice, self.cfg.kernel
         total = 0.0
-        for term_view, memo in query_terms:
+        for term_view, memo, _mass, _eps in query_terms:
             mu_term = None if term_view[0] is None else table.total(term_view[0])
             best = 0.0  # similarities are non-negative
             for view, mu in units:
@@ -234,6 +245,59 @@ class _Scorer:
                     best = sim
             total += best
         return total
+
+    def bounds(self, query: Query) -> dict[str, float]:
+        """Per document, in store order, an upper bound on `score`, built
+        as `score` is: per query term, the max over the units of a facet
+        bound plus the semantic part, epsilon times the two heads' mu,
+        summed over the terms from 0.0.
+
+        The facet bound reads only the two views' masses (`view_mass`):
+        ``(term + unit) / VOCAB_SIZE`` under ``max``, ``min(term, unit) /
+        VOCAB_SIZE`` under ``min`` and ``product``. Every weight lies in
+        [0,1], so per entry ``max(x, y) <= x + y`` and ``min(x, y)`` and
+        ``x * y`` are at most ``x`` and at most ``y``; summed over entries
+        and facets, `view_part`'s facet sums are at most this bound, which
+        divides once where they divide per facet, so in floats it may fall
+        below them by rounding, far under `BOUND_SLACK`. The bound grows
+        with the unit mass, and units of one head share epsilon and mu, so
+        per head only the largest mass is read. Epsilon depends only on
+        the two heads and is memoised per term by unit head. A headless
+        side adds no semantic part, and every headed (term, unit head)
+        pair is evaluated, so an unknown head raises as in `score`."""
+        query_terms = self._query_terms(query)
+        lattice = self.lattice
+        union = self.cfg.kernel is FacetKernel.MAX  # else an intersection
+        cache, out = self._cache, {}
+        for doc_id in self.store.records:
+            _units, table, heads = cache.get(doc_id) or self._doc_state(doc_id)
+            total = 0.0
+            if heads:
+                for term_view, _memo, term_mass, eps_of in query_terms:
+                    head = term_view[0]
+                    mu_term = None if head is None else table.total(head)
+                    best = 0.0
+                    for unit_head, mu, mass in heads:
+                        bound = (term_mass + mass if union else
+                                 min(term_mass, mass)) / VOCAB_SIZE
+                        if mu_term is not None and unit_head is not None:
+                            eps = eps_of.get(unit_head)
+                            if eps is None:
+                                eps = eps_of[unit_head] = lattice.path_sim_epsilon(
+                                    head, unit_head)
+                            bound += eps * (mu + mu_term)
+                        if bound > best:
+                            best = bound
+                    total += best
+            out[doc_id] = total
+        return out
+
+
+#: how far below the k-th exact score a document's bound must lie before
+#: ranking stops: far above the float gap between a bound and its score
+#: (under 1e-12 for sums of a few dozen values <= 5), so a skipped document
+#: can neither enter nor tie into the top k
+BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -258,13 +322,43 @@ def make_scorer(store: IndexStore, lattice: SemanticLattice,
 
 def rank_with_scorer(scorer: _Scorer, query: Query, k: int,
                      query_id: str = "") -> RankedList:
+    """The k documents of highest positive score, ties broken by ascending
+    document id.
+
+    Under ``vis``, ``cx`` and ``vis+cx``, when k is below the number of
+    documents, every document is first bounded cheaply (`_Scorer.bounds`)
+    and then scored exactly in order of descending bound (ascending id on
+    a tie), keeping the k best exact scores so far; ranking stops at the
+    first document whose bound lies more than `BOUND_SLACK` below the
+    k-th of them, since neither it nor any document after it can reach
+    the top k. The scores and the ranking are those of scoring every
+    document. ``tfidf``, and any k of at least the number of documents,
+    score every document in store order with no bounds.
+    """
     if k < 1:
         raise ViscxError(f"result count k must be >= 1: {k!r}")
+    records = scorer.store.records
     scored = []
-    for doc_id in scorer.store.records:
-        s = scorer.score(query, doc_id)
-        if s > 0.0:
-            scored.append((doc_id, s))
+    if scorer.strategy is Strategy.TFIDF or k >= len(records):
+        for doc_id in records:
+            s = scorer.score(query, doc_id)
+            if s > 0.0:
+                scored.append((doc_id, s))
+    else:
+        bounds = scorer.bounds(query)
+        order = sorted(records)  # stable: equal bounds keep ascending ids
+        order.sort(key=bounds.__getitem__, reverse=True)
+        best: list[float] = []  # min-heap of the k best exact scores so far
+        for doc_id in order:
+            if len(best) == k and bounds[doc_id] < best[0] - BOUND_SLACK:
+                break
+            s = scorer.score(query, doc_id)
+            if s > 0.0:
+                scored.append((doc_id, s))
+                if len(best) < k:
+                    heapq.heappush(best, s)
+                elif s > best[0]:
+                    heapq.heapreplace(best, s)
     top = heapq.nsmallest(k, scored, key=lambda item: (-item[1], item[0]))
     return RankedList(query_id, tuple(top))
 

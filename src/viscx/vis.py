@@ -180,6 +180,12 @@ _LEX_RE = re.compile(
     r"|(?P<sym>[{}();:,@=])")
 
 
+def _spatial_order(relation: tuple[str, str]) -> tuple[int, str]:
+    """Canonical order of a record's spatial relations: vocabulary index,
+    then target."""
+    return SPATIAL_VOCAB.index(relation[0]), relation[1]
+
+
 def _error(text: str, message: str, offset: int) -> VisParseError:
     """The error at character `offset`, located by 1-based line and column."""
     return VisParseError(message, text.count("\n", 0, offset) + 1,
@@ -308,23 +314,23 @@ class _Parser:
         return VisRecord(vo_id, vsc, r_vsc, colors, textures, frozenset(spatial))
 
     def document(self) -> list[VisRecord]:
+        seen: dict[str, int] = {}  # vo id -> offset of its record's `vis`
         records: list[VisRecord] = []
-        seen: dict[str, None] = {}
         while self._tok[0] != "eof":
             at = self._tok[2]
             self._expect("ident", "vis")
             record = self._record()
             if record.vo_id in seen:
                 raise self._fail(f"duplicate vo id {record.vo_id!r}", at)
-            seen[record.vo_id] = None
+            seen[record.vo_id] = at
             records.append(record)
-        ids = set(seen)
         for record in records:
-            for rel, target in record.spatial:
-                if target not in ids:
-                    raise VisParseError(
+            # the serializer's order, so the first dangling target is fixed
+            for rel, target in sorted(record.spatial, key=_spatial_order):
+                if target not in seen:
+                    raise self._fail(
                         f"spatial relation {rel!r} of {record.vo_id!r} targets "
-                        f"unknown vo {target!r}", 1, 1)
+                        f"unknown vo {target!r}", seen[record.vo_id])
         return records
 
 
@@ -356,8 +362,7 @@ def serialize_vis(records: Iterable[VisRecord]) -> str:
             for vocab, weights in ((COLOR_VOCAB, r.colors), (TEXTURE_VOCAB, r.textures)))
         spatial = ", ".join(
             f"{rel}({target})"
-            for rel, target in sorted(
-                r.spatial, key=lambda rt: (SPATIAL_VOCAB.index(rt[0]), rt[1])))
+            for rel, target in sorted(r.spatial, key=_spatial_order))
         lines.append(
             f"vis {r.vo_id} {{ sem: {r.vsc}@{_fmt(r.r_vsc)};"
             f" color: {colors};"

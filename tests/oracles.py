@@ -178,6 +178,25 @@ def dense_view_part(a, b, lattice, kernel: str):
     return facets, lattice.path_sim_epsilon(head_a, head_b)
 
 
+def dense_mass(unit) -> float:
+    """The masses of a term's or VIS record's three dense facet vectors
+    (each the `sum` of its entries) added from 0.0 in (textures, spatials,
+    colors) order."""
+    _head, *facets = _facets_oracle(unit)
+    mass = 0.0
+    for f, vocab in ((1, TEXTURE_VOCAB), (2, SPATIAL_VOCAB), (0, COLOR_VOCAB)):
+        mass += sum(_dense_oracle(vocab.names, facets[f]))
+    return mass
+
+
+def dense_facet_bound(a, b, kernel: str) -> float:
+    """The bound the scorer puts on `dense_view_part`'s facet sums: the two
+    dense masses added under max, the smaller one under min and product,
+    divided once by the vocabulary size 11."""
+    ma, mb = dense_mass(a), dense_mass(b)
+    return (ma + mb if kernel == "max" else min(ma, mb)) / len(COLOR_VOCAB.names)
+
+
 def score_oracle(parents, record, query_terms, strategy: str, tconorm: str,
                  kernel: str, vocabs) -> float:
     """Score of one document for a query under vis, cx or vis+cx, from

@@ -11,7 +11,8 @@ from viscx.context import SyntacticTerm
 from viscx.fusion import (CorrespondencePair, FacetKernel,
                           best_correspondences, enrich_records, fuse,
                           keep_unmatched, scoring_view, structure_similarity,
-                          view_part, view_similarity, SimilarityMatrix)
+                          view_mass, view_part, view_similarity,
+                          SimilarityMatrix)
 from viscx.membership import TConormKind, aggregate_mu_tot
 
 import oracles
@@ -212,6 +213,37 @@ def test_sparse_view_part_equals_the_dense_oracle(base_lattice, a, b, kernel):
     got = view_part(scoring_view(a, lat), scoring_view(b, lat), lat, kernel)
     want = oracles.dense_view_part(a, b, lat, kernel.value)
     assert got == want and repr(got) == repr(want)
+
+
+#: the largest float gap allowed between a bound and what it bounds: values
+#: here are at most 66 / 11, whose ulp is below 1e-15
+ROUNDING = 1e-12
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=hst.one_of(terms, edge_terms),
+       b=hst.one_of(terms, records, edge_terms, edge_records),
+       kernel=hst.sampled_from(list(FacetKernel)))
+@example(a=term(None, colors={("red", 1.0), ("red", -0.0)},
+                textures={("bumpy", 5e-324)}),
+         b=VisRecord("vo1", "rose", 0.5, colors={"red": 0.0},
+                     spatial=frozenset({("left", "vo2"), ("far", "vo3")})),
+         kernel=FacetKernel.MAX)
+@example(a=term(None, textures={("bumpy", 0.5)}, spatials={("covers", 0.65234375)}),
+         b=term(None), kernel=FacetKernel.MAX)  # the bound is one ulp low
+def test_the_facet_bound_never_undercuts_the_facet_sums(base_lattice, a, b,
+                                                       kernel):
+    """`view_mass` is the dense mass bit for bit, and the mass bound the
+    scorer ranks by is at least `view_part`'s facet sums, but for float
+    rounding: the bound divides once where the sums divide per facet, so it
+    may fall below them by a few ulps, far under the 1e-9 slack of
+    `retrieval.BOUND_SLACK`."""
+    lat = base_lattice
+    va, vb = scoring_view(a, lat), scoring_view(b, lat)
+    assert view_mass(va) == oracles.dense_mass(a)
+    assert view_mass(vb) == oracles.dense_mass(b)
+    facets, _eps = view_part(va, vb, lat, kernel)
+    assert facets - oracles.dense_facet_bound(a, b, kernel.value) <= ROUNDING
 
 
 def test_equal_units_give_equal_hashable_views(base_lattice):

@@ -1,4 +1,5 @@
 import functools
+import heapq
 import math
 import re
 from dataclasses import replace
@@ -6,16 +7,16 @@ from dataclasses import replace
 import pytest
 
 from viscx import (COLOR_NAMES, SPATIAL_NAMES, TEXTURE_NAMES, PipelineConfig,
-                   UnindexableQueryError, ViscxError, VisRecord,
-                   enrich_store, ingest_corpus)
+                   UnindexableQueryError, UnknownConceptError, ViscxError,
+                   VisRecord, enrich_store, ingest_corpus)
 from viscx.context import AreaKind, ExtractionArea, tokenize
 from viscx.fusion import FacetKernel
 from viscx.membership import TConormKind
 from viscx.pipeline import enrich_document
-from viscx.retrieval import (ALL_STRATEGIES, STRATEGY_FIELDS, Qrels, Query,
-                             RankedList, Strategy, eval_report, load_queries,
-                             make_scorer, ndcg_at_n, parse_query, rank,
-                             rank_with_scorer)
+from viscx.retrieval import (ALL_STRATEGIES, BOUND_SLACK, STRATEGY_FIELDS,
+                             Qrels, Query, RankedList, Strategy, eval_report,
+                             load_queries, make_scorer, ndcg_at_n, parse_query,
+                             rank, rank_with_scorer)
 from viscx.store import (RECORD_FIELDS, IndexRecord, IndexStore, load_store,
                          save_store)
 
@@ -196,11 +197,14 @@ def _reference_mu(lattice, vis, cx, kind: str, concept: str) -> float:
     return tot_col[concept]
 
 
-def reference_score(store, lattice, cfg, strategy, query, doc_id) -> float:
+def reference_score(store, lattice, cfg, strategy, query, doc_id, *,
+                    bound: bool = False) -> float:
     """The plain scorer: over the query terms, the max over the document's
     units of the dense `oracles.dense_view_part` plus epsilon times the
     membership of the unit's and the term's heads, taken from the
-    brute-force `oracles.mu_table_oracle`."""
+    brute-force `oracles.mu_table_oracle`. With `bound`, the plain bound:
+    `oracles.dense_facet_bound` in place of the facet sums, over every
+    unit."""
     record = store.records[doc_id]
     if strategy is Strategy.VIS:
         units = [r for r in record.vis_records if r.vsc in lattice]
@@ -227,6 +231,8 @@ def reference_score(store, lattice, cfg, strategy, query, doc_id) -> float:
         for unit in units:
             facets, eps = oracles.dense_view_part(term, unit, lattice,
                                                   cfg.kernel.value)
+            if bound:
+                facets = oracles.dense_facet_bound(term, unit, cfg.kernel.value)
             sims.append(facets if eps is None
                         else facets + eps * (mu(unit) + mu(term)))
         total += max(sims)
@@ -234,6 +240,12 @@ def reference_score(store, lattice, cfg, strategy, query, doc_id) -> float:
 
 
 HEADLESS_QUERIES = ["red", "red spotted", "left of"]
+
+
+def mix_and_headless(lattice, cfg) -> list[Query]:
+    """The 30-query mix and the three headless queries, parsed."""
+    return [parse_query(text, lattice, patterns=cfg.patterns)
+            for text in decoding.query_mix(lattice) + HEADLESS_QUERIES]
 
 
 @pytest.mark.parametrize("tconorm", list(TConormKind))
@@ -244,8 +256,7 @@ def test_scorer_equals_the_plain_reference(acceptance_run, base_lattice,
     `reference_score`, over the 30-query mix and headless queries."""
     store, cfg, _queries = acceptance_run
     cfg = replace(cfg, kernel=kernel, tconorm=tconorm)
-    queries = [parse_query(text, base_lattice, patterns=cfg.patterns)
-               for text in decoding.query_mix(base_lattice) + HEADLESS_QUERIES]
+    queries = mix_and_headless(base_lattice, cfg)
     assert all(term.head is None for query in queries[-3:]
                for term in query.terms)
     for strategy in (Strategy.VIS, Strategy.CX, Strategy.VIS_CX):
@@ -255,6 +266,155 @@ def test_scorer_equals_the_plain_reference(acceptance_run, base_lattice,
                 assert (scorer.score(query, doc_id) == reference_score(
                     store, base_lattice, cfg, strategy, query, doc_id)), (
                         strategy, query.raw, doc_id)
+
+
+def plain_ranking(scorer, query, k) -> tuple[tuple[str, float], ...]:
+    """Score every document with `score`, keep those above 0, and take the
+    k smallest by (-score, id)."""
+    scored = [(doc_id, s) for doc_id in scorer.store.records
+              if (s := scorer.score(query, doc_id)) > 0.0]
+    return tuple(heapq.nsmallest(k, scored, key=lambda item: (-item[1], item[0])))
+
+
+@pytest.mark.parametrize("tconorm", list(TConormKind))
+@pytest.mark.parametrize("kernel", list(FacetKernel))
+def test_bounds_are_the_plain_bound_and_never_undercut_the_score(
+        acceptance_run, base_lattice, kernel, tconorm):
+    """Per document in store order, `bounds` is the plain per-unit bound
+    (==) and at least `score`, but for float rounding far under
+    `BOUND_SLACK`."""
+    store, cfg, _queries = acceptance_run
+    cfg = replace(cfg, kernel=kernel, tconorm=tconorm)
+    queries = mix_and_headless(base_lattice, cfg)
+    for strategy in (Strategy.VIS, Strategy.CX, Strategy.VIS_CX):
+        scorer = make_scorer(store, base_lattice, cfg, strategy)
+        for query in queries:
+            bounds = scorer.bounds(query)
+            assert list(bounds) == list(store.records)
+            for doc_id, bound in bounds.items():
+                assert bound == reference_score(
+                    store, base_lattice, cfg, strategy, query, doc_id,
+                    bound=True), (strategy, query.raw, doc_id)
+                assert scorer.score(query, doc_id) - bound <= 1e-12, (
+                    strategy, query.raw, doc_id)
+
+
+@pytest.mark.parametrize("tconorm", list(TConormKind))
+@pytest.mark.parametrize("kernel", list(FacetKernel))
+def test_pruned_ranking_equals_the_plain_full_ranking(acceptance_run,
+                                                      base_lattice, kernel,
+                                                      tconorm):
+    store, cfg, _queries = acceptance_run
+    cfg = replace(cfg, kernel=kernel, tconorm=tconorm)
+    queries = mix_and_headless(base_lattice, cfg)
+    n = len(store.records)
+    for strategy in (Strategy.VIS, Strategy.CX, Strategy.VIS_CX):
+        scorer = make_scorer(store, base_lattice, cfg, strategy)
+        for query in queries:
+            for k in (1, 2, 10, 20, n - 1, n, n + 2):
+                assert (rank_with_scorer(scorer, query, k).items
+                        == plain_ranking(scorer, query, k)), (
+                            strategy, query.raw, k)
+
+
+def test_documents_tied_at_the_kth_score_rank_by_id(base_lattice):
+    """Equal documents stored out of id order tie at every k-th score (and
+    bound); the smaller ids win, and no document is dropped or repeated."""
+    cfg = PipelineConfig()
+    store = IndexStore()
+    for doc_id in ("d4", "d2", "top", "d3", "d1"):
+        doc = (make_doc("top", "rose", 0.9, "red roses", colors={"red": 0.9})
+               if doc_id == "top" else
+               make_doc(doc_id, "flower", 0.7, "red flowers",
+                        colors={"red": 0.6}))
+        store.add(enrich_document(doc, base_lattice, cfg))
+    query = parse_query("red roses", base_lattice)
+    for strategy in (Strategy.VIS, Strategy.CX, Strategy.VIS_CX):
+        scorer = make_scorer(store, base_lattice, cfg, strategy)
+        full = plain_ranking(scorer, query, 5)
+        assert [doc_id for doc_id, _score in full] == [
+            "top", "d1", "d2", "d3", "d4"], strategy
+        assert full[0][1] > full[1][1] == full[4][1], strategy
+        bounds = scorer.bounds(query)
+        assert bounds["d1"] == bounds["d2"] == bounds["d3"] == bounds["d4"]
+        for k in range(1, 7):
+            assert rank_with_scorer(scorer, query, k).items == full[:k], (
+                strategy, k)
+
+
+def test_a_document_whose_bound_is_the_kth_score_is_still_scored(base_lattice):
+    """Under ``min`` a one-color unit's bound is its exact score: "a" ties
+    the k-th score exactly at its bound, after "b" (whose bound is higher),
+    and its smaller id wins."""
+    cfg = replace(PipelineConfig(), kernel=FacetKernel.MIN)
+    store = IndexStore()
+    store.add(enrich_document(make_doc("b", "rose", 0.9, "",
+                                       colors={"red": 0.5, "blue": 0.3}),
+                              base_lattice, cfg))
+    store.add(enrich_document(make_doc("a", "sky", 0.9, "",
+                                       colors={"red": 0.5}), base_lattice, cfg))
+    query = parse_query("red", base_lattice)
+    for strategy in (Strategy.VIS, Strategy.VIS_CX):
+        scorer = make_scorer(store, base_lattice, cfg, strategy)
+        bounds = scorer.bounds(query)
+        assert bounds["b"] > bounds["a"] == scorer.score(query, "a") \
+            == scorer.score(query, "b") == 0.5 / 11
+        assert rank_with_scorer(scorer, query, 1).doc_ids() == ("a",)
+
+
+def test_a_bound_one_ulp_below_its_score_is_still_scored(base_lattice):
+    """The facet sums divide per facet and the bound once, so "a"'s bound
+    lies one ulp below its exact score, which "b" (a larger bound from a
+    color the query lacks) ties; `BOUND_SLACK` keeps "a" scored, and its
+    smaller id wins."""
+    cfg = replace(PipelineConfig(), kernel=FacetKernel.MIN)
+    store = IndexStore()
+    for doc_id, colors in (("b", {"red": 0.65234375, "blue": 0.1}),
+                           ("a", {"red": 0.65234375})):
+        store.add(enrich_document(make_doc(doc_id, "sky", 0.9, "", colors=colors,
+                                           textures={"spotted": 0.5}),
+                                  base_lattice, cfg))
+    query = parse_query("red spotted", base_lattice)
+    for strategy in (Strategy.VIS, Strategy.VIS_CX):
+        scorer = make_scorer(store, base_lattice, cfg, strategy)
+        bounds = scorer.bounds(query)
+        score = scorer.score(query, "a")
+        assert score == scorer.score(query, "b") < bounds["b"]
+        assert bounds["a"] == score - math.ulp(score)
+        assert rank_with_scorer(scorer, query, 1).doc_ids() == ("a",)
+
+
+def test_an_unknown_cx_head_raises_only_against_a_headed_term(base_lattice):
+    """The bound pass reads every headed (term, unit head) pair, so a cx
+    term with an unknown head fails a headed query even at k = 1, where
+    its document would be pruned; a headless query ranks as before."""
+    cfg = PipelineConfig()
+    docs = [enrich_document(make_doc(doc_id, "rose", 0.9, "red roses",
+                                     colors={"red": 0.9}), base_lattice, cfg)
+            for doc_id in ("d1", "d2")]
+    sky = enrich_document(make_doc("d3", "sky", 0.9, "blue sky",
+                                   colors={"blue": 0.8}), base_lattice, cfg)
+
+    def with_head(head):
+        store = IndexStore()
+        for record in docs + [replace(sky, terms=tuple(
+                replace(t, head=(head, t.head[1])) for t in sky.terms))]:
+            store.add(record)
+        return make_scorer(store, base_lattice, cfg, Strategy.CX)
+
+    headed = parse_query("red roses", base_lattice)
+    headless = parse_query("red", base_lattice)
+    known = with_head("sky")
+    top = rank_with_scorer(known, headed, 1).items
+    assert top[0][0] == "d1"
+    assert known.bounds(headed)["d3"] < top[0][1] - BOUND_SLACK
+    damaged = with_head("zzz")
+    for k in (1, 3):
+        with pytest.raises(UnknownConceptError) as info:
+            rank_with_scorer(damaged, headed, k)
+        assert str(info.value) == "unknown concept 'zzz'"
+        assert (rank_with_scorer(damaged, headless, k).items
+                == plain_ranking(known, headless, k))
 
 
 @pytest.mark.parametrize("kernel", [None, FacetKernel.MIN, FacetKernel.PRODUCT],

@@ -98,6 +98,20 @@ def test_dangling_spatial_target():
         parse_vis("vis vo1 { sem: rose@0.5; color: ; texture: ; spa: near(vo9); }")
 
 
+def test_dangling_spatial_target_is_reported_in_canonical_order_at_its_record():
+    """Of two dangling targets, the one the serializer writes first (by
+    relation index, then target) is named, at the record's `vis` keyword."""
+    doc = ("vis vo1 { sem: rose@0.5; color: ; texture: ; spa: ; }\n"
+           "\n"
+           "  vis vo2 { sem: sky@0.5; color: ; texture: ;\n"
+           "            spa: far(vo1), near(vq), left(vz), left(vb); }\n")
+    with pytest.raises(VisParseError) as info:
+        parse_vis(doc)
+    assert str(info.value) == ("spatial relation 'left' of 'vo2' targets "
+                               "unknown vo 'vb' (line 3, column 3)")
+    assert (info.value.line, info.value.column) == (3, 3)
+
+
 def test_duplicate_vo_id():
     doc = ("vis vo1 { sem: rose@0.5; color: ; texture: ; spa: ; }"
            "vis vo1 { sem: sky@0.5; color: ; texture: ; spa: ; }")
