@@ -19,8 +19,9 @@ import functools
 import heapq
 import logging
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -103,41 +104,50 @@ def parse_query(text: str, lattice: SemanticLattice, *,
 
 class _TfIdfIndex:
     """Standard tf * log(N/df) weighting with cosine scoring over the
-    plural-folded context tokens of every document."""
+    plural-folded context tokens of every document. Per folded token, the
+    postings list the ids of the documents that hold it, in store order;
+    a list's length is its token's df, and the counts stay in `doc_tf`."""
 
     def __init__(self, store: IndexStore):
         self.doc_tf: dict[str, Counter] = {}
-        self.df: Counter = Counter()
+        self.postings: dict[str, list[str]] = defaultdict(list)
         fold = functools.cache(singularize)  # once per distinct token
         for doc_id, record in store.records.items():
-            tf = Counter(fold(tok)
-                         for area in record.areas for tok in area.tokens)
-            self.doc_tf[doc_id] = tf
-            self.df.update(tf.keys())
-        self.n_docs = len(self.doc_tf)
-        self._idf = {term: math.log(self.n_docs / df)
-                     for term, df in self.df.items()}
+            tf = self.doc_tf[doc_id] = Counter(map(fold, chain.from_iterable(
+                area.tokens for area in record.areas)))
+            for term in tf:
+                self.postings[term].append(doc_id)
+        n_docs = len(self.doc_tf)
+        self._idf = idf = {term: math.log(n_docs / len(ids))
+                           for term, ids in self.postings.items()}
         self._norm = {}
         for doc_id, tf in self.doc_tf.items():
-            weights = [count * self._idf[term] for term, count in tf.items()]
-            self._norm[doc_id] = math.sqrt(sum(w * w for w in weights))
+            weights = [count * idf[term] for term, count in tf.items()]
+            self._norm[doc_id] = math.sqrt(sum([w * w for w in weights]))
 
-    def query_weights(self, query_text: str) -> tuple[dict[str, float], float]:
-        """The query's tf-idf weights and their norm."""
+    def cosines(self, query_text: str) -> dict[str, float]:
+        """The cosine of the query text's tf-idf weights with each document
+        its postings reach, in the order they reach it; every other
+        document scores 0. Per document the dot product adds ``w * tf *
+        idf`` from 0.0 per query term in query order, as a sum over the
+        query terms the document holds would. A term held by every document
+        has idf 0, adds 0.0 and is not walked, so each reached document
+        and the query have a positive norm."""
         q_tf = Counter(singularize(tok) for tok in tokenize(query_text))
-        q_weights = {term: count * self._idf[term]
-                     for term, count in q_tf.items() if term in self._idf}
-        return q_weights, math.sqrt(sum(w * w for w in q_weights.values()))
-
-    def score(self, query: tuple[dict[str, float], float], doc_id: str) -> float:
-        """Cosine of a document against `query_weights(...)`."""
-        q_weights, q_norm = query
-        if q_norm == 0.0 or self._norm[doc_id] == 0.0:
-            return 0.0
-        tf = self.doc_tf[doc_id]
-        dot = sum(w * tf[term] * self._idf[term]
-                  for term, w in q_weights.items() if term in tf)
-        return dot / (q_norm * self._norm[doc_id])
+        idf, doc_tf = self._idf, self.doc_tf
+        q_weights = {term: count * idf[term]
+                     for term, count in q_tf.items() if term in idf}
+        q_norm = math.sqrt(sum(w * w for w in q_weights.values()))
+        dots: dict[str, float] = {}
+        for term, w in q_weights.items():
+            if w:
+                term_idf = idf[term]
+                for doc_id in self.postings[term]:
+                    dots[doc_id] = (dots.get(doc_id, 0.0)
+                                    + w * doc_tf[doc_id][term] * term_idf)
+        norm = self._norm
+        return {doc_id: dot / (q_norm * norm[doc_id])
+                for doc_id, dot in dots.items()}
 
 
 class _Scorer:
@@ -149,11 +159,13 @@ class _Scorer:
     mu None for a headless unit or a head the lattice does not know, and
     for `bounds` one ``(head, mu, largest view mass)`` triple per distinct
     unit head. Per query, rebuilt only when a different query object comes
-    in: each term's view (or the tf-idf weights) and a memo from the ``id``
-    of an interned view to `view_part`, so a term is compared with each
-    distinct unit view once, and per document only the membership part is
-    added, with the term head's mu read once; for `bounds`, each term's
-    view mass and a memo of epsilon per unit head."""
+    in: each term's view and a memo from the ``id`` of an interned view to
+    `view_part`, so a term is compared with each distinct unit view once,
+    and per document only the membership part is added, with the term
+    head's mu read once; for `bounds`, each term's view mass and a memo of
+    epsilon per unit head. Under ``tfidf`` the per-query state is the dict
+    of cosines of the documents the query's postings reach, and `score`
+    reads it (0.0 for any other document)."""
 
     def __init__(self, store: IndexStore, lattice: SemanticLattice,
                  cfg: PipelineConfig, strategy: Strategy):
@@ -212,7 +224,7 @@ class _Scorer:
     def _query_terms(self, query: Query):
         if query is not self._query:
             if self.strategy is Strategy.TFIDF:
-                state = self.tfidf.query_weights(query.raw)
+                state = self.tfidf.cosines(query.raw)
             else:
                 state = []
                 for term in query.terms:
@@ -224,7 +236,7 @@ class _Scorer:
     def score(self, query: Query, doc_id: str) -> float:
         query_terms = self._query_terms(query)
         if self.strategy is Strategy.TFIDF:
-            return self.tfidf.score(query_terms, doc_id)
+            return query_terms.get(doc_id, 0.0)
         units, table, _heads = self._doc_state(doc_id)
         if not units:
             return 0.0
@@ -332,14 +344,20 @@ def rank_with_scorer(scorer: _Scorer, query: Query, k: int,
     first document whose bound lies more than `BOUND_SLACK` below the
     k-th of them, since neither it nor any document after it can reach
     the top k. The scores and the ranking are those of scoring every
-    document. ``tfidf``, and any k of at least the number of documents,
-    score every document in store order with no bounds.
+    document. Under those three, any k of at least the number of
+    documents scores every document in store order with no bounds.
+    ``tfidf`` ranks, for every k, only the documents its postings reach
+    for the query (`_TfIdfIndex.cosines`), which are all that can score
+    above 0.
     """
     if k < 1:
         raise ViscxError(f"result count k must be >= 1: {k!r}")
     records = scorer.store.records
     scored = []
-    if scorer.strategy is Strategy.TFIDF or k >= len(records):
+    if scorer.strategy is Strategy.TFIDF:
+        scored = [item for item in scorer._query_terms(query).items()
+                  if item[1] > 0.0]
+    elif k >= len(records):
         for doc_id in records:
             s = scorer.score(query, doc_id)
             if s > 0.0:

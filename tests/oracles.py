@@ -2,17 +2,20 @@
 
 Everything here works on raw parent dictionaries and plain loops, on
 purpose: no oracle calls into the package's lattice, membership or
-matching code, so agreement between the two is meaningful. The one
-exception is `tag_tokens_oracle`, which checks the tagging memo and
+matching code, so agreement between the two is meaningful. The
+exceptions are `tag_tokens_oracle`, which checks the tagging memo and
 phrase index against the plain per-token loop and so reuses the same
-single-token lookups (`resolve`, `singularize`).
+single-token lookups (`resolve`, `singularize`), and `tfidf_oracle`,
+which checks the postings against the plain per-document cosine and so
+reuses the same tokens and plural folding (`tokenize`, `singularize`).
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
+from collections import Counter, deque
 
-from viscx.context import Category, TaggedToken, singularize
+from viscx.context import Category, TaggedToken, singularize, tokenize
 from viscx.vis import COLOR_VOCAB, SPATIAL_VOCAB, TEXTURE_VOCAB
 
 
@@ -233,6 +236,34 @@ def score_oracle(parents, record, query_terms, strategy: str, tconorm: str,
             best = sim if best is None or sim > best else best
         total += best
     return total
+
+
+def tfidf_oracle(store, query_text: str) -> dict[str, float]:
+    """Per document in store order, the plain tf-idf cosine with the query
+    text: tf * ln(N/df) over the plural-folded tokens of the document's
+    areas, df counted over every document; the dot product is the `sum`
+    of ``w * tf * idf`` over the query terms in query order that the
+    document holds, divided by the two norms; 0.0 when either norm is 0."""
+    doc_tf = {doc_id: Counter(singularize(tok) for area in record.areas
+                              for tok in area.tokens)
+              for doc_id, record in store.records.items()}
+    df = Counter(term for tf in doc_tf.values() for term in tf)
+    idf = {term: math.log(len(doc_tf) / n) for term, n in df.items()}
+    q_tf = Counter(singularize(tok) for tok in tokenize(query_text))
+    q_weights = {term: count * idf[term]
+                 for term, count in q_tf.items() if term in idf}
+    q_norm = math.sqrt(sum(w * w for w in q_weights.values()))
+    out = {}
+    for doc_id, tf in doc_tf.items():
+        weights = [count * idf[term] for term, count in tf.items()]
+        norm = math.sqrt(sum(w * w for w in weights))
+        if q_norm == 0.0 or norm == 0.0:
+            out[doc_id] = 0.0
+            continue
+        dot = sum(w * tf[term] * idf[term]
+                  for term, w in q_weights.items() if term in tf)
+        out[doc_id] = dot / (q_norm * norm)
+    return out
 
 
 def argmax_pairs_oracle(values, head_imps, t_sim: float):

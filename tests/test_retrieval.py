@@ -5,6 +5,8 @@ import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from viscx import (COLOR_NAMES, SPATIAL_NAMES, TEXTURE_NAMES, PipelineConfig,
                    UnindexableQueryError, UnknownConceptError, ViscxError,
@@ -493,6 +495,117 @@ def test_tfidf_doc_with_query_word_beats_doc_without(base_lattice):
     d1_norm = math.sqrt((2 * idf_rose) ** 2 + idf_garden ** 2)
     scores = dict(ranked.items)
     assert scores["d1"] == pytest.approx(d1_dot / (q_norm * d1_norm))
+
+
+def tfidf_store(docs) -> IndexStore:
+    """A store of (doc_id, areas) documents, each area a tuple of tokens."""
+    store = IndexStore()
+    for doc_id, areas in docs:
+        store.add(IndexRecord(doc_id, tuple(
+            ExtractionArea(AreaKind.SURROUNDING_TEXT, tuple(tokens), 0.5)
+            for tokens in areas), ()))
+    return store
+
+
+def oracle_ranking(store, query_text, k) -> tuple[tuple[str, float], ...]:
+    """Every positive `oracles.tfidf_oracle` score, sorted by (-score, id),
+    the first k."""
+    scores = oracles.tfidf_oracle(store, query_text)
+    return tuple(sorted(((doc_id, s) for doc_id, s in scores.items() if s > 0.0),
+                        key=lambda item: (-item[1], item[0]))[:k])
+
+
+#: folded words, plural variants that fold onto them ("skies" -> "sky",
+#: "boxes" -> "box"), words that do not fold ("glass", "bus") and one
+#: word no generated document holds
+TFIDF_WORDS = ("rose", "roses", "sky", "skies", "box", "boxes", "glass",
+               "bus", "garden", "gardens", "red", "zebra")
+tfidf_areas = hst.lists(hst.lists(hst.sampled_from(TFIDF_WORDS[:-1]),
+                                  max_size=5), max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(docs=hst.lists(tfidf_areas, max_size=7),
+       everywhere=hst.sampled_from([(), ("garden",), ("roses", "rose")]),
+       order=hst.randoms(use_true_random=False),
+       words=hst.lists(hst.sampled_from(TFIDF_WORDS), max_size=6))
+def test_tfidf_postings_score_and_rank_as_the_plain_cosine(base_lattice, docs,
+                                                           everywhere, order,
+                                                           words):
+    """Over small stores (empty areas, plural variants, tokens held by every
+    document, so of idf 0) in a random store order and queries with
+    repeated and unknown tokens: every score is the plain cosine (==), and
+    every k ranks as sorting every positive plain score."""
+    ids = [f"d{i}" for i in range(len(docs))]
+    order.shuffle(ids)
+    store = tfidf_store((doc_id, areas + [list(everywhere)])
+                        for doc_id, areas in zip(ids, docs))
+    scorer = make_scorer(store, base_lattice, PipelineConfig(), Strategy.TFIDF)
+    text = " ".join(words)
+    expected = oracles.tfidf_oracle(store, text)
+    query = Query(text, ())
+    assert {doc_id: scorer.score(query, doc_id)
+            for doc_id in store.records} == expected
+    n = len(store.records)
+    for k in sorted({1, 3, n, n + 1} - {0}):
+        assert (rank_with_scorer(scorer, query, k).items
+                == oracle_ranking(store, text, k)), k
+
+
+def tfidf_scorer(base_lattice, docs):
+    store = tfidf_store((doc_id, [text.split()]) for doc_id, text in docs)
+    return make_scorer(store, base_lattice, PipelineConfig(), Strategy.TFIDF)
+
+
+def test_a_query_of_tokens_every_document_holds_ranks_nothing(base_lattice):
+    scorer = tfidf_scorer(base_lattice, [("d1", "red garden roses"),
+                                         ("d2", "gardens red sky"),
+                                         ("d3", "garden red")])
+    query = Query("red gardens garden", ())
+    for k in (1, 3, 4):
+        assert rank_with_scorer(scorer, query, k).items == ()
+    assert [scorer.score(query, d) for d in ("d1", "d2", "d3")] == [0.0] * 3
+
+
+def test_a_document_of_tokens_every_document_holds_never_ranks(base_lattice):
+    scorer = tfidf_scorer(base_lattice, [("d1", "garden roses"),
+                                         ("common", "gardens garden"),
+                                         ("d2", "garden sky")])
+    for text in ("garden roses sky", "garden", "roses"):
+        query = Query(text, ())
+        assert scorer.score(query, "common") == 0.0
+        for k in (1, 3, 4):
+            assert "common" not in rank_with_scorer(scorer, query, k).doc_ids()
+    assert rank_with_scorer(scorer, Query("garden roses sky", ()),
+                            3).doc_ids() == ("d1", "d2")
+
+
+def test_a_document_sharing_no_query_token_scores_zero(base_lattice):
+    """`score` answers for every document, also those the postings never
+    reach (the benchmark's checks sample scores through it)."""
+    scorer = tfidf_scorer(base_lattice, [("d1", "red roses"), ("d2", "blue sky"),
+                                         ("d3", "")])
+    query = Query("roses", ())
+    assert scorer.score(query, "d1") > 0.0
+    assert scorer.score(query, "d2") == scorer.score(query, "d3") == 0.0
+    assert rank_with_scorer(scorer, query, 3).doc_ids() == ("d1",)
+
+
+def test_store_order_does_not_change_the_tfidf_ranking(base_lattice):
+    """Postings list documents in store order, and "d3" and "d0" tie: the
+    ranking is the same in either order, ties broken by id."""
+    docs = [("d1", "rose roses garden"), ("d2", "sky gardens"),
+            ("d3", "sky rose"), ("d4", "garden rose"), ("d0", "roses skies")]
+    forward = tfidf_scorer(base_lattice, docs)
+    backward = tfidf_scorer(base_lattice, docs[::-1])
+    for text in ("rose garden", "skies", "gardens roses sky", "box"):
+        query = Query(text, ())
+        for k in range(1, 7):
+            assert (rank_with_scorer(forward, query, k)
+                    == rank_with_scorer(backward, query, k)), (text, k)
+    ranked = rank_with_scorer(forward, Query("rose garden", ()), 5)
+    assert ranked.doc_ids() == ("d4", "d1", "d2", "d0", "d3")
+    assert ranked.items[3][1] == ranked.items[4][1]
 
 
 def ranked_of(grades):
