@@ -29,7 +29,7 @@ from .errors import ViscxError, one_line
 from .pipeline import enrich_store, ingest_corpus
 from .retrieval import (ALL_STRATEGIES, STRATEGY_FIELDS, Qrels, Query,
                         Strategy, eval_report, load_queries, parse_query, rank)
-from .store import StoreMeta, load_store, save_store
+from .store import StoreMeta, atomic_writer, load_store, save_store
 from .taxonomy import SemanticLattice, bundled_taxonomy_path, load_taxonomy
 
 log = logging.getLogger(__name__)
@@ -42,10 +42,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {value}")
-    return value
+    try:
+        if (value := int(text)) >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1: {text!r}")
 
 
 def _config_from_args(args, store_meta=None) -> PipelineConfig:
@@ -122,8 +124,10 @@ def _cmd_eval(args) -> int:
     report = eval_report(store, lattice, cfg, queries, qrels, strategies)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "summary.tsv").write_text(report.summary_text(), encoding="utf-8")
-    (out_dir / "per_query.tsv").write_text(report.per_query_text(), encoding="utf-8")
+    for name, text in (("summary.tsv", report.summary_text()),
+                       ("per_query.tsv", report.per_query_text())):
+        with atomic_writer(out_dir / name) as out:
+            out.write(text)
     sys.stdout.write(report.summary_text())
     return 0
 

@@ -22,6 +22,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -150,6 +151,22 @@ class _TfIdfIndex:
                 for doc_id, dot in dots.items()}
 
 
+class _MaxTotals(dict):
+    """Read as a membership table by the bound pass: at a concept, the
+    largest total of a group of documents' tables, memoised across queries
+    as each table memoises its own."""
+
+    def __init__(self, tables: list):
+        super().__init__()
+        self._tables = tables
+
+    def __missing__(self, concept: str) -> float:
+        value = self[concept] = max([t.total(concept) for t in self._tables])
+        return value
+
+    total = dict.__getitem__
+
+
 class _Scorer:
     """Scores documents under one strategy.
 
@@ -158,14 +175,18 @@ class _Scorer:
     membership table, one ``(view, mu of the unit's head)`` pair per unit,
     mu None for a headless unit or a head the lattice does not know, and
     for `bounds` one ``(head, mu, largest view mass)`` triple per distinct
-    unit head. Per query, rebuilt only when a different query object comes
-    in: each term's view and a memo from the ``id`` of an interned view to
+    unit head. On the first `group_bounds`, every document's state is
+    built, and the documents are grouped by their set of unit heads: per
+    group, its member ids in ascending order, a `_MaxTotals` over their
+    tables and per head the largest unit mu and the largest view mass.
+    Per query, rebuilt only when a different query object comes in: each
+    term's view and a memo from the ``id`` of an interned view to
     `view_part`, so a term is compared with each distinct unit view once,
     and per document only the membership part is added, with the term
-    head's mu read once; for `bounds`, each term's view mass and a memo of
-    epsilon per unit head. Under ``tfidf`` the per-query state is the dict
-    of cosines of the documents the query's postings reach, and `score`
-    reads it (0.0 for any other document)."""
+    head's mu read once; for the bounds, each term's view mass and a memo
+    of epsilon per unit head. Under ``tfidf`` the per-query state is the
+    dict of cosines of the documents the query's postings reach, and
+    `score` reads it (0.0 for any other document)."""
 
     def __init__(self, store: IndexStore, lattice: SemanticLattice,
                  cfg: PipelineConfig, strategy: Strategy):
@@ -176,6 +197,7 @@ class _Scorer:
         self.tfidf = _TfIdfIndex(store) if strategy is Strategy.TFIDF else None
         self._views: dict[ScoringView, ScoringView] = {}
         self._cache: dict[str, tuple] = {}
+        self._groups: list[tuple] | None = None
         self._query: Query | None = None
         self._query_state = None
 
@@ -258,11 +280,13 @@ class _Scorer:
             total += best
         return total
 
-    def bounds(self, query: Query) -> dict[str, float]:
-        """Per document, in store order, an upper bound on `score`, built
-        as `score` is: per query term, the max over the units of a facet
-        bound plus the semantic part, epsilon times the two heads' mu,
-        summed over the terms from 0.0.
+    def bounds(self, query: Query,
+               doc_ids: Sequence[str] | None = None) -> dict[str, float]:
+        """Per document of `doc_ids` (every document, in store order, when
+        None), an upper bound on `score`, built as `score` is: per query
+        term, the max over the units of a facet bound plus the semantic
+        part, epsilon times the two heads' mu, summed over the terms from
+        0.0.
 
         The facet bound reads only the two views' masses (`view_mass`):
         ``(term + unit) / VOCAB_SIZE`` under ``max``, ``min(term, unit) /
@@ -278,11 +302,19 @@ class _Scorer:
         side adds no semantic part, and every headed (term, unit head)
         pair is evaluated, so an unknown head raises as in `score`."""
         query_terms = self._query_terms(query)
+        ids = self.store.records if doc_ids is None else doc_ids
+        cache = self._cache
+        return dict(zip(ids, self._bounds(query_terms, (
+            cache.get(doc_id) or self._doc_state(doc_id) for doc_id in ids))))
+
+    def _bounds(self, query_terms, states) -> list[float]:
+        """The bound of `bounds` per ``(_, table, heads)`` state: a
+        document's membership table and head triples, or a group's
+        `_MaxTotals` and head maxima."""
         lattice = self.lattice
         union = self.cfg.kernel is FacetKernel.MAX  # else an intersection
-        cache, out = self._cache, {}
-        for doc_id in self.store.records:
-            _units, table, heads = cache.get(doc_id) or self._doc_state(doc_id)
+        out = []
+        for _units, table, heads in states:
             total = 0.0
             if heads:
                 for term_view, _memo, term_mass, eps_of in query_terms:
@@ -301,8 +333,43 @@ class _Scorer:
                         if bound > best:
                             best = bound
                     total += best
-            out[doc_id] = total
+            out.append(total)
         return out
+
+    def group_bounds(self, query: Query) -> list[tuple[float, list[str]]]:
+        """Per group of documents sharing a set of unit heads, in store
+        order of their first members, ``(bound, member ids)`` with the ids
+        in ascending order. The bound is that of `bounds`, built from the
+        group's largest unit mu and view mass per head and its largest
+        total at each term head. Every operation of the bound (``+``,
+        ``min``, the division by `VOCAB_SIZE`, the product with epsilon
+        >= 0) is monotone in floats, so a group's bound is at least each
+        member's, with no slack. A group reads its heads in its first
+        member's order, so an unknown head raises as in `bounds`: for the
+        first document in store order that has one."""
+        query_terms = self._query_terms(query)
+        groups = self._groups
+        if groups is None:
+            groups = self._groups = self._group_documents()
+        return list(zip(self._bounds(query_terms, groups),
+                        [members for members, _totals, _heads in groups]))
+
+    def _group_documents(self) -> list[tuple]:
+        by_heads: dict[frozenset, tuple[list, list, dict]] = {}
+        cache = self._cache
+        for doc_id in self.store.records:
+            _units, table, heads = cache.get(doc_id) or self._doc_state(doc_id)
+            members, tables, top = by_heads.setdefault(
+                frozenset([head for head, _mu, _mass in heads]), ([], [], {}))
+            members.append(doc_id)
+            tables.append(table)
+            for head, mu, mass in heads:
+                _head, top_mu, top_mass = top.get(head, (head, mu, mass))
+                # mu is None for every member or for none: the head decides
+                top[head] = (head, None if mu is None else max(top_mu, mu),
+                             max(top_mass, mass))
+        return [(sorted(members), _MaxTotals(tables), list(top.values()))
+                for members, tables, top in by_heads.values()]
 
 
 #: how far below the k-th exact score a document's bound must lie before
@@ -338,14 +405,20 @@ def rank_with_scorer(scorer: _Scorer, query: Query, k: int,
     document id.
 
     Under ``vis``, ``cx`` and ``vis+cx``, when k is below the number of
-    documents, every document is first bounded cheaply (`_Scorer.bounds`)
-    and then scored exactly in order of descending bound (ascending id on
-    a tie), keeping the k best exact scores so far; ranking stops at the
-    first document whose bound lies more than `BOUND_SLACK` below the
-    k-th of them, since neither it nor any document after it can reach
-    the top k. The scores and the ranking are those of scoring every
-    document. Under those three, any k of at least the number of
-    documents scores every document in store order with no bounds.
+    documents, each group of documents sharing a set of unit heads is
+    first bounded cheaply (`_Scorer.group_bounds`), and the groups are
+    visited in order of descending bound, keeping the k best exact scores
+    so far; ranking stops at the first group whose bound lies more than
+    `BOUND_SLACK` below the k-th of them, since none of its documents nor
+    any after it can reach the top k. Within a visited group, each member
+    is bounded (`_Scorer.bounds`) and scored exactly in order of
+    descending bound (ascending id on a tie), up to the first member
+    whose bound lies that far below the k-th score. A member's bound is
+    not needed, and not computed, when it is the group's only member or
+    when the group's members are too few to fill the top k. The scores
+    and the ranking are those of scoring every document. Under those
+    three, any k of at least the number of documents scores every
+    document in store order with no bounds.
     ``tfidf`` ranks, for every k, only the documents its postings reach
     for the query (`_TfIdfIndex.cosines`), which are all that can score
     above 0.
@@ -363,20 +436,33 @@ def rank_with_scorer(scorer: _Scorer, query: Query, k: int,
             if s > 0.0:
                 scored.append((doc_id, s))
     else:
-        bounds = scorer.bounds(query)
-        order = sorted(records)  # stable: equal bounds keep ascending ids
-        order.sort(key=bounds.__getitem__, reverse=True)
         best: list[float] = []  # min-heap of the k best exact scores so far
-        for doc_id in order:
-            if len(best) == k and bounds[doc_id] < best[0] - BOUND_SLACK:
+        groups = scorer.group_bounds(query)
+        groups.sort(key=itemgetter(0), reverse=True)
+        for group_bound, members in groups:
+            if len(best) == k and group_bound < best[0] - BOUND_SLACK:
                 break
-            s = scorer.score(query, doc_id)
-            if s > 0.0:
-                scored.append((doc_id, s))
-                if len(best) < k:
-                    heapq.heappush(best, s)
-                elif s > best[0]:
-                    heapq.heapreplace(best, s)
+            # no member can be pruned when a lone member's bound is the
+            # group's, just checked, or when the heap cannot fill before
+            # the last member
+            prune = len(members) > 1 and len(best) + len(members) > k
+            if prune:
+                bounds = scorer.bounds(query, members)
+                # stable: members are in id order, so equal bounds keep it
+                order = sorted(members, key=bounds.__getitem__, reverse=True)
+            else:
+                order = members
+            for doc_id in order:
+                if (prune and len(best) == k
+                        and bounds[doc_id] < best[0] - BOUND_SLACK):
+                    break
+                s = scorer.score(query, doc_id)
+                if s > 0.0:
+                    scored.append((doc_id, s))
+                    if len(best) < k:
+                        heapq.heappush(best, s)
+                    elif s > best[0]:
+                        heapq.heapreplace(best, s)
     top = heapq.nsmallest(k, scored, key=lambda item: (-item[1], item[0]))
     return RankedList(query_id, tuple(top))
 

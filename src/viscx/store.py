@@ -13,12 +13,13 @@ the corpus lives, and load(save(store)) is the identity.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, TextIO
 
 from .context import AreaKind, ContextualConcept, ExtractionArea, SyntacticTerm
 from .config import PipelineConfig
@@ -203,32 +204,39 @@ def _line(data: Mapping) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def save_store(store: IndexStore, path: str | Path) -> None:
-    """Write the store to `path`, replacing it atomically.
+@contextlib.contextmanager
+def atomic_writer(path: str | Path) -> Iterator[TextIO]:
+    """A text file to write that replaces `path` atomically on success.
 
-    The lines go to a temporary file in the target's directory, which
+    The text goes to a temporary file in the target's directory, which
     `os.replace` then moves over the target; on any failure the temporary
     file is removed and the target is left as it was. A symlinked target
     is followed, so the link survives, and an existing target's permission
     bits are kept. There is no fsync, so this protects against a process
     that dies mid-write, not against power loss.
     """
-    if missing := [f for f in RECORD_FIELDS if f not in store.fields]:
-        raise StoreError(f"cannot save a store loaded without its records' "
-                         f"{', '.join(missing)}")
     target = Path(path).resolve()
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("w", encoding="utf-8") as out:
-            out.write(_line({"type": "meta", **asdict(store.meta)}))
-            for doc_id in sorted(store.records):
-                out.write(_line(record_to_dict(store.records[doc_id])))
+            yield out
         if target.exists():
             shutil.copymode(target, tmp)
         os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_store(store: IndexStore, path: str | Path) -> None:
+    """Write the store to `path`, replacing it atomically (`atomic_writer`)."""
+    if missing := [f for f in RECORD_FIELDS if f not in store.fields]:
+        raise StoreError(f"cannot save a store loaded without its records' "
+                         f"{', '.join(missing)}")
+    with atomic_writer(path) as out:
+        out.write(_line({"type": "meta", **asdict(store.meta)}))
+        for doc_id in sorted(store.records):
+            out.write(_line(record_to_dict(store.records[doc_id])))
 
 
 def load_store(path: str | Path,

@@ -288,6 +288,17 @@ def test_search_k_below_one_is_usage_error(corpus, tmp_path, capsys, k):
     assert "-k" in captured.err
 
 
+def test_search_k_not_an_integer_names_the_rule(corpus, tmp_path, capsys):
+    index = enriched_index(corpus, tmp_path)
+    capsys.readouterr()
+    assert main(["search", "--index", str(index), "--strategy", "vis",
+                 "--query", "Red Roses", "-k", "abc"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "viscx search: error: argument -k: must be an integer >= 1: 'abc'")
+
+
 def test_search_k_above_store_size_returns_every_positive_doc(corpus, tmp_path,
                                                               capsys):
     index = enriched_index(corpus, tmp_path)
@@ -351,6 +362,47 @@ def test_eval_writes_reports(corpus, tmp_path, capsys):
     main(["eval", "--index", str(index), "--queries", str(queries),
           "--qrels", str(qrels), "--out", str(out2)])
     assert (out2 / "summary.tsv").read_text() == summary
+
+
+def eval_argv(corpus, tmp_path, queries_text: str, out_dir) -> list[str]:
+    index = tmp_path / "index.jsonl"
+    if not index.exists():
+        enriched_index(corpus, tmp_path)
+    queries = tmp_path / "queries.tsv"
+    queries.write_text(queries_text, encoding="utf-8")
+    qrels = tmp_path / "qrels.tsv"
+    qrels.write_text("q1\td1\t2\nq2\td3\t2\n", encoding="utf-8")
+    return ["eval", "--index", str(index), "--queries", str(queries),
+            "--qrels", str(qrels), "--out", str(out_dir)]
+
+
+def test_eval_replaces_existing_reports_and_leaves_no_temporary_file(
+        corpus, tmp_path, capsys):
+    out_dir = tmp_path / "report"
+    assert main(eval_argv(corpus, tmp_path, "q1\tRed Roses\n", out_dir)) == 0
+    first = (out_dir / "per_query.tsv").read_text(encoding="utf-8")
+    assert "q2" not in first
+    assert main(eval_argv(corpus, tmp_path, "q1\tRed Roses\nq2\tBlue Sky\n",
+                          out_dir)) == 0
+    assert "q2" in (out_dir / "per_query.tsv").read_text(encoding="utf-8")
+    assert sorted(p.name for p in out_dir.iterdir()) == ["per_query.tsv",
+                                                         "summary.tsv"]
+
+
+def test_a_failed_report_write_keeps_the_old_reports(corpus, tmp_path,
+                                                     capsys, monkeypatch):
+    import viscx.store
+    out_dir = tmp_path / "report"
+    assert main(eval_argv(corpus, tmp_path, "q1\tRed Roses\n", out_dir)) == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    def broken(*_args):
+        raise OSError("rename failed")
+    monkeypatch.setattr(viscx.store.os, "replace", broken)
+    assert main(eval_argv(corpus, tmp_path, "q1\tRed Roses\nq2\tBlue Sky\n",
+                          out_dir)) == 2
+    assert "rename failed" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
 def test_eval_missing_qrels_is_data_error(corpus, tmp_path, capsys):

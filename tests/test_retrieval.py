@@ -11,7 +11,7 @@ from hypothesis import strategies as hst
 from viscx import (COLOR_NAMES, SPATIAL_NAMES, TEXTURE_NAMES, PipelineConfig,
                    UnindexableQueryError, UnknownConceptError, ViscxError,
                    VisRecord, enrich_store, ingest_corpus)
-from viscx.context import AreaKind, ExtractionArea, tokenize
+from viscx.context import AreaKind, ExtractionArea, SyntacticTerm, tokenize
 from viscx.fusion import FacetKernel
 from viscx.membership import TConormKind
 from viscx.pipeline import enrich_document
@@ -417,6 +417,128 @@ def test_an_unknown_cx_head_raises_only_against_a_headed_term(base_lattice):
         assert str(info.value) == "unknown concept 'zzz'"
         assert (rank_with_scorer(damaged, headless, k).items
                 == plain_ranking(known, headless, k))
+
+
+def test_the_first_unknown_cx_head_in_store_order_is_the_one_named(
+        base_lattice):
+    """Two documents hold different unknown cx heads; the one stored first,
+    though its id sorts last, is named, whatever k."""
+    cfg = PipelineConfig()
+
+    def doc(doc_id, vsc, text, colors, head=None):
+        record = enrich_document(make_doc(doc_id, vsc, 0.9, text,
+                                          colors=colors), base_lattice, cfg)
+        if head is None:
+            return record
+        return replace(record, terms=tuple(
+            replace(t, head=(head, t.head[1])) for t in record.terms))
+
+    store = IndexStore()
+    for record in (doc("d9", "sky", "blue sky", {"blue": 0.8}, "yyy"),
+                   doc("d1", "rose", "red roses", {"red": 0.9}),
+                   doc("d2", "rose", "red roses", {"red": 0.9}),
+                   doc("d3", "sky", "blue sky", {"blue": 0.8}, "zzz")):
+        store.add(record)
+    scorer = make_scorer(store, base_lattice, cfg, Strategy.CX)
+    for k in (1, 3):
+        with pytest.raises(UnknownConceptError) as info:
+            rank_with_scorer(scorer, parse_query("red roses", base_lattice), k)
+        assert str(info.value) == "unknown concept 'yyy'"
+
+
+def vis_doc(doc_id, *objects) -> IndexRecord:
+    """A document of visual objects ``(vsc, r, colors, textures)`` only."""
+    return IndexRecord(doc_id, (), tuple(
+        VisRecord(f"vo{i}", vsc, r, colors, textures)
+        for i, (vsc, r, colors, textures) in enumerate(objects)))
+
+
+def test_a_lower_group_holds_a_top_document_after_a_higher_group_is_pruned(
+        base_lattice):
+    """Under ``min``, "a1"'s blue mass, which the query lacks, lifts
+    its group's bound above its score; "a2" is pruned inside that group
+    once "a1" is scored, and "b1", alone in a lower group, still enters
+    the top 1."""
+    cfg = replace(PipelineConfig(), kernel=FacetKernel.MIN)
+    store = IndexStore()
+    for record in (vis_doc("a1", ("rose", 0.9, {"blue": 1.0}, {})),
+                   vis_doc("a2", ("rose", 0.5, {}, {})),
+                   vis_doc("b1", ("rose", 0.875, {"red": 1.0}, {}),
+                           ("sky", 0.9, {}, {}))):
+        store.add(record)
+    query = parse_query("red roses", base_lattice)
+    scorer = make_scorer(store, base_lattice, cfg, Strategy.VIS)
+    (high, high_members), (low, low_members) = scorer.group_bounds(query)
+    assert (high_members, low_members) == (["a1", "a2"], ["b1"])
+    bounds = scorer.bounds(query)
+    a1, b1 = scorer.score(query, "a1"), scorer.score(query, "b1")
+    assert high > low >= b1 > a1 > bounds["a2"] + BOUND_SLACK
+    assert rank_with_scorer(scorer, query, 1).items == (("b1", b1),)
+    for k in (1, 2, 3):
+        assert (rank_with_scorer(scorer, query, k).items
+                == plain_ranking(scorer, query, k)), k
+
+
+#: visual concepts of generated documents: rose under flower, sky and
+#: cathedral apart
+GROUP_CONCEPTS = ("rose", "flower", "sky", "cathedral")
+#: alt texts: headed terms, attributes with no head (no term) and none
+GROUP_TEXTS = ("red roses", "blue sky", "red spotted", "spotted flowers", "")
+#: headless cx units, one of which a document may be drawn to hold
+HEADLESS_TERMS = (SyntacticTerm(None, colors=frozenset({("red", 0.5)})),
+                  SyntacticTerm(None, colors=frozenset({("red", 0.5)}),
+                                textures=frozenset({("spotted", 0.75)})))
+GROUP_QUERIES = ("red roses", "blue sky above grey cathedral",
+                 "spotted flowers", "red", "red spotted")
+visual_object = hst.tuples(
+    hst.sampled_from(GROUP_CONCEPTS), hst.sampled_from([0.5, 0.75, 0.9]),
+    hst.dictionaries(hst.sampled_from(["red", "blue", "grey"]),
+                     hst.sampled_from([0.25, 0.5]), max_size=2),
+    hst.dictionaries(hst.sampled_from(["spotted", "uniform"]),
+                     hst.sampled_from([0.5, 1.0]), max_size=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(docs=hst.lists(hst.tuples(hst.lists(visual_object, max_size=3),
+                                 hst.sampled_from(GROUP_TEXTS),
+                                 hst.sampled_from((None,) + HEADLESS_TERMS)),
+                      min_size=1, max_size=12),
+       order=hst.randoms(use_true_random=False),
+       kernel=hst.sampled_from(list(FacetKernel)),
+       tconorm=hst.sampled_from(list(TConormKind)))
+def test_group_bounds_cover_their_members_and_rank_as_the_plain_ranking(
+        base_lattice, docs, order, kernel, tconorm):
+    """Over small stores of many head sets (shared and distinct heads,
+    documents with no visual object or no term, headless cx terms) in a
+    random store order: the groups split the store, every group bound is
+    at least each member's `bounds` value, and every k ranks as scoring
+    every document."""
+    cfg = replace(PipelineConfig(), kernel=kernel, tconorm=tconorm)
+    ids = [f"d{i:02d}" for i in range(len(docs))]
+    order.shuffle(ids)
+    store = IndexStore()
+    for doc_id, (objects, text, headless) in zip(ids, docs):
+        areas = (area(AreaKind.ALT_ATTRIBUTE, text, 0.9),) if text else ()
+        record = enrich_document(replace(vis_doc(doc_id, *objects),
+                                         areas=areas), base_lattice, cfg)
+        if headless is not None:
+            record = replace(record, terms=record.terms + (headless,))
+        store.add(record)
+    n = len(store.records)
+    for strategy in (Strategy.VIS, Strategy.CX, Strategy.VIS_CX):
+        scorer = make_scorer(store, base_lattice, cfg, strategy)
+        for text in GROUP_QUERIES:
+            query = parse_query(text, base_lattice, patterns=cfg.patterns)
+            groups = scorer.group_bounds(query)
+            assert sorted(doc_id for _bound, members in groups
+                          for doc_id in members) == sorted(ids)
+            bounds = scorer.bounds(query)
+            for bound, members in groups:
+                assert all(bound >= bounds[doc_id] for doc_id in members), (
+                    strategy, text)
+            for k in sorted({1, 2, 10, n - 1, n, n + 2} - {0}):
+                assert (rank_with_scorer(scorer, query, k).items
+                        == plain_ranking(scorer, query, k)), (strategy, text, k)
 
 
 @pytest.mark.parametrize("kernel", [None, FacetKernel.MIN, FacetKernel.PRODUCT],
