@@ -12,8 +12,9 @@ file that is not UTF-8). The index store remembers the taxonomy path and
 config snapshot from enrichment, so search and eval run without repeating
 them, and the sha256 of the taxonomy text, so search and eval refuse a
 taxonomy whose content differs from the one the store was enriched with.
-search decodes and checks only the record fields its strategy reads, and
-eval those of its strategies; enrich decodes every field.
+search parses and decodes only the store columns its strategy reads, and
+eval those of its strategies; enrich decodes every column. Every command
+checks each column's crc32, read or not.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, the by-name enum
-lookup whose failure is one of them, and the file reader whose messages
+lookup whose failure is one of them, and the file readers whose messages
 name the file on one line.
 
 Everything raised on bad data derives from ViscxError so the CLI can map
@@ -58,6 +58,19 @@ def read_text(path, what: str, error: type[ViscxError] = ViscxError) -> str:
     p = Path(path)
     try:
         return p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {one_line(p)}: {exc}") from None
+
+
+def read_bytes(path, what: str, error: type[ViscxError] = ViscxError) -> bytes:
+    """The bytes of the `what` file at `path`, which must be UTF-8, or
+    `error` as `read_text` words it."""
+    p = Path(path)
+    try:
+        data = p.read_bytes()
+        if not data.isascii():  # ASCII is UTF-8; only other bytes are checked
+            data.decode("utf-8")
+        return data
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {one_line(p)}: {exc}") from None
 

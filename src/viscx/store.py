@@ -1,14 +1,28 @@
-"""Persisted index store: one JSON record per line, preceded by a meta
-line carrying the format version, the corpus directory (document ``d`` is
-``<corpus>/d.html`` and ``.vis``), the taxonomy path and the sha256 of its
-text, and a config snapshot, so later commands can run without
-re-supplying them and refuse another taxonomy. A store of another format
-version is refused on load; version 1 also held area text, per-record
-paths and fusion notes.
+"""Persisted index store: a JSON meta line, then one line per column.
 
-Records are written sorted by document id with sorted keys and hold no
-path, so the same store content always produces the same bytes wherever
-the corpus lives, and load(save(store)) is the identity.
+The meta line carries the format version, the corpus directory (document
+``d`` is ``<corpus>/d.html`` and ``.vis``), the taxonomy path and the
+sha256 of its text, and a config snapshot, so later commands can run
+without re-supplying them and refuse another taxonomy. The snapshot's
+taxonomy is the meta line's and is not written twice; a snapshot whose
+taxonomy differs keeps its own.
+
+Then come the column lines: ``doc_id``, then each `IndexRecord` field in
+`RECORD_FIELDS` order, each holding the value of every document in
+document-id order::
+
+    {"column":"areas","count":300,"values":[...],"crc32":"0a1b2c3d"}
+
+The crc32 covers the text of the line before it. A load checks every
+column line's place, count and crc32, but parses and decodes only
+``doc_id`` and the columns it is asked for, so a search pays only for
+the fields its strategy reads. A store of another format version is
+refused on load: version 2 held one JSON record per document, and version
+1 also area text, per-record paths and fusion notes.
+
+Values are written with sorted keys and hold no path, so the same store
+content always produces the same column lines wherever the corpus lives,
+and load(save(store)) is the identity.
 """
 
 from __future__ import annotations
@@ -17,17 +31,19 @@ import contextlib
 import json
 import os
 import shutil
+import zlib
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, TextIO
 
 from .context import AreaKind, ContextualConcept, ExtractionArea, SyntacticTerm
 from .config import PipelineConfig
-from .errors import StoreError, ViscxError, one_line, read_text
+from .errors import StoreError, ViscxError, one_line, read_bytes
 from .fusion import EnrichedVisRecord, FusionProvenance
 from .vis import VisRecord
 
-STORE_VERSION = 2
+STORE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -159,34 +175,42 @@ def _enriched_in(data) -> EnrichedVisRecord:
             float(prov["mu_cx"]) if prov["mu_cx"] is not None else None))
 
 
-#: IndexRecord field -> (encoder, decoder) of one of its items; `load_store`
-#: decodes only the fields it is asked for and leaves the others None
+#: IndexRecord field -> (encoder, decoder) of one of its items, in
+#: IndexRecord's field order; `load_store` decodes only the columns it is
+#: asked for and leaves the others None
 _CODECS = {"areas": (_area_out, _area_in), "vis_records": (_vis_out, _vis_in),
            "contextual": (_cx_out, _cx_in), "terms": (_term_out, _term_in),
            "enriched": (_enriched_out, _enriched_in)}
 RECORD_FIELDS = tuple(_CODECS)
 _NULLABLE = {"contextual", "terms", "enriched"}  # null before enrich
+_COLUMNS = ("doc_id", *RECORD_FIELDS)  # the column lines, in file order
+
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_BATCH = 64  # values per piece of a column line written
+_scan = json.JSONDecoder().scan_once  # (value, end) of the JSON at an index
+# A column line: _HEAD with the column's name, its value count, _VALUES,
+# the values, "]", and _CRC with the crc32 of all the text before _CRC.
+_HEAD = '{{"column":"{}","count":'
+_VALUES = ',"values":['
+_CRC = ',"crc32":"%08x"}'
+_TAIL = len(_CRC % 0)
+#: what a value of the wrong shape or out of range raises while decoded
+_MALFORMED = (AttributeError, LookupError, TypeError, ValueError,
+              ArithmeticError)
 
 
-def record_to_dict(record: IndexRecord) -> dict:
-    out = {"type": "record", "doc_id": record.doc_id}
-    for name, (encode, _decode) in _CODECS.items():
-        items = getattr(record, name)
-        out[name] = None if items is None else list(map(encode, items))
-    return out
-
-
-def record_from_dict(data: Mapping,
-                     fields: tuple[str, ...] = RECORD_FIELDS) -> IndexRecord:
-    values = dict.fromkeys(RECORD_FIELDS)
-    for name in fields:
-        items = data[name]
-        if items is not None or name not in _NULLABLE:
-            values[name] = tuple(map(_CODECS[name][1], items))
-    return IndexRecord(doc_id=_str(data["doc_id"]), **values)
+def _meta_out(meta: StoreMeta) -> str:
+    data = {"type": "meta", **asdict(meta)}
+    config = data["config"]  # a copy, made by asdict
+    if config is not None and config.get("taxonomy") == meta.taxonomy:
+        config.pop("taxonomy", None)  # held once, as meta.taxonomy
+    return _JSON.encode(data) + "\n"
 
 
 def _meta_in(data: Mapping) -> StoreMeta:
+    if (kind := data.get("type")) != "meta":
+        raise StoreError(f"unknown line type {kind!r}; the first line must "
+                         "be the meta line")
     version = data.get("version")
     if version != STORE_VERSION:
         raise StoreError(
@@ -196,12 +220,99 @@ def _meta_in(data: Mapping) -> StoreMeta:
     if meta.config is not None:
         if not isinstance(meta.config, dict):
             raise StoreError("meta config must be an object or null")
+        meta.config.setdefault("taxonomy", meta.taxonomy)
         PipelineConfig.from_snapshot(meta.config)  # fails here, not later
     return meta
 
 
-def _line(data: Mapping) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+def _write_column(out: TextIO, column: str, count: int,
+                  values: Iterable) -> None:
+    """The column line of `count` `values`, written a few values at a time
+    with a running crc32, so that no column is held whole in memory."""
+    crc = 0
+    for piece in _column_pieces(column, count, values):
+        out.write(piece)
+        crc = zlib.crc32(piece.encode(), crc)
+    out.write(_CRC % crc + "\n")
+
+
+def _column_pieces(column: str, count: int, values: Iterable) -> Iterator[str]:
+    yield f"{_HEAD.format(column)}{count}{_VALUES}"
+    values, separator = iter(values), ""
+    # one encode call per _BATCH values: each call has a fixed cost
+    while batch := list(islice(values, _BATCH)):
+        yield separator + _JSON.encode(batch)[1:-1]  # the values, no brackets
+        separator = ","
+    yield "]"
+
+
+def _column_at(data: bytes, start: int, end: int,
+               column: str) -> tuple[int, int]:
+    """The count of the column line `data[start:end]` and the offset of its
+    values list, once the line is checked to be `column`'s and to match
+    its crc32."""
+    head = _HEAD.format(column).encode()
+    if not data.startswith(head, start, end):
+        raise StoreError(f"expected the {column} column line")
+    crc = zlib.crc32(memoryview(data)[start:end - _TAIL])
+    if data[end - _TAIL:end] != (_CRC % crc).encode():
+        raise StoreError(f"checksum mismatch: the {column} column line does "
+                         "not match its crc32")
+    values = data.find(_VALUES.encode(), start, end)
+    count = data[start + len(head):values]
+    if values < 0 or not count.isdigit():
+        raise StoreError(f"malformed {column} column line")
+    return int(count), values + len(_VALUES) - 1
+
+
+def _doc_ids(text: bytes, count: int) -> list[str]:
+    doc_ids = json.loads(text)
+    if len(doc_ids) != count:
+        raise StoreError(f"doc_id column holds {len(doc_ids)} values, not "
+                         f"its count {count}")
+    seen = set()
+    for doc_id in doc_ids:
+        if not isinstance(doc_id, str):
+            raise StoreError(f"document id {doc_id!r} is not a string")
+        if doc_id in seen:
+            raise StoreError(f"duplicate document id {doc_id!r}")
+        seen.add(doc_id)
+    return doc_ids
+
+
+def _decode_column(line: str, at: int, column: str,
+                   doc_ids: list[str]) -> list:
+    """The decoded value of each document in the column line `line`, whose
+    values list opens at `at`: each value is scanned and decoded in turn,
+    so no column is held whole as JSON."""
+    decode = _CODECS[column][1]
+    nullable = column in _NULLABLE
+    values = []
+    at += 1  # past the '['
+    try:
+        for _ in doc_ids:
+            if values:
+                if line[at] != ",":
+                    raise StoreError(f"expected ',' at column {at + 1}")
+                at += 1
+            item, at = _scan(line, at)
+            values.append(None if item is None and nullable
+                          else tuple(map(decode, item)))
+    except StopIteration as exc:  # _scan found no JSON value
+        problem = f"bad JSON: expecting a value at column {exc.value + 1}"
+    except (json.JSONDecodeError, RecursionError) as exc:
+        problem = f"bad JSON: {exc}"
+    except ViscxError as exc:
+        problem = str(exc)
+    except _MALFORMED as exc:
+        problem = f"malformed value: {exc}"
+    else:
+        if at == len(line) - _TAIL - 1 and line[at] == "]":
+            return values
+        raise StoreError(f"{column} column: expected ']' after its "
+                         f"{len(values)} values, at column {at + 1}")
+    doc_id = doc_ids[len(values)]  # the first value not decoded
+    raise StoreError(f"{column} of document {doc_id!r}: {problem}")
 
 
 @contextlib.contextmanager
@@ -233,41 +344,62 @@ def save_store(store: IndexStore, path: str | Path) -> None:
     if missing := [f for f in RECORD_FIELDS if f not in store.fields]:
         raise StoreError(f"cannot save a store loaded without its records' "
                          f"{', '.join(missing)}")
+    doc_ids = sorted(store.records)
+    records = [store.records[doc_id] for doc_id in doc_ids]
     with atomic_writer(path) as out:
-        out.write(_line({"type": "meta", **asdict(store.meta)}))
-        for doc_id in sorted(store.records):
-            out.write(_line(record_to_dict(store.records[doc_id])))
+        out.write(_meta_out(store.meta))
+        _write_column(out, "doc_id", len(doc_ids), doc_ids)
+        for name, (encode, _decode) in _CODECS.items():
+            _write_column(out, name, len(records), (
+                None if (items := getattr(record, name)) is None
+                else list(map(encode, items)) for record in records))
 
 
 def load_store(path: str | Path,
                fields: Iterable[str] | None = None) -> IndexStore:
     """The store at `path`, its records holding only the IndexRecord `fields`
-    (all when None): an unread field is neither decoded nor checked, while
-    the meta line and every line's JSON, type and document id always are."""
+    (all when None). The meta line, the document ids, and every column
+    line's place, crc32 and count are always checked; a column not asked
+    for is neither parsed nor decoded."""
     wanted = set(RECORD_FIELDS if fields is None else fields)
     if unknown := wanted - set(RECORD_FIELDS):
         raise ValueError(f"not IndexRecord fields: {sorted(unknown)}")
-    text = read_text(path, "index store", StoreError)
+    data = read_bytes(path, "index store", StoreError)
     name = one_line(Path(path))
     store = IndexStore(fields=tuple(f for f in RECORD_FIELDS if f in wanted))
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-            kind = data.get("type")
-            if kind == "meta":
-                store.meta = _meta_in(data)
-            elif kind == "record":
-                store.add(record_from_dict(data, store.fields))
+    columns = {}
+    start = 0
+    try:
+        for lineno, column in enumerate(("meta", *_COLUMNS), start=1):
+            if start >= len(data):
+                raise StoreError(f"missing the {column} line" if lineno == 1
+                                 else f"missing the {column} column line")
+            end = data.find(b"\n", start)
+            end = len(data) if end < 0 else end
+            if column == "meta":
+                store.meta = _meta_in(json.loads(data[start:end]))
             else:
-                raise StoreError(f"unknown line type {kind!r}")
-        except StoreError as exc:
-            raise StoreError(f"{name}:{lineno}: {exc}") from None
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise StoreError(f"{name}:{lineno}: bad JSON: {exc}") from None
-        # a field of the wrong shape or out of range
-        except (AttributeError, LookupError, TypeError, ValueError,
-                ArithmeticError, ViscxError) as exc:
-            raise StoreError(f"{name}:{lineno}: malformed line: {exc}") from None
+                count, at = _column_at(data, start, end, column)
+                if column == "doc_id":
+                    doc_ids = _doc_ids(data[at:end - _TAIL], count)
+                elif count != len(doc_ids):
+                    raise StoreError(f"{column} column has count {count}, "
+                                     f"not the {len(doc_ids)} of doc_id")
+                elif column in wanted:
+                    columns[column] = _decode_column(
+                        str(memoryview(data)[start:end], "utf-8"),
+                        at - start, column, doc_ids)
+            start = end + 1
+        if start < len(data):
+            lineno += 1
+            raise StoreError("unexpected line after the last column")
+    except StoreError as exc:
+        raise StoreError(f"{name}:{lineno}: {exc}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise StoreError(f"{name}:{lineno}: bad JSON: {exc}") from None
+    except (*_MALFORMED, ViscxError) as exc:  # a meta value of the wrong shape
+        raise StoreError(f"{name}:{lineno}: malformed line: {exc}") from None
+    unread = [None] * len(doc_ids)
+    values = [columns.get(f, unread) for f in RECORD_FIELDS]
+    store.records = dict(zip(doc_ids, map(IndexRecord, doc_ids, *values)))
     return store

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_store import damaged_text, damages
+from test_store import LINE, damaged_text, damages, line_text
 from viscx import ALL_STRATEGIES, PipelineConfig, bundled_taxonomy_path
 from viscx.cli import main
 from viscx.store import load_store
@@ -125,6 +125,15 @@ def test_record_lines_do_not_depend_on_the_corpus_path(corpus, tmp_path):
     assert lines[0][1:] == lines[1][1:]
 
 
+def test_meta_line_holds_the_taxonomy_path_once(corpus, tmp_path):
+    index = enriched_index(corpus, tmp_path)
+    taxonomy = str(bundled_taxonomy_path())
+    meta_line = index.read_text(encoding="utf-8").splitlines()[0]
+    assert meta_line.count(json.dumps(taxonomy)) == 1
+    meta = load_store(index).meta
+    assert meta.taxonomy == meta.config["taxonomy"] == taxonomy
+
+
 def one_error_line(captured, *names):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
@@ -174,13 +183,14 @@ def test_search_malformed_store_line_is_data_error(corpus, tmp_path, capsys):
     capsys.readouterr()
     assert main(["search", "--index", str(index), "--strategy", "vis",
                  "--query", "Red Roses"]) == 2
-    one_error_line(capsys.readouterr(), f"{index}:5")
+    one_error_line(capsys.readouterr(), f"{index}:8")
 
 
 def test_search_reads_only_the_fields_of_its_strategy(corpus, tmp_path,
                                                      capsys):
     """A damaged field that vis search does not read leaves its output
-    as it was; vis+cx search, which reads it, and enrich report it."""
+    as it was; vis+cx search, which reads it, and enrich report it. A
+    column whose crc32 no longer matches fails every search."""
     index = enriched_index(corpus, tmp_path)
     vis = ["search", "--index", str(index), "--strategy", "vis",
            "--query", "Red Roses", "-k", "1000"]
@@ -188,20 +198,26 @@ def test_search_reads_only_the_fields_of_its_strategy(corpus, tmp_path,
     assert main(vis) == 0
     before = capsys.readouterr().out
     assert before.startswith("1\td1\t")
-    rewrite_line(index, 1, lambda record: {**record, "enriched": "x"})
+    rewrite_value(index, "enriched", 0, lambda value: "x")
     assert main(vis) == 0
     assert capsys.readouterr().out == before
     for argv in (["search", "--index", str(index), "--strategy", "vis+cx",
                   "--query", "Red Roses"],
                  ["enrich", "--index", str(index)]):
         assert main(argv) == 2
-        one_error_line(capsys.readouterr(), f"{index}:2: malformed line")
+        one_error_line(capsys.readouterr(),
+                       f"{index}:7: enriched of document 'd1': ")
+    lines = index.read_text(encoding="utf-8").splitlines()
+    lines[LINE["enriched"]] = lines[LINE["enriched"]].replace('"x"', '"y"')
+    index.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(vis) == 2
+    one_error_line(capsys.readouterr(), f"{index}:7: checksum mismatch")
 
 
 def test_eval_reads_only_the_fields_of_its_strategies(corpus, tmp_path,
                                                       capsys):
     index = enriched_index(corpus, tmp_path)
-    rewrite_line(index, 1, lambda record: {**record, "areas": "x"})
+    rewrite_value(index, "areas", 0, lambda value: "x")
     queries = tmp_path / "queries.tsv"
     queries.write_text("q1\tRed Roses\n", encoding="utf-8")
     qrels = tmp_path / "qrels.tsv"
@@ -215,15 +231,15 @@ def test_eval_reads_only_the_fields_of_its_strategies(corpus, tmp_path,
                                                            "vis+cx"}
     for strategies in (["--strategies", "vis,tfidf"], []):
         assert main(run + strategies) == 2
-        one_error_line(capsys.readouterr(), f"{index}:2: malformed line")
+        one_error_line(capsys.readouterr(), f"{index}:3: areas of document 'd1'")
 
 
 def test_error_naming_a_path_with_a_newline_stays_on_one_line(corpus, tmp_path,
                                                               capsys):
     index = enriched_index(corpus, tmp_path)
-    # the meta line holds the taxonomy path in its config snapshot too
-    rewrite_line(index, 0, lambda meta: set_config_key(
-        {**meta, "taxonomy": "a\nb"}, "taxonomy", "a\nb"))
+    # the meta line holds the taxonomy path once; the config snapshot,
+    # which search reads it from, takes it from there
+    rewrite_line(index, 0, lambda meta: {**meta, "taxonomy": "a\nb"})
     capsys.readouterr()
     assert main(["search", "--index", str(index), "--strategy", "vis",
                  "--query", "Red Roses"]) == 2
@@ -244,10 +260,10 @@ def test_cx_search_with_an_unknown_term_head(corpus, tmp_path, capsys):
     before = capsys.readouterr().out
     assert before == "1\td2\t0.172727\n2\td3\t0.172727\n3\td1\t0.136364\n"
 
-    def unknown_head(record):
-        record["terms"][0]["head"][0] = "zzz"
-        return record
-    rewrite_line(index, 1, unknown_head)
+    def unknown_head(terms):
+        terms[0]["head"][0] = "zzz"
+        return terms
+    rewrite_value(index, "terms", 0, unknown_head)
     assert main(cx + ["Red Roses"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -481,9 +497,18 @@ def test_config_file_roundtrip(corpus, tmp_path):
 
 
 def rewrite_line(path, n, change):
+    """Rewrite line `n` of a store, a column line with a fresh crc32."""
     lines = path.read_text(encoding="utf-8").splitlines()
-    lines[n] = json.dumps(change(json.loads(lines[n])))
+    lines[n] = line_text(change(json.loads(lines[n])))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def rewrite_value(path, column, doc_index, change):
+    """Rewrite the value of the document at `doc_index` in `column`."""
+    def changed(line):
+        line["values"][doc_index] = change(line["values"][doc_index])
+        return line
+    rewrite_line(path, LINE[column], changed)
 
 
 def set_config_key(meta, key, value):
@@ -517,7 +542,7 @@ def test_nan_similarity_floor_is_data_error(corpus, tmp_path, capsys):
 def test_enrich_wrong_typed_doc_id_is_data_error(corpus, tmp_path, capsys):
     index = tmp_path / "index.jsonl"
     main(["ingest", "--corpus", str(corpus), "--out", str(index)])
-    rewrite_line(index, 1, lambda record: {**record, "doc_id": 5})
+    rewrite_value(index, "doc_id", 0, lambda doc_id: 5)
     capsys.readouterr()
     assert main(["enrich", "--index", str(index)]) == 2
     one_error_line(capsys.readouterr(), f"{index}:2")
@@ -575,7 +600,7 @@ def enriched_lines() -> list[dict]:
 
 @settings(max_examples=100, deadline=None)
 @given(st.deferred(lambda: damages(enriched_lines())))
-@example((1, "replace", ("terms", 0, "head"), []))
+@example((LINE["terms"], "replace", ("values", 0, 0, "head"), []))
 def test_damaged_store_exits_0_or_2_with_one_error_line(damage):
     """search under every strategy and enrich, on a store with one damaged
     line, exit 0 or 2 and raise nothing; exit 2 prints one error line."""

@@ -1,6 +1,7 @@
 import copy
 import json
 import tempfile
+import zlib
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,10 @@ from viscx import PipelineConfig, StoreError, VisRecord
 from viscx.context import AreaKind, ContextualConcept, ExtractionArea, SyntacticTerm
 from viscx.fusion import EnrichedVisRecord, FusionProvenance
 from viscx.store import (RECORD_FIELDS, STORE_VERSION, IndexRecord,
-                         IndexStore, StoreMeta, load_store, record_from_dict,
-                         record_to_dict, save_store)
+                         IndexStore, StoreMeta, load_store, save_store)
+
+#: the index in a store's lines of each column line; the meta line is 0
+LINE = {column: n for n, column in enumerate(("doc_id", *RECORD_FIELDS), 1)}
 
 
 def full_record(doc_id="doc1"):
@@ -37,9 +40,14 @@ def full_record(doc_id="doc1"):
         enriched=(enriched,))
 
 
-def test_record_dict_roundtrip():
+def test_record_roundtrip(tmp_path):
     record = full_record()
-    assert record_from_dict(record_to_dict(record)) == record
+    store = IndexStore()
+    store.add(record)
+    save_store(store, tmp_path / "index.jsonl")
+    loaded = load_store(tmp_path / "index.jsonl").records
+    assert loaded == {"doc1": record}
+    assert repr(loaded["doc1"]) == repr(record)
 
 
 def test_store_roundtrip(tmp_path):
@@ -73,9 +81,9 @@ def test_store_bytes_are_stable(tmp_path):
     save_store(store, p1)
     save_store(load_store(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
-    # records come out sorted by doc id regardless of insertion order
+    # documents come out sorted by id regardless of insertion order
     lines = p1.read_text().splitlines()
-    assert '"doc_id":"a"' in lines[1] and '"doc_id":"b"' in lines[2]
+    assert lines[1].startswith('{"column":"doc_id","count":2,"values":["a","b"],')
 
 
 def test_duplicate_doc_id_rejected():
@@ -131,6 +139,38 @@ def test_v1_store_is_refused_with_a_rebuild_hint(tmp_path):
         load_store(path)
 
 
+V2_STORE = (
+    '{"config":null,"corpus":null,"taxonomy":null,"taxonomy_sha256":null,'
+    '"type":"meta","version":2}\n'
+    '{"areas":[],"contextual":null,"doc_id":"d","enriched":null,"terms":null,'
+    '"type":"record","vis_records":[]}\n')
+
+
+def test_v2_store_is_refused_with_a_rebuild_hint(tmp_path):
+    path = tmp_path / "v2.jsonl"
+    path.write_text(V2_STORE, encoding="utf-8")
+    for fields in (None, ()):
+        with pytest.raises(StoreError, match=r"v2\.jsonl:1: store version 2 "
+                           r".*re-run ingest and enrich"):
+            load_store(path, fields)
+
+
+def test_meta_line_holds_the_taxonomy_path_once(tmp_path):
+    path = tmp_path / "index.jsonl"
+    for taxonomy, config_taxonomy in [("tax/one.tsv", "tax/one.tsv"),
+                                      (None, None), ("tax/one.tsv", None),
+                                      ("tax/one.tsv", "tax/two.tsv")]:
+        config = PipelineConfig(taxonomy=config_taxonomy).snapshot()
+        store = IndexStore(meta=StoreMeta(taxonomy=taxonomy, config=config))
+        save_store(store, path)
+        meta_line = path.read_text(encoding="utf-8").splitlines()[0]
+        # the config holds it only when it is not the meta line's own
+        assert ("taxonomy" in json.loads(meta_line)["config"]) == (
+            config_taxonomy != taxonomy)
+        assert meta_line.count("tax/one.tsv") == (taxonomy is not None)
+        assert load_store(path).meta == store.meta
+
+
 def saved_lines(tmp_path) -> list[dict]:
     store = IndexStore(meta=StoreMeta(taxonomy="tax.tsv",
                                       config=PipelineConfig().snapshot(),
@@ -142,10 +182,28 @@ def saved_lines(tmp_path) -> list[dict]:
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
-def store_text(lines) -> str:
-    """Store text with one line per item: a dict as JSON, a string as is."""
-    return "".join((line if isinstance(line, str) else json.dumps(line)) + "\n"
-                   for line in lines)
+def sealed(body: str) -> str:
+    """A column line: `body`, the text before its crc32, and the crc32."""
+    return f'{body},"crc32":"{zlib.crc32(body.encode()):08x}"}}'
+
+
+def line_text(line, seal: bool = True) -> str:
+    """One store line: a string as is, a dict as compact JSON. A column line
+    (a dict with a "crc32") gets a crc32 computed afresh, so that a damaged
+    value reaches the decoders, unless `seal` is false."""
+    if isinstance(line, str):
+        return line
+    if not (seal and isinstance(line, dict) and "crc32" in line):
+        return json.dumps(line, separators=(",", ":"))
+    body = {key: value for key, value in line.items() if key != "crc32"}
+    return sealed(json.dumps(body, separators=(",", ":"))[:-1])
+
+
+def store_text(lines, unsealed=()) -> str:
+    """Store text with one line per item (see line_text); the lines at the
+    indices `unsealed` keep the crc32 they hold."""
+    return "".join(line_text(line, n not in unsealed) + "\n"
+                   for n, line in enumerate(lines))
 
 
 def _set(line: dict, keys, value) -> dict:
@@ -156,37 +214,43 @@ def _set(line: dict, keys, value) -> dict:
     return line
 
 
+def _set_value(lines, column: str, keys, value) -> list:
+    """`lines` with the node at `keys` of `column`'s values set to `value`;
+    `keys` start with the document's index."""
+    _set(lines[LINE[column]], ["values", *keys], value)
+    return lines
+
+
+def test_store_text_rebuilds_the_saved_file(tmp_path):
+    lines = saved_lines(tmp_path)
+    assert store_text(lines) == (tmp_path / "index.jsonl").read_text()
+
+
 @pytest.mark.parametrize("damage", [
     lambda lines: lines + [[1]],
-    lambda lines: lines + ["[" * 5000],
+    lambda lines: lines[:LINE["areas"]] + [sealed(
+        '{"column":"areas","count":2,"values":[' + "[" * 5000)]
+    + lines[LINE["areas"] + 1:],
     lambda lines: [_set(lines[0], ["config"], "x")] + lines[1:],
     lambda lines: [_set(lines[0], ["config", "window"], "x")] + lines[1:],
-    lambda lines: lines[:1] + [_set(lines[1], ["enriched"], "x")] + lines[2:],
-    lambda lines: lines[:1] + [_set(lines[1], ["terms"], [1])] + lines[2:],
-    lambda lines: lines[:1] + [_set(lines[1], ["areas", 0, "impact"], 5)]
-    + lines[2:],
-    lambda lines: lines[:1] + [_set(lines[1], ["areas", 0, "impact"],
-                                    10 ** 400)] + lines[2:],
-    lambda lines: lines + [lines[1]],
-    lambda lines: lines[:1] + [_set(lines[1], ["doc_id"], 5)] + lines[2:],
-    lambda lines: lines[:1] + [_set(lines[1], ["areas", 0, "tokens", 0], 1)]
-    + lines[2:],
-    lambda lines: lines[:1] + [_set(lines[1], ["contextual", 0, "cx"], 5)]
-    + lines[2:],
-    lambda lines: lines[:1] + [_set(lines[1], ["terms", 0, "head", 0], 5)]
-    + lines[2:],
-    lambda lines: lines[:1] + [_set(lines[1], ["terms", 0, "head"], [])]
-    + lines[2:],
-    lambda lines: lines[:1] + [_set(lines[1], ["terms", 0, "head"], ["rose"])]
-    + lines[2:],
-    lambda lines: lines[:1] + [_set(lines[1], ["enriched", 0, "original_vsc"],
-                                    5)] + lines[2:],
-    lambda lines: lines[:1] + [_set(lines[1], ["enriched", 0, "provenance",
-                                               "decision"], 5)] + lines[2:],
-    lambda lines: lines[:1] + [_set(lines[1], ["enriched", 0, "provenance",
-                                               "branch"], [])] + lines[2:],
-    lambda lines: lines[:1] + [_set(lines[1], ["enriched", 0, "provenance",
-                                               "matched_head"], 5)] + lines[2:],
+    lambda lines: _set_value(lines, "enriched", [0], "x"),
+    lambda lines: _set_value(lines, "terms", [0], [1]),
+    lambda lines: _set_value(lines, "areas", [0, 0, "impact"], 5),
+    lambda lines: _set_value(lines, "areas", [0, 0, "impact"], 10 ** 400),
+    lambda lines: _set_value(lines, "doc_id", [1], "a"),
+    lambda lines: _set_value(lines, "doc_id", [0], 5),
+    lambda lines: _set_value(lines, "areas", [0, 0, "tokens", 0], 1),
+    lambda lines: _set_value(lines, "contextual", [0, 0, "cx"], 5),
+    lambda lines: _set_value(lines, "terms", [0, 0, "head", 0], 5),
+    lambda lines: _set_value(lines, "terms", [0, 0, "head"], []),
+    lambda lines: _set_value(lines, "terms", [0, 0, "head"], ["rose"]),
+    lambda lines: _set_value(lines, "enriched", [0, 0, "original_vsc"], 5),
+    lambda lines: _set_value(lines, "enriched",
+                             [0, 0, "provenance", "decision"], 5),
+    lambda lines: _set_value(lines, "enriched",
+                             [0, 0, "provenance", "branch"], []),
+    lambda lines: _set_value(lines, "enriched",
+                             [0, 0, "provenance", "matched_head"], 5),
 ], ids=["list-line", "deep-nesting", "config-string", "config-window",
         "enriched-string", "terms-number", "impact-5",
         "impact-huge", "duplicate-doc", "doc-id-number", "token-number",
@@ -202,8 +266,8 @@ def test_malformed_line_gives_store_error(tmp_path, damage):
 
 
 def test_null_matched_head_loads(tmp_path):
-    lines = saved_lines(tmp_path)
-    _set(lines[1], ["enriched", 0, "provenance", "matched_head"], None)
+    lines = _set_value(saved_lines(tmp_path), "enriched",
+                       [0, 0, "provenance", "matched_head"], None)
     path = tmp_path / "null_head.jsonl"
     path.write_text(store_text(lines), encoding="utf-8")
     prov = load_store(path).records["a"].enriched[0].provenance
@@ -231,34 +295,70 @@ def test_partial_load_refuses_unknown_field_names(tmp_path):
         load_store(tmp_path / "index.jsonl", ["vis"])
 
 
-@pytest.mark.parametrize("damage", [
-    lambda lines: lines + [[1]],
-    lambda lines: lines + ["{"],
-    lambda lines: [_set(lines[0], ["config", "window"], "x")] + lines[1:],
-    lambda lines: [_set(lines[0], ["version"], 1)] + lines[1:],
-    lambda lines: lines[:1] + [_set(lines[1], ["type"], "recrod")] + lines[2:],
-    lambda lines: lines[:1] + [_set(lines[1], ["doc_id"], 5)] + lines[2:],
-    lambda lines: lines + [lines[1]],
-], ids=["list-line", "bad-json", "config-window", "meta-version", "type",
-        "doc-id-number", "duplicate-doc"])
-def test_partial_load_checks_every_line(tmp_path, damage):
-    """What every line must get right is checked whichever fields are
-    read, even none."""
+def _crc_mismatch(lines):
+    """`lines` with one areas value changed in the text, crc32 kept."""
+    text = line_text(lines[LINE["areas"]])
+    assert '"impact":0.9,' in text
+    lines[LINE["areas"]] = text.replace('"impact":0.9,', '"impact":0.8,', 1)
+    return lines
+
+
+def _areas_of_one_document(lines):
+    """`lines` whose areas column holds only the first document's value."""
+    areas = lines[LINE["areas"]]
+    areas.update(count=1, values=areas["values"][:1])
+    return lines
+
+
+def _swap(lines, a, b):
+    lines[a], lines[b] = lines[b], lines[a]
+    return lines
+
+
+@pytest.mark.parametrize("damage, lineno", [
+    (lambda lines: lines + [[1]], 8),
+    (lambda lines: lines + ["{"], 8),
+    (lambda lines: [_set(lines[0], ["config", "window"], "x")] + lines[1:], 1),
+    (lambda lines: [_set(lines[0], ["version"], 1)] + lines[1:], 1),
+    (lambda lines: [_set(lines[LINE["terms"]], ["column"], "areas")
+                    if n == LINE["terms"] else line
+                    for n, line in enumerate(lines)], LINE["terms"] + 1),
+    (lambda lines: _set_value(lines, "doc_id", [0], 5), 2),
+    (lambda lines: _set_value(lines, "doc_id", [1], "a"), 2),
+    (_crc_mismatch, LINE["areas"] + 1),
+    (lambda lines: lines[:LINE["areas"]] + lines[LINE["areas"] + 1:],
+     LINE["areas"] + 1),
+    (lambda lines: lines[:-1], len(LINE) + 1),
+    (lambda lines: lines + [lines[-1]], len(LINE) + 2),
+    (lambda lines: _swap(lines, LINE["contextual"], LINE["terms"]),
+     LINE["contextual"] + 1),
+    (_areas_of_one_document, LINE["areas"] + 1),
+], ids=["list-line", "bad-json", "config-window", "meta-version",
+        "column-name", "doc-id-number", "duplicate-doc", "crc-mismatch",
+        "missing-column", "missing-last-column", "extra-column",
+        "reordered-columns", "count-differs"])
+def test_partial_load_checks_every_line(tmp_path, damage, lineno):
+    """What every line must get right (its place, crc32 and count, the
+    meta line and the document ids) is checked whichever fields are read,
+    even none, and the error names the line."""
     path = tmp_path / "damaged.jsonl"
     path.write_text(store_text(damage(saved_lines(tmp_path))), encoding="utf-8")
     for fields in [()] + [(name,) for name in RECORD_FIELDS]:
-        with pytest.raises(StoreError, match=r"damaged\.jsonl:\d+: "):
+        with pytest.raises(StoreError, match=rf"damaged\.jsonl:{lineno}: "):
             load_store(path, fields)
 
 
 @pytest.mark.parametrize("name", RECORD_FIELDS)
 def test_partial_load_leaves_an_unread_field_unchecked(tmp_path, name):
-    lines = saved_lines(tmp_path)
-    _set(lines[1], [name], "x")
+    """A column that does not decode but matches its crc32 loads when it is
+    not read, and fails at its line when it is."""
+    lines = _set_value(saved_lines(tmp_path), name, [0], "x")
     path = tmp_path / "damaged.jsonl"
     path.write_text(store_text(lines), encoding="utf-8")
-    with pytest.raises(StoreError, match=r"damaged\.jsonl:2: malformed"):
-        load_store(path)
+    for fields in (None, [name]):
+        with pytest.raises(StoreError, match=rf"damaged\.jsonl:{LINE[name] + 1}"
+                           rf": {name} of document 'a': "):
+            load_store(path, fields)
     others = [field for field in RECORD_FIELDS if field != name]
     assert load_store(path, others).records["a"].doc_id == "a"
 
@@ -307,7 +407,9 @@ def damages(draw, lines):
 
 def damaged_text(lines, damage) -> str:
     """The store text of `lines` with one line truncated, replaced by a
-    JSON value, or with one node replaced or one key deleted."""
+    JSON value, or with one node replaced or one key deleted. A damaged
+    column line gets a fresh crc32 (see line_text), unless the damage is
+    to its crc32."""
     n, how, keys, value = damage
     lines = copy.deepcopy(lines)
     if how == "truncate":
@@ -321,23 +423,24 @@ def damaged_text(lines, damage) -> str:
         del node[keys[-1]]
     else:
         _set(lines[n], keys, value)
-    return store_text(lines)
+    return store_text(lines, unsealed={n} if keys[:1] == ("crc32",) else ())
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_truncated_or_mutated_line_gives_store_error_only(data):
     """A damaged line either still decodes or raises StoreError; no other
-    exception escapes load_store."""
+    exception escapes load_store, whichever fields it reads."""
     with tempfile.TemporaryDirectory() as tmp:
         lines = saved_lines(Path(tmp))
         path = Path(tmp) / "damaged.jsonl"
         path.write_text(damaged_text(lines, data.draw(damages(lines))),
                         encoding="utf-8")
-        try:
-            load_store(path)
-        except StoreError:
-            pass
+        for fields in (None, ()):
+            try:
+                load_store(path, fields)
+            except StoreError:
+                pass
 
 
 @pytest.mark.parametrize("fault", ["encode", "rename"])
@@ -354,8 +457,8 @@ def test_failed_save_leaves_old_file_and_no_stray_file(tmp_path, monkeypatch,
 
     def broken(*_args):
         raise OSError(f"{fault} failed")
-    if fault == "encode":
-        monkeypatch.setattr(viscx.store, "record_to_dict", broken)
+    if fault == "encode":  # after the lines before the enriched column
+        monkeypatch.setitem(viscx.store._CODECS, "enriched", (broken, None))
     else:
         monkeypatch.setattr(viscx.store.os, "replace", broken)
     with pytest.raises(OSError, match=f"{fault} failed"):
