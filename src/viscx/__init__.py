@@ -20,8 +20,7 @@ from .fusion import (CorrespondencePair, EnrichedVisRecord, FacetKernel,
                      FusionProvenance, SimilarityMatrix, best_correspondences,
                      build_similarity_matrix, enrich_records, fuse,
                      structure_similarity)
-from .membership import (MembershipTable, TConormKind, aggregate_mu_tot,
-                         mu_cx, mu_vsc, tconorm)
+from .membership import MembershipTable, TConormKind, aggregate_mu_tot
 from .pipeline import enrich_document, enrich_store, ingest_corpus, pair_corpus
 from .retrieval import (ALL_STRATEGIES, EvalReport, Qrels, Query, RankedList,
                         Strategy, eval_report, load_queries, ndcg_at_n,

@@ -295,12 +295,9 @@ class SyntacticPattern:
             if lo < 0 or hi < lo:
                 raise ViscxError(f"bad repetition bounds {{{lo},{hi}}} for {cat.name}")
 
+    @cached_property
     def regex(self) -> re.Pattern[str]:
         """The compiled pattern, built once per instance."""
-        return self._compiled
-
-    @cached_property
-    def _compiled(self) -> re.Pattern[str]:
         parts = []
         for cat, lo, hi in self.elements:
             if (lo, hi) == (1, 1):
@@ -373,12 +370,6 @@ class SyntacticTerm:
         """(colors, textures, spatials), in FACET_VOCABS order."""
         return (self.colors, self.textures, self.spatials)
 
-    def concepts(self) -> frozenset[str]:
-        ids = {name for name, _imp in self.colors | self.textures | self.spatials}
-        if self.head is not None:
-            ids.add(self.head[0])
-        return frozenset(ids)
-
 
 def terms_from_window(window: Sequence[TaggedToken], area_impact: float,
                       head_imps: Mapping[str, float] | None) -> list[SyntacticTerm]:
@@ -433,7 +424,7 @@ def apply_patterns(tagged: Sequence[TaggedToken],
     out: list[SyntacticTerm] = []
     seen: set[SyntacticTerm] = set()
     for pattern in patterns:
-        for m in pattern.regex().finditer(tagstring):
+        for m in pattern.regex.finditer(tagstring):
             window = tagged[m.start():m.end()]
             for term in terms_from_window(window, area_impact, head_imps):
                 if term not in seen:

@@ -9,9 +9,10 @@ values. It is computed between scoring views, built once per term or
 record and reused for every pair it takes part in: a unit's canonical head
 and, per facet, only its non-zero (vocabulary index, weight) entries with
 their mass, so a facet sum walks the few entries a unit has rather than
-all 11. Fusion then either keeps the visual concept, replaces it with a
-more specific contextual one, or corrects it wholesale when the
-membership values disagree beyond a threshold.
+all 11. Fusion then either keeps the visual concept (always one the
+lattice does not know), replaces it with a more specific contextual one,
+or corrects it wholesale when the membership values disagree beyond a
+threshold.
 """
 
 from __future__ import annotations
@@ -252,9 +253,8 @@ def keep_unmatched(vis: VisRecord, table: MembershipTable,
                    FusionProvenance("kept", "unmatched", None, mu_v, None))
 
 
-def fuse(pair: CorrespondencePair, vis: VisRecord, st: SyntacticTerm,
-         table: MembershipTable, lattice: SemanticLattice,
-         config: PipelineConfig) -> EnrichedVisRecord:
+def fuse(vis: VisRecord, st: SyntacticTerm, table: MembershipTable,
+         lattice: SemanticLattice, config: PipelineConfig) -> EnrichedVisRecord:
     """Fuse one matched term into its record.
 
     Within the correspondence band (membership difference <= t_mu) the
@@ -297,19 +297,24 @@ def fuse(pair: CorrespondencePair, vis: VisRecord, st: SyntacticTerm,
 
 def enrich_records(records: Sequence[VisRecord], terms: Sequence[SyntacticTerm],
                    table: MembershipTable, lattice: SemanticLattice,
-                   config: PipelineConfig) -> tuple[list[EnrichedVisRecord],
-                                                  list[CorrespondencePair]]:
-    """Run the full correspondence-and-fusion stage for one document,
-    returning enriched records in input order plus the matched pairs."""
-    matrix = build_similarity_matrix(terms, records, table, lattice, config.kernel)
-    pairs = best_correspondences(matrix, config)
-    by_record = {pair.vis_index: pair for pair in pairs}
+                   config: PipelineConfig) -> list[EnrichedVisRecord]:
+    """Run the full correspondence-and-fusion stage for one document: every
+    record, enriched, in input order. A record whose concept the lattice
+    does not know takes no part in matching and is kept, with its
+    recognition probability as its membership value."""
+    known = [k for k, record in enumerate(records) if record.vsc in lattice]
+    matrix = build_similarity_matrix(terms, [records[k] for k in known],
+                                     table, lattice, config.kernel)
+    matched = {known[pair.vis_index]: terms[pair.term_index]
+               for pair in best_correspondences(matrix, config)}
     enriched: list[EnrichedVisRecord] = []
     for k, record in enumerate(records):
-        pair = by_record.get(k)
-        if pair is None:
+        if k in matched:
+            enriched.append(fuse(record, matched[k], table, lattice, config))
+        elif record.vsc in lattice:
             enriched.append(keep_unmatched(record, table, lattice))
         else:
-            enriched.append(
-                fuse(pair, record, terms[pair.term_index], table, lattice, config))
-    return enriched, pairs
+            r = record.r_vsc
+            enriched.append(_enrich(record, record.vsc, r, FusionProvenance(
+                "kept", "unknown_concept", None, r, None)))
+    return enriched

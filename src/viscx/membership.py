@@ -1,17 +1,18 @@
 """Fuzzy membership of concepts in the visual content.
 
-Two membership functions score how likely a lattice concept describes the
-content: one anchored on a contextual concept with its impact, one on a
-visual semantic concept with its recognition probability. Evidence is
-propagated unchanged to more generic concepts and reinforced (impact plus
-normalized chain length, clamped at 1) toward more specific ones;
-unrelated concepts score 0. The lattice keeps, per concept, the step by
-which each related anchor reaches it (`SemanticLattice.membership_steps`),
-so a membership value is one dict read and at most one addition. A
-document's membership table folds its visual and its contextual evidence
-with a configurable t-conorm and combines the two sides; it computes a
-concept's total on its first read and memoises it, since fusion and
-scoring read only a few concepts of each document.
+One piece of evidence, a contextual concept with its impact or a visual
+semantic concept with its recognition probability, scores how likely each
+lattice concept describes the content. Evidence is propagated unchanged
+to more generic concepts and reinforced (the value plus normalized chain
+length, clamped at 1) toward more specific ones; unrelated concepts score
+0. The lattice keeps, per concept, the step by which each related anchor
+reaches it (`SemanticLattice.membership_steps`), so a membership value is
+one dict read and at most one addition (`_membership`). A document's
+membership table, built by `aggregate_mu_tot`, folds its visual and its
+contextual evidence with a configurable t-conorm (`_tconorm`) and
+combines the two sides; it computes a concept's total on its first read
+and memoises it, since fusion and scoring read only a few concepts of
+each document.
 """
 
 from __future__ import annotations
@@ -28,21 +29,9 @@ class TConormKind(NamedEnum, what="t-conorm"):
     BOUNDED_SUM = "bsum"
 
 
-def _check_unit(value: float, what: str) -> None:
-    if not (0.0 <= value <= 1.0):
-        raise ViscxError(f"{what} out of [0,1]: {value!r}")
-
-
-def tconorm(kind: TConormKind, a: float, b: float) -> float:
-    """Apply one of the three supported t-conorms; inputs must lie in
-    [0,1], the identity element is 0."""
-    _check_unit(a, "t-conorm operand")
-    _check_unit(b, "t-conorm operand")
-    return _tconorm(kind, a, b)
-
-
 def _tconorm(kind: TConormKind, a: float, b: float) -> float:
-    """`tconorm` on operands already known to lie in [0,1]."""
+    """One of the three supported t-conorms, identity 0, on operands
+    already known to lie in [0,1]."""
     if kind is TConormKind.MAX:
         return a if a >= b else b
     if kind is TConormKind.PROBABILISTIC_SUM:
@@ -58,22 +47,6 @@ def _membership(steps: Mapping[str, float | None], anchor: str,
         return 0.0
     step = steps[anchor]
     return value if step is None else min(value + step, 1.0)
-
-
-def mu_cx(c: str, cx: str, imp: float, lattice: SemanticLattice) -> float:
-    """Likelihood that concept c describes a visual entity also described
-    by the contextual concept cx carrying impact imp."""
-    _check_unit(imp, "impact")
-    return _membership(lattice.membership_steps(lattice.require(c)),
-                       lattice.require(cx), imp)
-
-
-def mu_vsc(c: str, vsc: str, r: float, lattice: SemanticLattice) -> float:
-    """Likelihood that concept c describes the content indexed by the
-    visual semantic concept vsc recognized with probability r."""
-    _check_unit(r, "recognition probability")
-    return _membership(lattice.membership_steps(lattice.require(c)),
-                       lattice.require(vsc), r)
 
 
 class MembershipTable:
@@ -126,18 +99,21 @@ def aggregate_mu_tot(vis_concepts: Sequence[tuple[str, float]],
                      lattice: SemanticLattice,
                      kind: TConormKind = TConormKind.PROBABILISTIC_SUM
                      ) -> MembershipTable:
-    """Fold the two membership functions over the document evidence.
+    """Fold the document's visual and contextual evidence into a table.
 
-    At a concept the visual side folds mu_vsc over `vis_concepts` and the
-    context side folds mu_cx over `cx_concepts` (left to right, identity
-    0); the total is their t-conorm. Concepts and evidence values are
-    validated here, so the folds, whose every operand then lies in [0,1],
-    skip `tconorm`'s checks.
+    At a concept the visual side folds the membership carried from each
+    of `vis_concepts` (recognition probabilities) and the context side
+    from each of `cx_concepts` (impacts), left to right with identity 0;
+    the total is their t-conorm. This is the one place evidence is
+    checked: every concept must be known and every value lie in [0,1], so
+    the table's folds take their operands unchecked.
     """
     vis_pairs = [(lattice.require(vsc), r) for vsc, r in vis_concepts]
     cx_pairs = [(lattice.require(cx), imp) for cx, imp in cx_concepts]
     for _vsc, r in vis_pairs:
-        _check_unit(r, "recognition probability")
+        if not (0.0 <= r <= 1.0):
+            raise ViscxError(f"recognition probability out of [0,1]: {r!r}")
     for _cx, imp in cx_pairs:
-        _check_unit(imp, "impact")
+        if not (0.0 <= imp <= 1.0):
+            raise ViscxError(f"impact out of [0,1]: {imp!r}")
     return MembershipTable(vis_pairs, cx_pairs, lattice, kind)

@@ -3,8 +3,9 @@
 Ingestion pairs every ``.html`` page with its ``.vis`` sidecar by filename
 stem, extracts the context areas around the paired image and parses the
 visual records. Enrichment then mines contextual concepts and syntactic
-terms, builds the per-document membership table, matches terms to records
-and fuses them, writing provenance for every decision.
+terms, builds the per-document membership table, and matches terms to
+records and fuses them in one call (`fusion.enrich_records`), writing
+provenance for every decision.
 
 Enrichment always recomputes from the ingested fields, so re-running it
 over an already-enriched store is a no-op.
@@ -19,7 +20,7 @@ from pathlib import Path
 from .config import PipelineConfig
 from .context import apply_patterns, assign_impacts, extract_areas, tag_tokens
 from .errors import VisParseError, ViscxError, one_line
-from .fusion import FusionProvenance, _enrich, enrich_records
+from .fusion import enrich_records
 from .membership import aggregate_mu_tot
 from .store import IndexRecord, IndexStore, StoreMeta
 from .taxonomy import SemanticLattice
@@ -72,7 +73,8 @@ def ingest_corpus(corpus_dir: str | Path, cfg: PipelineConfig) -> IndexStore:
 
 def enrich_document(record: IndexRecord, lattice: SemanticLattice,
                     cfg: PipelineConfig) -> IndexRecord:
-    """Mine context, build the membership table, match and fuse."""
+    """Mine context, build the membership table, then match and fuse
+    every visual record in one call."""
     contextual = assign_impacts(record.areas, lattice)
     head_imps = {c.cx: c.imp for c in contextual}
     terms = tuple(dict.fromkeys(  # first-seen order, duplicates dropped
@@ -81,20 +83,10 @@ def enrich_document(record: IndexRecord, lattice: SemanticLattice,
                                    cfg.patterns, area_impact=area.base_impact,
                                    head_imps=head_imps)))
 
-    known = [r for r in record.vis_records if r.vsc in lattice]
     table = aggregate_mu_tot(
-        [(r.vsc, r.r_vsc) for r in known],
+        [(r.vsc, r.r_vsc) for r in record.vis_records if r.vsc in lattice],
         [(c.cx, c.imp) for c in contextual], lattice, cfg.tconorm)
-
-    fused, _pairs = enrich_records(known, terms, table, lattice, cfg)
-    by_id = {e.vo_id: e for e in fused}
-    enriched = []
-    for r in record.vis_records:
-        e = by_id.get(r.vo_id)
-        if e is None:  # concept not in the taxonomy: left out of fusion
-            e = _enrich(r, r.vsc, r.r_vsc, FusionProvenance(
-                "kept", "unknown_concept", None, r.r_vsc, None))
-        enriched.append(e)
+    enriched = enrich_records(record.vis_records, terms, table, lattice, cfg)
     return replace(record, contextual=contextual, terms=terms,
                    enriched=tuple(enriched))
 

@@ -280,13 +280,11 @@ class _Scorer:
             total += best
         return total
 
-    def bounds(self, query: Query,
-               doc_ids: Sequence[str] | None = None) -> dict[str, float]:
-        """Per document of `doc_ids` (every document, in store order, when
-        None), an upper bound on `score`, built as `score` is: per query
-        term, the max over the units of a facet bound plus the semantic
-        part, epsilon times the two heads' mu, summed over the terms from
-        0.0.
+    def bounds(self, query: Query, doc_ids: Sequence[str]) -> dict[str, float]:
+        """Per document of `doc_ids`, an upper bound on `score`, built as
+        `score` is: per query term, the max over the units of a facet bound
+        plus the semantic part, epsilon times the two heads' mu, summed
+        over the terms from 0.0.
 
         The facet bound reads only the two views' masses (`view_mass`):
         ``(term + unit) / VOCAB_SIZE`` under ``max``, ``min(term, unit) /
@@ -302,10 +300,9 @@ class _Scorer:
         side adds no semantic part, and every headed (term, unit head)
         pair is evaluated, so an unknown head raises as in `score`."""
         query_terms = self._query_terms(query)
-        ids = self.store.records if doc_ids is None else doc_ids
         cache = self._cache
-        return dict(zip(ids, self._bounds(query_terms, (
-            cache.get(doc_id) or self._doc_state(doc_id) for doc_id in ids))))
+        return dict(zip(doc_ids, self._bounds(query_terms, (
+            cache.get(doc_id) or self._doc_state(doc_id) for doc_id in doc_ids))))
 
     def _bounds(self, query_terms, states) -> list[float]:
         """The bound of `bounds` per ``(_, table, heads)`` state: a
@@ -404,37 +401,31 @@ def rank_with_scorer(scorer: _Scorer, query: Query, k: int,
     """The k documents of highest positive score, ties broken by ascending
     document id.
 
-    Under ``vis``, ``cx`` and ``vis+cx``, when k is below the number of
-    documents, each group of documents sharing a set of unit heads is
-    first bounded cheaply (`_Scorer.group_bounds`), and the groups are
-    visited in order of descending bound, keeping the k best exact scores
-    so far; ranking stops at the first group whose bound lies more than
-    `BOUND_SLACK` below the k-th of them, since none of its documents nor
-    any after it can reach the top k. Within a visited group, each member
-    is bounded (`_Scorer.bounds`) and scored exactly in order of
-    descending bound (ascending id on a tie), up to the first member
-    whose bound lies that far below the k-th score. A member's bound is
-    not needed, and not computed, when it is the group's only member or
-    when the group's members are too few to fill the top k. The scores
-    and the ranking are those of scoring every document. Under those
-    three, any k of at least the number of documents scores every
-    document in store order with no bounds.
+    Under ``vis``, ``cx`` and ``vis+cx``, for every k, each group of
+    documents sharing a set of unit heads is first bounded cheaply
+    (`_Scorer.group_bounds`), and the groups are visited in order of
+    descending bound, keeping the k best exact scores so far; ranking
+    stops at the first group whose bound lies more than `BOUND_SLACK`
+    below the k-th of them, since none of its documents nor any after it
+    can reach the top k. Within a visited group, each member is bounded
+    (`_Scorer.bounds`) and scored exactly in order of descending bound
+    (ascending id on a tie), up to the first member whose bound lies that
+    far below the k-th score. A member's bound is not needed, and not
+    computed, when it is the group's only member or when the group's
+    members are too few to fill the top k. The scores and the ranking are
+    those of scoring every document; a k of at least the number of
+    documents never fills the top k before the last group, so it scores
+    every document exactly.
     ``tfidf`` ranks, for every k, only the documents its postings reach
     for the query (`_TfIdfIndex.cosines`), which are all that can score
     above 0.
     """
     if k < 1:
         raise ViscxError(f"result count k must be >= 1: {k!r}")
-    records = scorer.store.records
     scored = []
     if scorer.strategy is Strategy.TFIDF:
         scored = [item for item in scorer._query_terms(query).items()
                   if item[1] > 0.0]
-    elif k >= len(records):
-        for doc_id in records:
-            s = scorer.score(query, doc_id)
-            if s > 0.0:
-                scored.append((doc_id, s))
     else:
         best: list[float] = []  # min-heap of the k best exact scores so far
         groups = scorer.group_bounds(query)

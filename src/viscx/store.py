@@ -321,7 +321,8 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
 
     The text goes to a temporary file in the target's directory, which
     `os.replace` then moves over the target; on any failure the temporary
-    file is removed and the target is left as it was. A symlinked target
+    file is removed and the target is left as it was; an error that names
+    the temporary file is raised again naming `path`. A symlinked target
     is followed, so the link survives, and an existing target's permission
     bits are kept. There is no fsync, so this protects against a process
     that dies mid-write, not against power loss.
@@ -334,8 +335,12 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
         if target.exists():
             shutil.copymode(target, tmp)
         os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        # not there when its directory is missing or a parent is a file
+        with contextlib.suppress(FileNotFoundError, NotADirectoryError):
+            tmp.unlink()
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

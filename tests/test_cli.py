@@ -421,6 +421,26 @@ def test_a_failed_report_write_keeps_the_old_reports(corpus, tmp_path,
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
+@pytest.mark.parametrize("command", ["ingest", "enrich"])
+def test_a_failed_write_names_the_output_not_its_temporary_file(
+        corpus, tmp_path, capsys, command):
+    index = tmp_path / "index.jsonl"
+    out = tmp_path / "nodir" / "x.jsonl"
+    if command == "ingest":
+        argv = ["ingest", "--corpus", str(corpus), "--out", str(out)]
+    else:
+        assert main(["ingest", "--corpus", str(corpus),
+                     "--out", str(index)]) == 0
+        argv = ["enrich", "--index", str(index), "--out", str(out)]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    one_error_line(captured, f"No such file or directory: '{out}'")
+    assert ".tmp" not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_eval_missing_qrels_is_data_error(corpus, tmp_path, capsys):
     index = enriched_index(corpus, tmp_path)
     queries = tmp_path / "queries.tsv"

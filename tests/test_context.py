@@ -252,10 +252,10 @@ def test_tag_memo_is_per_lattice():
 def test_pattern_parsing_and_validation():
     pattern = parse_pattern("SEM OTHER{0,3} COLOR SEM")
     assert pattern.elements[1] == (Category.OTHER, 0, 3)
-    compiled = pattern.regex()
+    compiled = pattern.regex
     re.purge()  # so a recompile could not hit re's own cache
-    assert pattern.regex() is compiled
-    assert pattern.regex().pattern == "SO{0,3}CS"
+    assert pattern.regex is compiled
+    assert pattern.regex.pattern == "SO{0,3}CS"
     assert pattern == parse_pattern("SEM OTHER{0,3} COLOR SEM")
     assert hash(pattern) == hash(parse_pattern("SEM OTHER{0,3} COLOR SEM"))
     assert pattern.text() == "SEM OTHER{0,3} COLOR SEM"
@@ -319,7 +319,10 @@ def test_terms_only_reference_stream_concepts(base_lattice):
     tagged = tag_tokens(tokenize(text), base_lattice)
     in_stream = {t.concept for t in tagged if t.concept}
     for term in apply_patterns(tagged, DEFAULT_PATTERNS, area_impact=0.7):
-        assert term.concepts() <= in_stream
+        names = {name for facet in term.facets() for name, _imp in facet}
+        if term.head is not None:
+            names.add(term.head[0])
+        assert names <= in_stream
 
 
 def test_head_imps_override(base_lattice):

@@ -316,8 +316,7 @@ def fuse_with(mu_vsc_val, mu_cx_val, vis_concept, cx_concept, lattice,
     vis = VisRecord("vo1", vis_concept, 0.8)
     st = term(cx_concept)
     table = table_of({vis_concept: mu_vsc_val, cx_concept: mu_cx_val})
-    pair = CorrespondencePair(0, 0, 1.0)
-    return fuse(pair, vis, st, table, lattice, config or PipelineConfig())
+    return fuse(vis, st, table, lattice, config or PipelineConfig())
 
 
 def test_fuse_replaces_with_more_specific(enriched_fragment):
@@ -388,8 +387,7 @@ def test_fuse_headless_term_keeps(enriched_fragment):
     vis = VisRecord("vo1", "rose", 0.8)
     st = term(None, colors={("red", 0.9)})
     table = table_of({"rose": 0.77})
-    enriched = fuse(CorrespondencePair(0, 0, 0.2), vis, st, table,
-                    enriched_fragment, PipelineConfig())
+    enriched = fuse(vis, st, table, enriched_fragment, PipelineConfig())
     assert enriched.vsc == "rose"
     assert enriched.final_mu == pytest.approx(0.77)
     assert enriched.provenance.branch == "headless"
@@ -411,7 +409,7 @@ def test_enrich_records_is_deterministic(enriched_fragment):
     table = aggregate_mu_tot([("flower", 0.7), ("building", 0.9)],
                              [("rose", 0.9), ("cathedral", 0.5)], lat,
                              TConormKind.PROBABILISTIC_SUM)
-    first, pairs1 = enrich_records(records, terms, table, lat, PipelineConfig())
-    second, pairs2 = enrich_records(records, terms, table, lat, PipelineConfig())
-    assert first == second and pairs1 == pairs2
+    first = enrich_records(records, terms, table, lat, PipelineConfig())
+    second = enrich_records(records, terms, table, lat, PipelineConfig())
+    assert first == second
     assert [e.vo_id for e in first] == ["vo1", "vo2"]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 from viscx import PipelineConfig, VisRecord
 from viscx.context import AreaKind, ExtractionArea, tokenize
 from viscx.fusion import FusionProvenance
@@ -45,6 +47,38 @@ def test_enrich_unknown_vsc_left_out_of_fusion(base_lattice):
     assert e.provenance == FusionProvenance("kept", "unknown_concept", None,
                                             0.7, None)
     assert e.final_mu == 0.7
+
+
+def test_an_unknown_concept_between_known_records_keeps_its_place(
+        base_lattice):
+    """The unknown record is kept in its place, and the known ones are
+    enriched as they are without it."""
+    cfg = PipelineConfig()
+    known = (VisRecord("vo1", "flower", 0.7, colors={"red": 0.5}),
+             VisRecord("vo3", "building", 0.75, colors={"grey": 0.5}))
+    unknown = VisRecord("vo2", "gizmo", 0.4, colors={"blue": 0.3})
+    base = record_with("red roses by an old grey cathedral")
+    mixed = enrich_document(replace(base, vis_records=(
+        known[0], unknown, known[1])), base_lattice, cfg).enriched
+    alone = enrich_document(replace(base, vis_records=known),
+                            base_lattice, cfg).enriched
+    assert [e.vo_id for e in mixed] == ["vo1", "vo2", "vo3"]
+    assert mixed[1].provenance == FusionProvenance(
+        "kept", "unknown_concept", None, unknown.r_vsc, None)
+    assert mixed[1].final_mu == unknown.r_vsc
+    assert (mixed[1].vsc, mixed[1].original_vsc) == ("gizmo", "gizmo")
+    assert repr((mixed[0], mixed[2])) == repr(alone)
+    assert {e.provenance.branch for e in alone} == {
+        "correspondence_specialized"}
+
+
+def test_records_sharing_a_vo_id_are_each_enriched(base_lattice):
+    """`parse_vis` refuses a repeated vo id, but a store edited by hand may
+    hold one; each record is still enriched from its own concept."""
+    record = replace(record_with("red roses"), vis_records=(
+        VisRecord("vo1", "flower", 0.7), VisRecord("vo1", "sky", 0.6)))
+    enriched = enrich_document(record, base_lattice, PipelineConfig()).enriched
+    assert [e.original_vsc for e in enriched] == ["flower", "sky"]
 
 
 def test_enrich_leaves_base_lattice_untouched(base_lattice):

@@ -291,7 +291,7 @@ def test_bounds_are_the_plain_bound_and_never_undercut_the_score(
     for strategy in (Strategy.VIS, Strategy.CX, Strategy.VIS_CX):
         scorer = make_scorer(store, base_lattice, cfg, strategy)
         for query in queries:
-            bounds = scorer.bounds(query)
+            bounds = scorer.bounds(query, list(scorer.store.records))
             assert list(bounds) == list(store.records)
             for doc_id, bound in bounds.items():
                 assert bound == reference_score(
@@ -337,7 +337,7 @@ def test_documents_tied_at_the_kth_score_rank_by_id(base_lattice):
         assert [doc_id for doc_id, _score in full] == [
             "top", "d1", "d2", "d3", "d4"], strategy
         assert full[0][1] > full[1][1] == full[4][1], strategy
-        bounds = scorer.bounds(query)
+        bounds = scorer.bounds(query, list(scorer.store.records))
         assert bounds["d1"] == bounds["d2"] == bounds["d3"] == bounds["d4"]
         for k in range(1, 7):
             assert rank_with_scorer(scorer, query, k).items == full[:k], (
@@ -358,7 +358,7 @@ def test_a_document_whose_bound_is_the_kth_score_is_still_scored(base_lattice):
     query = parse_query("red", base_lattice)
     for strategy in (Strategy.VIS, Strategy.VIS_CX):
         scorer = make_scorer(store, base_lattice, cfg, strategy)
-        bounds = scorer.bounds(query)
+        bounds = scorer.bounds(query, list(scorer.store.records))
         assert bounds["b"] > bounds["a"] == scorer.score(query, "a") \
             == scorer.score(query, "b") == 0.5 / 11
         assert rank_with_scorer(scorer, query, 1).doc_ids() == ("a",)
@@ -379,7 +379,7 @@ def test_a_bound_one_ulp_below_its_score_is_still_scored(base_lattice):
     query = parse_query("red spotted", base_lattice)
     for strategy in (Strategy.VIS, Strategy.VIS_CX):
         scorer = make_scorer(store, base_lattice, cfg, strategy)
-        bounds = scorer.bounds(query)
+        bounds = scorer.bounds(query, list(scorer.store.records))
         score = scorer.score(query, "a")
         assert score == scorer.score(query, "b") < bounds["b"]
         assert bounds["a"] == score - math.ulp(score)
@@ -409,7 +409,8 @@ def test_an_unknown_cx_head_raises_only_against_a_headed_term(base_lattice):
     known = with_head("sky")
     top = rank_with_scorer(known, headed, 1).items
     assert top[0][0] == "d1"
-    assert known.bounds(headed)["d3"] < top[0][1] - BOUND_SLACK
+    bounds = known.bounds(headed, list(known.store.records))
+    assert bounds["d3"] < top[0][1] - BOUND_SLACK
     damaged = with_head("zzz")
     for k in (1, 3):
         with pytest.raises(UnknownConceptError) as info:
@@ -470,7 +471,7 @@ def test_a_lower_group_holds_a_top_document_after_a_higher_group_is_pruned(
     scorer = make_scorer(store, base_lattice, cfg, Strategy.VIS)
     (high, high_members), (low, low_members) = scorer.group_bounds(query)
     assert (high_members, low_members) == (["a1", "a2"], ["b1"])
-    bounds = scorer.bounds(query)
+    bounds = scorer.bounds(query, list(scorer.store.records))
     a1, b1 = scorer.score(query, "a1"), scorer.score(query, "b1")
     assert high > low >= b1 > a1 > bounds["a2"] + BOUND_SLACK
     assert rank_with_scorer(scorer, query, 1).items == (("b1", b1),)
@@ -532,7 +533,7 @@ def test_group_bounds_cover_their_members_and_rank_as_the_plain_ranking(
             groups = scorer.group_bounds(query)
             assert sorted(doc_id for _bound, members in groups
                           for doc_id in members) == sorted(ids)
-            bounds = scorer.bounds(query)
+            bounds = scorer.bounds(query, list(scorer.store.records))
             for bound, members in groups:
                 assert all(bound >= bounds[doc_id] for doc_id in members), (
                     strategy, text)
