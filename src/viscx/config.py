@@ -13,7 +13,7 @@ Keys and their value syntax::
     t_mu           = number in [0,1]
     t_sim          = number >= 0
     fusion_literal = true|false  (or yes|no, on|off, 1|0)
-    ndcg_n         = integers >= 1, comma-separated
+    ndcg_n         = one or more integers >= 1, comma-separated
 
 Every key is optional and an unknown key is refused; blank lines and ``#``
 comments are ignored. A store's config snapshot is read back through the
@@ -61,8 +61,9 @@ class PipelineConfig:
             raise ConfigError(f"window must be >= 0: {self.window!r}")
         if not (self.t_sim >= 0.0):  # also refuses nan
             raise ConfigError(f"t_sim must be >= 0: {self.t_sim!r}")
-        if any(n < 1 for n in self.ndcg_n):
-            raise ConfigError(f"ndcg_n cutoffs must be >= 1: {self.ndcg_n!r}")
+        if not self.ndcg_n or min(self.ndcg_n) < 1:
+            raise ConfigError("ndcg_n needs one or more cutoffs, each >= 1: "
+                              f"{self.ndcg_n!r}")
 
     @property
     def impacts(self) -> dict[AreaKind, float]:

@@ -183,25 +183,13 @@ def extract_areas(page: str, image_ref: str | None = None, *,
         return []
     img_offset, attrs = chosen
 
-    areas: list[ExtractionArea] = []
-    alt_tokens = tokenize(attrs.get("alt", ""))
-    if alt_tokens:
-        areas.append(ExtractionArea(
-            AreaKind.ALT_ATTRIBUTE, alt_tokens,
-            impacts[AreaKind.ALT_ATTRIBUTE]))
-    src_toks = _src_tokens(attrs.get("src", ""))
-    if src_toks:
-        areas.append(ExtractionArea(
-            AreaKind.SRC_TOKENS, src_toks,
-            impacts[AreaKind.SRC_TOKENS]))
     nearby = [text for offset, text in scanner.chunks
               if abs(offset - img_offset) <= window]
-    text_tokens = tokenize(" ".join(chunk.strip() for chunk in nearby))
-    if text_tokens:
-        areas.append(ExtractionArea(
-            AreaKind.SURROUNDING_TEXT, text_tokens,
-            impacts[AreaKind.SURROUNDING_TEXT]))
-    return areas
+    return [ExtractionArea(kind, tokens, impacts[kind]) for kind, tokens in (
+        (AreaKind.ALT_ATTRIBUTE, tokenize(attrs.get("alt", ""))),
+        (AreaKind.SRC_TOKENS, _src_tokens(attrs.get("src", ""))),
+        (AreaKind.SURROUNDING_TEXT,
+         tokenize(" ".join(chunk.strip() for chunk in nearby)))) if tokens]
 
 
 # -- tagging --------------------------------------------------------------

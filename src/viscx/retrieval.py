@@ -11,6 +11,9 @@ descending score (ties broken by document id):
 * ``vis+cx`` - query term against the enriched records, membership from
   their fused concepts and values;
 * ``tfidf``  - cosine over tf-idf weighted context tokens.
+
+`make_scorer` builds `_Scorer` (the first three) or `_TfIdfIndex` in one
+pass over the store; `rank_with_scorer` ranks either's ``candidates``.
 """
 
 from __future__ import annotations
@@ -104,10 +107,12 @@ def parse_query(text: str, lattice: SemanticLattice, *,
 
 
 class _TfIdfIndex:
-    """Standard tf * log(N/df) weighting with cosine scoring over the
-    plural-folded context tokens of every document. Per folded token, the
-    postings list the ids of the documents that hold it, in store order;
-    a list's length is its token's df, and the counts stay in `doc_tf`."""
+    """The ``tfidf`` scorer: standard tf * log(N/df) weighting with cosine
+    scoring over the plural-folded context tokens of every document. Per
+    folded token, the postings list the ids of the documents that hold it,
+    in store order; a list's length is its token's df, and the counts stay
+    in `doc_tf`. Per query, rebuilt only when a different query object
+    comes in: the cosines of the documents its postings reach."""
 
     def __init__(self, store: IndexStore):
         self.doc_tf: dict[str, Counter] = {}
@@ -125,8 +130,10 @@ class _TfIdfIndex:
         for doc_id, tf in self.doc_tf.items():
             weights = [count * idf[term] for term, count in tf.items()]
             self._norm[doc_id] = math.sqrt(sum([w * w for w in weights]))
+        self._query: Query | None = None
+        self._cosines: dict[str, float] = {}
 
-    def cosines(self, query_text: str) -> dict[str, float]:
+    def cosines(self, query: Query) -> dict[str, float]:
         """The cosine of the query text's tf-idf weights with each document
         its postings reach, in the order they reach it; every other
         document scores 0. Per document the dot product adds ``w * tf *
@@ -134,7 +141,9 @@ class _TfIdfIndex:
         query terms the document holds would. A term held by every document
         has idf 0, adds 0.0 and is not walked, so each reached document
         and the query have a positive norm."""
-        q_tf = Counter(singularize(tok) for tok in tokenize(query_text))
+        if query is self._query:
+            return self._cosines
+        q_tf = Counter(singularize(tok) for tok in tokenize(query.raw))
         idf, doc_tf = self._idf, self.doc_tf
         q_weights = {term: count * idf[term]
                      for term, count in q_tf.items() if term in idf}
@@ -147,8 +156,18 @@ class _TfIdfIndex:
                     dots[doc_id] = (dots.get(doc_id, 0.0)
                                     + w * doc_tf[doc_id][term] * term_idf)
         norm = self._norm
-        return {doc_id: dot / (q_norm * norm[doc_id])
-                for doc_id, dot in dots.items()}
+        self._query, self._cosines = query, {
+            doc_id: dot / (q_norm * norm[doc_id])
+            for doc_id, dot in dots.items()}
+        return self._cosines
+
+    def score(self, query: Query, doc_id: str) -> float:
+        return self.cosines(query).get(doc_id, 0.0)
+
+    def candidates(self, query: Query, k: int) -> list[tuple[str, float]]:
+        """For every k, ``(doc_id, cosine)`` of each document the query's
+        postings reach with a positive cosine: all that can score above 0."""
+        return [item for item in self.cosines(query).items() if item[1] > 0.0]
 
 
 class _MaxTotals(dict):
@@ -168,98 +187,92 @@ class _MaxTotals(dict):
 
 
 class _Scorer:
-    """Scores documents under one strategy.
+    """The scorer of ``vis``, ``cx`` and ``vis+cx``.
 
-    Per scorer, equal scoring views of document units are interned, so
-    they are one object. Per document, built on first use and kept: the
+    Built in one pass over the store, in store order. Per document: the
     membership table, one ``(view, mu of the unit's head)`` pair per unit,
     mu None for a headless unit or a head the lattice does not know, and
     for `bounds` one ``(head, mu, largest view mass)`` triple per distinct
-    unit head. On the first `group_bounds`, every document's state is
-    built, and the documents are grouped by their set of unit heads: per
-    group, its member ids in ascending order, a `_MaxTotals` over their
-    tables and per head the largest unit mu and the largest view mass.
-    Per query, rebuilt only when a different query object comes in: each
-    term's view and a memo from the ``id`` of an interned view to
-    `view_part`, so a term is compared with each distinct unit view once,
-    and per document only the membership part is added, with the term
-    head's mu read once; for the bounds, each term's view mass and a memo
-    of epsilon per unit head. Under ``tfidf`` the per-query state is the
-    dict of cosines of the documents the query's postings reach, and
-    `score` reads it (0.0 for any other document)."""
+    unit head; equal scoring views of units are interned, so they are one
+    object. Per group of documents sharing a set of unit heads: its member
+    ids in ascending order, a `_MaxTotals` over their tables and per head
+    the largest unit mu and the largest view mass. Per query, rebuilt only
+    when a different query object comes in: each term's view and a memo
+    from the ``id`` of an interned view to `view_part`, so a term is
+    compared with each distinct unit view once, and per document only the
+    membership part is added, with the term head's mu read once; for the
+    bounds, each term's view mass and a memo of epsilon per unit head."""
 
     def __init__(self, store: IndexStore, lattice: SemanticLattice,
                  cfg: PipelineConfig, strategy: Strategy):
         self.store = store
         self.lattice = lattice
         self.cfg = cfg
-        self.strategy = strategy
-        self.tfidf = _TfIdfIndex(store) if strategy is Strategy.TFIDF else None
-        self._views: dict[ScoringView, ScoringView] = {}
-        self._cache: dict[str, tuple] = {}
-        self._groups: list[tuple] | None = None
         self._query: Query | None = None
-        self._query_state = None
+        self._query_state: list = []
+        views: dict[ScoringView, ScoringView] = {}
+        self._docs: dict[str, tuple] = {}
+        by_heads: dict[frozenset, tuple[list, list, dict]] = {}
+        for doc_id, record in store.records.items():
+            if strategy is Strategy.VIS:
+                units = [r for r in record.vis_records if r.vsc in lattice]
+                vis_pairs = [(r.vsc, r.r_vsc) for r in units]
+                cx_pairs = []
+            elif strategy is Strategy.CX:
+                if record.terms is None:
+                    raise StoreError(
+                        f"document {doc_id!r} has no syntactic terms; "
+                        "run enrich before cx search")
+                units = list(record.terms)
+                vis_pairs = []
+                cx_pairs = [(c.cx, c.imp) for c in record.contextual or ()]
+            else:  # VIS_CX
+                if record.enriched is None:
+                    raise StoreError(
+                        f"document {doc_id!r} is not enriched; "
+                        "run enrich before vis+cx search")
+                units = [e for e in record.enriched if e.vsc in lattice]
+                vis_pairs = [(e.vsc, e.final_mu) for e in units]
+                cx_pairs = []
+            table = aggregate_mu_tot(vis_pairs, cx_pairs, lattice, cfg.tconorm)
+            pairs = []
+            heads: dict[str | None, tuple] = {}
+            for unit in units:
+                view = scoring_view(unit, lattice)
+                view = views.setdefault(view, view)
+                head = view[0]
+                mu = (table.total(head)
+                      if head is not None and head in lattice else None)
+                pairs.append((view, mu))
+                mass = view_mass(view)
+                if head not in heads or mass > heads[head][2]:
+                    heads[head] = (head, mu, mass)
+            self._docs[doc_id] = (pairs, table, list(heads.values()))
+            members, tables, top = by_heads.setdefault(frozenset(heads),
+                                                       ([], [], {}))
+            members.append(doc_id)
+            tables.append(table)
+            for head, mu, mass in heads.values():
+                _head, top_mu, top_mass = top.get(head, (head, mu, mass))
+                # mu is None for every member or for none: the head decides
+                top[head] = (head, None if mu is None else max(top_mu, mu),
+                             max(top_mass, mass))
+        self._groups = [
+            (sorted(members), _MaxTotals(tables), list(top.values()))
+            for members, tables, top in by_heads.values()]
 
-    def _doc_state(self, doc_id: str):
-        state = self._cache.get(doc_id)
-        if state is not None:
-            return state
-        record = self.store.records[doc_id]
-        lattice = self.lattice
-        if self.strategy is Strategy.VIS:
-            units = [r for r in record.vis_records if r.vsc in lattice]
-            vis_pairs = [(r.vsc, r.r_vsc) for r in units]
-            cx_pairs = []
-        elif self.strategy is Strategy.CX:
-            if record.terms is None:
-                raise StoreError(
-                    f"document {doc_id!r} has no syntactic terms; "
-                    "run enrich before cx search")
-            units = list(record.terms)
-            vis_pairs = []
-            cx_pairs = [(c.cx, c.imp) for c in record.contextual or ()]
-        else:  # VIS_CX
-            if record.enriched is None:
-                raise StoreError(
-                    f"document {doc_id!r} is not enriched; "
-                    "run enrich before vis+cx search")
-            units = [e for e in record.enriched if e.vsc in lattice]
-            vis_pairs = [(e.vsc, e.final_mu) for e in units]
-            cx_pairs = []
-        table = aggregate_mu_tot(vis_pairs, cx_pairs, lattice, self.cfg.tconorm)
-        pairs = []
-        heads: dict[str | None, tuple] = {}
-        for unit in units:
-            view = scoring_view(unit, lattice)
-            view = self._views.setdefault(view, view)
-            head = view[0]
-            mu = (table.total(head)
-                  if head is not None and head in lattice else None)
-            pairs.append((view, mu))
-            mass = view_mass(view)
-            if head not in heads or mass > heads[head][2]:
-                heads[head] = (head, mu, mass)
-        state = self._cache[doc_id] = (pairs, table, list(heads.values()))
-        return state
-
-    def _query_terms(self, query: Query):
+    def _query_terms(self, query: Query) -> list[tuple]:
         if query is not self._query:
-            if self.strategy is Strategy.TFIDF:
-                state = self.tfidf.cosines(query.raw)
-            else:
-                state = []
-                for term in query.terms:
-                    view = scoring_view(term, self.lattice)
-                    state.append((view, {}, view_mass(view), {}))
+            state = []
+            for term in query.terms:
+                view = scoring_view(term, self.lattice)
+                state.append((view, {}, view_mass(view), {}))
             self._query, self._query_state = query, state
         return self._query_state
 
     def score(self, query: Query, doc_id: str) -> float:
         query_terms = self._query_terms(query)
-        if self.strategy is Strategy.TFIDF:
-            return query_terms.get(doc_id, 0.0)
-        units, table, _heads = self._doc_state(doc_id)
+        units, table, _heads = self._docs[doc_id]
         if not units:
             return 0.0
         lattice, kernel = self.lattice, self.cfg.kernel
@@ -299,10 +312,9 @@ class _Scorer:
         the two heads and is memoised per term by unit head. A headless
         side adds no semantic part, and every headed (term, unit head)
         pair is evaluated, so an unknown head raises as in `score`."""
-        query_terms = self._query_terms(query)
-        cache = self._cache
-        return dict(zip(doc_ids, self._bounds(query_terms, (
-            cache.get(doc_id) or self._doc_state(doc_id) for doc_id in doc_ids))))
+        docs = self._docs
+        return dict(zip(doc_ids, self._bounds(
+            self._query_terms(query), [docs[doc_id] for doc_id in doc_ids])))
 
     def _bounds(self, query_terms, states) -> list[float]:
         """The bound of `bounds` per ``(_, table, heads)`` state: a
@@ -344,29 +356,56 @@ class _Scorer:
         member's, with no slack. A group reads its heads in its first
         member's order, so an unknown head raises as in `bounds`: for the
         first document in store order that has one."""
-        query_terms = self._query_terms(query)
         groups = self._groups
-        if groups is None:
-            groups = self._groups = self._group_documents()
-        return list(zip(self._bounds(query_terms, groups),
+        return list(zip(self._bounds(self._query_terms(query), groups),
                         [members for members, _totals, _heads in groups]))
 
-    def _group_documents(self) -> list[tuple]:
-        by_heads: dict[frozenset, tuple[list, list, dict]] = {}
-        cache = self._cache
-        for doc_id in self.store.records:
-            _units, table, heads = cache.get(doc_id) or self._doc_state(doc_id)
-            members, tables, top = by_heads.setdefault(
-                frozenset([head for head, _mu, _mass in heads]), ([], [], {}))
-            members.append(doc_id)
-            tables.append(table)
-            for head, mu, mass in heads:
-                _head, top_mu, top_mass = top.get(head, (head, mu, mass))
-                # mu is None for every member or for none: the head decides
-                top[head] = (head, None if mu is None else max(top_mu, mu),
-                             max(top_mass, mass))
-        return [(sorted(members), _MaxTotals(tables), list(top.values()))
-                for members, tables, top in by_heads.values()]
+    def candidates(self, query: Query, k: int) -> list[tuple[str, float]]:
+        """``(doc_id, score)`` of every positive exact score computed on the
+        way to the top k, which holds the top k.
+
+        Each group of documents sharing a set of unit heads is first
+        bounded cheaply (`group_bounds`), and the groups are visited in
+        order of descending bound, keeping the k best exact scores so far;
+        the visit stops at the first group whose bound lies more than
+        `BOUND_SLACK` below the k-th of them, since none of its documents
+        nor any after it can reach the top k. Within a visited group, each
+        member is bounded (`bounds`) and scored exactly in order of
+        descending bound (ascending id on a tie), up to the first member
+        whose bound lies that far below the k-th score. A member's bound is
+        not needed, and not computed, when it is the group's only member or
+        when the group's members are too few to fill the top k. A k of at
+        least the number of documents never fills the top k before the
+        last group, so it scores every document exactly."""
+        scored = []
+        best: list[float] = []  # min-heap of the k best exact scores so far
+        groups = self.group_bounds(query)
+        groups.sort(key=itemgetter(0), reverse=True)
+        for group_bound, members in groups:
+            if len(best) == k and group_bound < best[0] - BOUND_SLACK:
+                break
+            # no member can be pruned when a lone member's bound is the
+            # group's, just checked, or when the heap cannot fill before
+            # the last member
+            prune = len(members) > 1 and len(best) + len(members) > k
+            if prune:
+                bounds = self.bounds(query, members)
+                # stable: members are in id order, so equal bounds keep it
+                order = sorted(members, key=bounds.__getitem__, reverse=True)
+            else:
+                order = members
+            for doc_id in order:
+                if (prune and len(best) == k
+                        and bounds[doc_id] < best[0] - BOUND_SLACK):
+                    break
+                s = self.score(query, doc_id)
+                if s > 0.0:
+                    scored.append((doc_id, s))
+                    if len(best) < k:
+                        heapq.heappush(best, s)
+                    elif s > best[0]:
+                        heapq.heapreplace(best, s)
+        return scored
 
 
 #: how far below the k-th exact score a document's bound must lie before
@@ -387,74 +426,31 @@ class RankedList:
         return tuple(doc_id for doc_id, _score in self.items)
 
 
-def make_scorer(store: IndexStore, lattice: SemanticLattice,
-                cfg: PipelineConfig, strategy: Strategy) -> _Scorer:
+def make_scorer(store: IndexStore, lattice: SemanticLattice | None,
+                cfg: PipelineConfig,
+                strategy: Strategy) -> _Scorer | _TfIdfIndex:
+    """The scorer of `store` under `strategy`, built in one pass over the
+    store. Raises ViscxError when the store was loaded without a field the
+    strategy reads, and StoreError, naming the first such document in
+    store order, when ``cx`` or ``vis+cx`` meets a document not enriched."""
     if missing := [f for f in STRATEGY_FIELDS[strategy]
                    if f not in store.fields]:
         raise ViscxError(f"{strategy.value} search reads {', '.join(missing)}, "
                          "which the store was loaded without")
+    if strategy is Strategy.TFIDF:
+        return _TfIdfIndex(store)
     return _Scorer(store, lattice, cfg, strategy)
 
 
-def rank_with_scorer(scorer: _Scorer, query: Query, k: int,
+def rank_with_scorer(scorer: _Scorer | _TfIdfIndex, query: Query, k: int,
                      query_id: str = "") -> RankedList:
     """The k documents of highest positive score, ties broken by ascending
-    document id.
-
-    Under ``vis``, ``cx`` and ``vis+cx``, for every k, each group of
-    documents sharing a set of unit heads is first bounded cheaply
-    (`_Scorer.group_bounds`), and the groups are visited in order of
-    descending bound, keeping the k best exact scores so far; ranking
-    stops at the first group whose bound lies more than `BOUND_SLACK`
-    below the k-th of them, since none of its documents nor any after it
-    can reach the top k. Within a visited group, each member is bounded
-    (`_Scorer.bounds`) and scored exactly in order of descending bound
-    (ascending id on a tie), up to the first member whose bound lies that
-    far below the k-th score. A member's bound is not needed, and not
-    computed, when it is the group's only member or when the group's
-    members are too few to fill the top k. The scores and the ranking are
-    those of scoring every document; a k of at least the number of
-    documents never fills the top k before the last group, so it scores
-    every document exactly.
-    ``tfidf`` ranks, for every k, only the documents its postings reach
-    for the query (`_TfIdfIndex.cosines`), which are all that can score
-    above 0.
-    """
+    document id, taken from `scorer.candidates`: the scores and the
+    ranking are those of scoring every document."""
     if k < 1:
         raise ViscxError(f"result count k must be >= 1: {k!r}")
-    scored = []
-    if scorer.strategy is Strategy.TFIDF:
-        scored = [item for item in scorer._query_terms(query).items()
-                  if item[1] > 0.0]
-    else:
-        best: list[float] = []  # min-heap of the k best exact scores so far
-        groups = scorer.group_bounds(query)
-        groups.sort(key=itemgetter(0), reverse=True)
-        for group_bound, members in groups:
-            if len(best) == k and group_bound < best[0] - BOUND_SLACK:
-                break
-            # no member can be pruned when a lone member's bound is the
-            # group's, just checked, or when the heap cannot fill before
-            # the last member
-            prune = len(members) > 1 and len(best) + len(members) > k
-            if prune:
-                bounds = scorer.bounds(query, members)
-                # stable: members are in id order, so equal bounds keep it
-                order = sorted(members, key=bounds.__getitem__, reverse=True)
-            else:
-                order = members
-            for doc_id in order:
-                if (prune and len(best) == k
-                        and bounds[doc_id] < best[0] - BOUND_SLACK):
-                    break
-                s = scorer.score(query, doc_id)
-                if s > 0.0:
-                    scored.append((doc_id, s))
-                    if len(best) < k:
-                        heapq.heappush(best, s)
-                    elif s > best[0]:
-                        heapq.heapreplace(best, s)
-    top = heapq.nsmallest(k, scored, key=lambda item: (-item[1], item[0]))
+    top = heapq.nsmallest(k, scorer.candidates(query, k),
+                          key=lambda item: (-item[1], item[0]))
     return RankedList(query_id, tuple(top))
 
 
@@ -480,6 +476,10 @@ class Qrels:
         for (qid, doc_id), grade in self.grades.items():
             if grade < 0:
                 raise ViscxError(f"negative grade for ({qid}, {doc_id})")
+            # 2^1000, and a sum of under 10^7 such gains, are finite floats
+            if grade > 1000:
+                raise ViscxError(
+                    f"grade {grade} for ({qid}, {doc_id}) is above 1000")
             by_query.setdefault(qid, []).append(grade)
         object.__setattr__(self, "_by_query", by_query)
 

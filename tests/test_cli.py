@@ -461,6 +461,20 @@ def test_eval_malformed_qrels_is_data_error(corpus, tmp_path, capsys):
     assert "grade must be an integer" in capsys.readouterr().err
 
 
+def test_eval_grade_above_the_largest_is_data_error(corpus, tmp_path, capsys):
+    index = enriched_index(corpus, tmp_path)
+    queries = tmp_path / "queries.tsv"
+    queries.write_text("q1\tRed Roses\n", encoding="utf-8")
+    qrels = tmp_path / "qrels.tsv"
+    qrels.write_text("q1\td1\t2000\n", encoding="utf-8")
+    out_dir = tmp_path / "r"
+    capsys.readouterr()
+    assert main(["eval", "--index", str(index), "--queries", str(queries),
+                 "--qrels", str(qrels), "--out", str(out_dir)]) == 2
+    one_error_line(capsys.readouterr(), "grade 2000", "above 1000")
+    assert not out_dir.exists()
+
+
 def test_eval_repeated_query_id_is_data_error(corpus, tmp_path, capsys):
     index = enriched_index(corpus, tmp_path)
     queries = tmp_path / "queries.tsv"
@@ -484,18 +498,26 @@ def test_ingest_missing_corpus_is_data_error(tmp_path, capsys):
 
 
 def test_search_unenriched_store_needs_enrich_for_cx(corpus, tmp_path, capsys):
+    """cx and vis+cx refuse an ingest-only store in one error line naming
+    its first document; vis and tfidf rank it as the enriched store."""
     index = tmp_path / "index.jsonl"
     main(["ingest", "--corpus", str(corpus), "--out", str(index)])
     capsys.readouterr()
     for strategy in ("cx", "vis+cx"):
         assert main(["search", "--index", str(index), "--strategy", strategy,
                      "--query", "Red Roses"]) == 2
-    assert "run enrich" in capsys.readouterr().err
-    # vis and tfidf work straight off an ingested store
-    assert main(["search", "--index", str(index), "--strategy", "vis",
-                 "--query", "Red Roses"]) == 0
-    assert main(["search", "--index", str(index), "--strategy", "tfidf",
-                 "--query", "Red Roses"]) == 0
+        one_error_line(capsys.readouterr(), "document 'd1'",
+                       f"run enrich before {strategy} search")
+    enriched = tmp_path / "enriched.jsonl"
+    assert main(["enrich", "--index", str(index), "--out", str(enriched)]) == 0
+    capsys.readouterr()
+    for strategy in ("vis", "tfidf"):
+        outputs = []
+        for path in (index, enriched):
+            assert main(["search", "--index", str(path),
+                         "--strategy", strategy, "--query", "Red Roses"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != "", strategy
 
 
 def test_config_file_roundtrip(corpus, tmp_path):

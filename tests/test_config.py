@@ -54,6 +54,7 @@ def test_each_key_is_read_from_the_file(text, attr, expected):
     ("t_sim = -0.1", "t_sim"),
     ("t_sim = nan", "t_sim"),
     ("ndcg_n = 5,0", "ndcg_n"),
+    ("ndcg_n =", "ndcg_n needs one or more cutoffs"),
     ("taxonomy = /nonexistent/tax.tsv", "taxonomy file not found"),
     ("taxonomy =", "taxonomy file not found"),
 ])

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from viscx import (COLOR_NAMES, SPATIAL_NAMES, TEXTURE_NAMES, PipelineConfig,
-                   UnindexableQueryError, UnknownConceptError, ViscxError,
-                   VisRecord, enrich_store, ingest_corpus)
+                   StoreError, UnindexableQueryError, UnknownConceptError,
+                   ViscxError, VisRecord, enrich_store, ingest_corpus)
 from viscx.context import AreaKind, ExtractionArea, SyntacticTerm, tokenize
 from viscx.fusion import FacetKernel
 from viscx.membership import TConormKind
@@ -578,6 +578,24 @@ def test_make_scorer_refuses_a_store_without_its_fields(acceptance_run,
     make_scorer(load_store(path, wanted), base_lattice, cfg, strategy)
 
 
+def test_make_scorer_names_the_first_unenriched_document(base_lattice):
+    """cx and vis+cx scorers refuse a store of an unenriched document at
+    `make_scorer`, naming the first one in store order; vis and tfidf
+    scorers are made."""
+    store = IndexStore()
+    for doc_id in ("d9", "d1"):
+        store.add(make_doc(doc_id, "rose", 0.9, "red roses"))
+    cfg = PipelineConfig()
+    for strategy, message in ((Strategy.CX, "has no syntactic terms"),
+                              (Strategy.VIS_CX, "is not enriched")):
+        with pytest.raises(StoreError) as info:
+            make_scorer(store, base_lattice, cfg, strategy)
+        assert str(info.value) == (f"document 'd9' {message}; run enrich "
+                                   f"before {strategy.value} search")
+    for strategy in (Strategy.VIS, Strategy.TFIDF):
+        make_scorer(store, base_lattice, cfg, strategy)
+
+
 def test_scorer_reused_across_queries_matches_fresh_scorers(acceptance_run,
                                                            base_lattice):
     store, cfg, queries = acceptance_run
@@ -869,6 +887,15 @@ def test_malformed_query_and_qrels_files(tmp_path):
         Qrels.from_text("q1 doc1 2\n")
     with pytest.raises(ViscxError, match="negative grade"):
         Qrels({("q1", "d1"): -1})
+    with pytest.raises(ViscxError,
+                       match=r"grade 1001 for \(q1, d1\) is above 1000"):
+        Qrels.from_text("q1\td1\t1001\n")
+
+
+def test_the_largest_grade_has_a_finite_ndcg():
+    qrels = Qrels({("q1", "d1"): 1000, ("q1", "d2"): 1000})
+    ranked = RankedList("q1", (("d2", 1.0), ("d1", 0.5)))
+    assert ndcg_at_n(ranked, qrels, 2) == 1.0
 
 
 def test_repeated_query_id_is_rejected(tmp_path):

@@ -6,7 +6,10 @@ import importlib
 import sys
 from pathlib import Path
 
-from viscx import membership
+from viscx import PipelineConfig, VisRecord, membership, retrieval
+from viscx.context import AreaKind, ExtractionArea, tokenize
+from viscx.pipeline import enrich_document
+from viscx.store import IndexRecord, IndexStore
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -47,3 +50,35 @@ def test_tracer_installs_counts_and_restores_every_binding(monkeypatch,
     after = _bindings()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_tracer_times_the_tfidf_scorer_and_counts_scores(monkeypatch,
+                                                         base_lattice):
+    """With the tracer installed, making a scorer under every strategy
+    makes the tf-idf index once, through the name the tracer rebinds, and
+    ranking scores documents through the `score` it counts."""
+    cfg = PipelineConfig()
+    store = IndexStore()
+    for doc_id, vsc, text in (("d1", "rose", "red roses"),
+                              ("d2", "sky", "blue sky"),
+                              ("d3", "flower", "red flowers")):
+        areas = (ExtractionArea(AreaKind.ALT_ATTRIBUTE, tokenize(text), 0.9),)
+        objects = (VisRecord("vo1", vsc, 0.8, {"red": 0.5}, {}),)
+        store.add(enrich_document(IndexRecord(doc_id, areas, objects),
+                                  base_lattice, cfg))
+    query = retrieval.parse_query("red roses", base_lattice)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    tracer.install()
+    try:
+        rankings = {}
+        for strategy in retrieval.ALL_STRATEGIES:
+            scorer = retrieval.make_scorer(store, base_lattice, cfg, strategy)
+            rankings[strategy] = retrieval.rank_with_scorer(scorer, query, 2)
+        metrics = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    assert metrics["retrieval.tfidf_index.calls"] == 1
+    assert metrics["retrieval.score.calls"] > 0
+    assert metrics["retrieval.rank_with_scorer.calls"] == 4
+    assert all(ranked.doc_ids()[0] == "d1" for ranked in rankings.values())
