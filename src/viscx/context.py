@@ -251,12 +251,15 @@ def tag_tokens(tokens: Sequence[str],
 
 
 def assign_impacts(areas: Iterable[ExtractionArea],
-                   lattice: SemanticLattice) -> tuple[ContextualConcept, ...]:
+                   tagged: Iterable[Sequence[TaggedToken]]
+                   ) -> tuple[ContextualConcept, ...]:
     """One contextual concept per distinct lattice concept found in any
-    area; its impact is the maximum base impact over all occurrences."""
+    area, read from its tagged tokens (`tagged`, one `tag_tokens` result
+    per area, in order); its impact is the maximum base impact over all
+    occurrences."""
     best: dict[str, tuple[float, AreaKind]] = {}
-    for area in areas:
-        for tt in tag_tokens(area.tokens, lattice):
+    for area, tokens in zip(areas, tagged):
+        for tt in tokens:
             if tt.category is not Category.SEM or tt.concept is None:
                 continue
             current = best.get(tt.concept)

@@ -54,10 +54,11 @@ def one_line(path) -> str:
 
 
 def read_text(path, what: str, error: type[ViscxError] = ViscxError) -> str:
-    """The UTF-8 text of the `what` file at `path`, or `error`."""
+    """The UTF-8 text of the `what` file at `path`, without a leading byte
+    order mark (which some editors write), or `error`."""
     p = Path(path)
     try:
-        return p.read_text(encoding="utf-8")
+        return p.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {one_line(p)}: {exc}") from None
 

@@ -12,7 +12,10 @@ their mass, so a facet sum walks the few entries a unit has rather than
 all 11. Fusion then either keeps the visual concept (always one the
 lattice does not know), replaces it with a more specific contextual one,
 or corrects it wholesale when the membership values disagree beyond a
-threshold.
+threshold. Each outcome is a branch with one decision (`DECISIONS`), and
+`_enrich` derives the enriched record from the visual record, the branch,
+the matched head and the two membership values; the index store keeps
+only those four and rebuilds the record with `_enrich` on load.
 """
 
 from __future__ import annotations
@@ -45,11 +48,30 @@ _INTERSECTION_KERNELS = {
 }
 
 
+#: the decision each fusion branch takes: a kept record keeps its visual
+#: concept, a replaced or corrected one takes the matched head
+DECISIONS = {
+    "correspondence_specialized": "replaced",
+    "correspondence_kept": "kept",
+    "correspondence_unrelated": "kept",
+    "correction_context": "corrected",
+    "correction_visual": "kept",
+    "correction_literal": "corrected",
+    "correction_literal_kept": "kept",
+    "unmatched": "kept",
+    "headless": "kept",
+    "unknown_concept": "kept",
+}
+
+
 @dataclass(frozen=True)
 class FusionProvenance:
-    """Everything needed to reconstruct one fusion decision."""
+    """Everything needed to reconstruct one fusion decision: with the
+    visual record, its branch, matched head and membership values rebuild
+    the enriched record (`_enrich`), which is all the index store keeps of
+    it; the decision is the branch's."""
 
-    decision: str  # kept | replaced | corrected
+    decision: str  # kept | replaced | corrected, DECISIONS[branch]
     branch: str
     matched_head: str | None
     mu_vsc: float
@@ -237,20 +259,28 @@ def best_correspondences(matrix: SimilarityMatrix,
     return pairs
 
 
-def _enrich(vis: VisRecord, vsc: str, final_mu: float,
-            provenance: FusionProvenance) -> EnrichedVisRecord:
+def _enrich(vis: VisRecord, branch: str, matched_head: str | None,
+            mu_vsc: float, mu_cx: float | None = None) -> EnrichedVisRecord:
+    """The enriched record of one fusion decision, derived from the visual
+    record and the decision's branch, matched head and membership values:
+    the branch's `DECISIONS` entry, the matched head as the concept unless
+    the decision is kept, and ``max(mu_vsc, mu_cx)`` as the fused
+    membership (``mu_vsc`` when there is no contextual value)."""
+    decision = DECISIONS[branch]
     return EnrichedVisRecord(
-        vo_id=vis.vo_id, vsc=vsc, r_vsc=vis.r_vsc, colors=dict(vis.colors),
-        textures=dict(vis.textures), spatial=vis.spatial,
-        original_vsc=vis.vsc, final_mu=final_mu, provenance=provenance)
+        vo_id=vis.vo_id, vsc=vis.vsc if decision == "kept" else matched_head,
+        r_vsc=vis.r_vsc, colors=dict(vis.colors), textures=dict(vis.textures),
+        spatial=vis.spatial, original_vsc=vis.vsc,
+        final_mu=mu_vsc if mu_cx is None else max(mu_vsc, mu_cx),
+        provenance=FusionProvenance(decision, branch, matched_head, mu_vsc,
+                                    mu_cx))
 
 
 def keep_unmatched(vis: VisRecord, table: MembershipTable,
                    lattice: SemanticLattice) -> EnrichedVisRecord:
     """Pass a record through fusion unchanged (no correspondence found)."""
-    mu_v = table.total(lattice.require(vis.vsc))
-    return _enrich(vis, vis.vsc, mu_v,
-                   FusionProvenance("kept", "unmatched", None, mu_v, None))
+    return _enrich(vis, "unmatched", None,
+                   table.total(lattice.require(vis.vsc)))
 
 
 def fuse(vis: VisRecord, st: SyntacticTerm, table: MembershipTable,
@@ -267,32 +297,26 @@ def fuse(vis: VisRecord, st: SyntacticTerm, table: MembershipTable,
     vsc = lattice.require(vis.vsc)
     mu_v = table.total(vsc)
     if st.head is None:
-        return _enrich(vis, vis.vsc, mu_v,
-                       FusionProvenance("kept", "headless", None, mu_v, None))
+        return _enrich(vis, "headless", None, mu_v)
     cx = lattice.require(st.head[0])
     mu_c = table.total(cx)
-    final_mu = max(mu_v, mu_c)
 
     if abs(mu_v - mu_c) <= config.t_mu:
         rel = lattice.relation(vsc, cx)
         if rel is SemRelation.GENERIC:
-            decision, branch, new_vsc = "replaced", "correspondence_specialized", cx
+            branch = "correspondence_specialized"
         elif rel is SemRelation.UNRELATED:
-            decision, branch, new_vsc = "kept", "correspondence_unrelated", vis.vsc
+            branch = "correspondence_unrelated"
         else:
-            decision, branch, new_vsc = "kept", "correspondence_kept", vis.vsc
+            branch = "correspondence_kept"
     elif config.fusion_literal:
-        if mu_v - mu_c < 0:
-            decision, branch, new_vsc = "kept", "correction_literal_kept", vis.vsc
-        else:
-            decision, branch, new_vsc = "corrected", "correction_literal", cx
+        branch = ("correction_literal_kept" if mu_v - mu_c < 0
+                  else "correction_literal")
     elif mu_c > mu_v:
-        decision, branch, new_vsc = "corrected", "correction_context", cx
+        branch = "correction_context"
     else:
-        decision, branch, new_vsc = "kept", "correction_visual", vis.vsc
-
-    return _enrich(vis, new_vsc, final_mu,
-                   FusionProvenance(decision, branch, cx, mu_v, mu_c))
+        branch = "correction_visual"
+    return _enrich(vis, branch, cx, mu_v, mu_c)
 
 
 def enrich_records(records: Sequence[VisRecord], terms: Sequence[SyntacticTerm],
@@ -314,7 +338,6 @@ def enrich_records(records: Sequence[VisRecord], terms: Sequence[SyntacticTerm],
         elif record.vsc in lattice:
             enriched.append(keep_unmatched(record, table, lattice))
         else:
-            r = record.r_vsc
-            enriched.append(_enrich(record, record.vsc, r, FusionProvenance(
-                "kept", "unknown_concept", None, r, None)))
+            enriched.append(_enrich(record, "unknown_concept", None,
+                                    record.r_vsc))
     return enriched

@@ -74,13 +74,15 @@ def ingest_corpus(corpus_dir: str | Path, cfg: PipelineConfig) -> IndexStore:
 def enrich_document(record: IndexRecord, lattice: SemanticLattice,
                     cfg: PipelineConfig) -> IndexRecord:
     """Mine context, build the membership table, then match and fuse
-    every visual record in one call."""
-    contextual = assign_impacts(record.areas, lattice)
+    every visual record in one call. Each area is tagged once, for both
+    the contextual concepts and the syntactic terms."""
+    tagged = [tag_tokens(area.tokens, lattice) for area in record.areas]
+    contextual = assign_impacts(record.areas, tagged)
     head_imps = {c.cx: c.imp for c in contextual}
     terms = tuple(dict.fromkeys(  # first-seen order, duplicates dropped
-        term for area in record.areas
-        for term in apply_patterns(tag_tokens(area.tokens, lattice),
-                                   cfg.patterns, area_impact=area.base_impact,
+        term for area, tokens in zip(record.areas, tagged)
+        for term in apply_patterns(tokens, cfg.patterns,
+                                   area_impact=area.base_impact,
                                    head_imps=head_imps)))
 
     table = aggregate_mu_tot(

@@ -53,11 +53,13 @@ class Strategy(NamedEnum, what="strategy"):
 
 ALL_STRATEGIES = (Strategy.VIS, Strategy.CX, Strategy.VIS_CX, Strategy.TFIDF)
 
-#: the IndexRecord fields each strategy scores; a one-shot search decodes
-#: only these (``load_store(path, STRATEGY_FIELDS[strategy])``)
+#: the IndexRecord fields each strategy scores, or that the store rebuilds
+#: them from (enriched records from their visual records); a one-shot search
+#: decodes only these (``load_store(path, STRATEGY_FIELDS[strategy])``)
 STRATEGY_FIELDS = {Strategy.VIS: ("vis_records",),
                    Strategy.CX: ("terms", "contextual"),
-                   Strategy.VIS_CX: ("enriched",), Strategy.TFIDF: ("areas",)}
+                   Strategy.VIS_CX: ("vis_records", "enriched"),
+                   Strategy.TFIDF: ("areas",)}
 
 
 @dataclass(frozen=True)
@@ -464,6 +466,27 @@ def rank(store: IndexStore, lattice: SemanticLattice, cfg: PipelineConfig,
 
 # -- graded relevance ------------------------------------------------------
 
+#: the largest grade: 2^1000, and a sum of under 10^7 such gains, are
+#: finite floats
+MAX_GRADE = 1000
+
+
+def _grade(text: str, where: str, pair: tuple[str, str]) -> int:
+    """The grade written as `text`: an optional sign and ASCII digits. One
+    of more significant digits than MAX_GRADE is out of range and refused
+    before `int` reads it; an error echoes at most 20 characters of it."""
+    shown = repr(text if len(text) <= 20 else text[:20] + "...")
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ViscxError(f"{where}: grade must be an integer, got {shown}")
+    digits = digits.lstrip("0") or "0"
+    if len(digits) <= len(str(MAX_GRADE)):
+        return -int(digits) if text[:1] == "-" else int(digits)
+    if text[:1] == "-":
+        raise ViscxError(f"{where}: negative grade for ({pair[0]}, {pair[1]})")
+    raise ViscxError(f"{where}: grade {shown} for ({pair[0]}, {pair[1]}) is "
+                     f"above {MAX_GRADE}")
+
 
 @dataclass(frozen=True)
 class Qrels:
@@ -476,10 +499,9 @@ class Qrels:
         for (qid, doc_id), grade in self.grades.items():
             if grade < 0:
                 raise ViscxError(f"negative grade for ({qid}, {doc_id})")
-            # 2^1000, and a sum of under 10^7 such gains, are finite floats
-            if grade > 1000:
-                raise ViscxError(
-                    f"grade {grade} for ({qid}, {doc_id}) is above 1000")
+            if grade > MAX_GRADE:
+                raise ViscxError(f"grade {grade} for ({qid}, {doc_id}) is "
+                                 f"above {MAX_GRADE}")
             by_query.setdefault(qid, []).append(grade)
         object.__setattr__(self, "_by_query", by_query)
 
@@ -510,12 +532,7 @@ class Qrels:
                     f"qrels line {lineno}: duplicate judgment for {pair}, "
                     f"first given on line {first_line[pair]}")
             first_line[pair] = lineno
-            try:
-                grades[pair] = int(grade)
-            except ValueError:
-                raise ViscxError(
-                    f"qrels line {lineno}: grade must be an integer, "
-                    f"got {grade.strip()!r}") from None
+            grades[pair] = _grade(grade.strip(), f"qrels line {lineno}", pair)
         return cls(grades)
 
     @classmethod

@@ -16,9 +16,17 @@ document-id order::
 The crc32 covers the text of the line before it. A load checks every
 column line's place, count and crc32, but parses and decodes only
 ``doc_id`` and the columns it is asked for, so a search pays only for
-the fields its strategy reads. A store of another format version is
-refused on load: version 2 held one JSON record per document, and version
-1 also area text, per-record paths and fusion notes.
+the fields its strategy reads.
+
+Since format version 4 the ``enriched`` column holds, per visual record
+and in the same order, only its fusion decision:
+``{"branch","matched_head","mu_cx","mu_vsc"}``. The enriched record is
+rebuilt from that and its visual record (`fusion._enrich`), so a load
+that reads ``enriched`` also decodes ``vis_records``, and a save refuses
+an enriched record that would not be rebuilt as it is. A store of another format version is refused on load:
+version 3 wrote each enriched record whole, a second copy of its visual
+record; version 2 held one JSON record per document, and version 1 also
+area text, per-record paths and fusion notes.
 
 Values are written with sorted keys and hold no path, so the same store
 content always produces the same column lines wherever the corpus lives,
@@ -40,10 +48,10 @@ from typing import Iterable, Iterator, Mapping, TextIO
 from .context import AreaKind, ContextualConcept, ExtractionArea, SyntacticTerm
 from .config import PipelineConfig
 from .errors import StoreError, ViscxError, one_line, read_bytes
-from .fusion import EnrichedVisRecord, FusionProvenance
+from .fusion import DECISIONS, EnrichedVisRecord, _enrich
 from .vis import VisRecord
 
-STORE_VERSION = 3
+STORE_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -117,13 +125,11 @@ def _vis_out(record: VisRecord) -> dict:
             "spatial": sorted(list(pair) for pair in record.spatial)}
 
 
-def _vis_in(data, cls=VisRecord, *extra) -> VisRecord:
-    """A VisRecord, or a `cls` subclass with its `extra` fields."""
-    return cls(data["vo"], data["vsc"], float(data["r"]),
-               {k: float(v) for k, v in data["colors"].items()},
-               {k: float(v) for k, v in data["textures"].items()},
-               frozenset((rel, target) for rel, target in data["spatial"]),
-               *extra)
+def _vis_in(data) -> VisRecord:
+    return VisRecord(data["vo"], data["vsc"], float(data["r"]),
+                     {k: float(v) for k, v in data["colors"].items()},
+                     {k: float(v) for k, v in data["textures"].items()},
+                     frozenset((rel, target) for rel, target in data["spatial"]))
 
 
 def _term_out(term: SyntacticTerm) -> dict:
@@ -151,33 +157,67 @@ def _cx_in(data) -> ContextualConcept:
 
 
 def _enriched_out(record: EnrichedVisRecord) -> dict:
-    out = _vis_out(record)
+    """The fusion decision of an enriched record (see `_check_enriched`)."""
     prov = record.provenance
-    out.update({
-        "original_vsc": record.original_vsc,
-        "final_mu": record.final_mu,
-        "provenance": None if prov is None else {
-            "decision": prov.decision, "branch": prov.branch,
-            "matched_head": prov.matched_head,
-            "mu_vsc": prov.mu_vsc, "mu_cx": prov.mu_cx},
-    })
-    return out
+    return {"branch": prov.branch, "matched_head": prov.matched_head,
+            "mu_cx": prov.mu_cx, "mu_vsc": prov.mu_vsc}
 
 
-def _enriched_in(data) -> EnrichedVisRecord:
-    prov = data.get("provenance")
-    return _vis_in(
-        data, EnrichedVisRecord, _str(data["original_vsc"]),
-        float(data["final_mu"]),
-        None if prov is None else FusionProvenance(
-            _str(prov["decision"]), _str(prov["branch"]),
-            _str(prov["matched_head"], null_ok=True), float(prov["mu_vsc"]),
-            float(prov["mu_cx"]) if prov["mu_cx"] is not None else None))
+def _enriched_in(data) -> tuple[str, str | None, float, float | None]:
+    """The `fusion._enrich` arguments after the visual record."""
+    branch = _str(data["branch"])
+    if branch not in DECISIONS:
+        raise StoreError(f"unknown fusion branch {branch!r}")
+    head = _str(data["matched_head"], null_ok=DECISIONS[branch] == "kept")
+    mu_cx = data["mu_cx"]
+    return (branch, head, float(data["mu_vsc"]),
+            None if mu_cx is None else float(mu_cx))
+
+
+def _enriched_records(vis: tuple[VisRecord, ...],
+                      decisions: tuple[tuple, ...]) -> tuple[EnrichedVisRecord, ...]:
+    """A document's enriched records, rebuilt from its visual records and
+    the fusion decision of each."""
+    if len(decisions) != len(vis):
+        raise StoreError(f"{len(decisions)} enriched items, not one per "
+                         f"visual record ({len(vis)})")
+    return tuple(_enrich(record, *decision)
+                 for record, decision in zip(vis, decisions))
+
+
+def _check_enriched(record: IndexRecord) -> None:
+    """Refuse to save enriched records that the enriched column, which
+    holds only each one's fusion decision, would not rebuild as they are."""
+    vis, enriched = record.vis_records, record.enriched
+    if len(enriched) != len(vis):
+        raise StoreError(
+            f"cannot save document {record.doc_id!r}: {len(enriched)} "
+            f"enriched records, not one per visual record ({len(vis)})")
+    for visual, e in zip(vis, enriched):
+        prov = e.provenance
+        if prov is None:
+            problem = "it has no fusion provenance"
+        elif prov.branch not in DECISIONS:
+            problem = f"unknown fusion branch {prov.branch!r}"
+        elif e == (rebuilt := _enrich(visual, prov.branch, prov.matched_head,
+                                      prov.mu_vsc, prov.mu_cx)):
+            continue
+        else:
+            differ = [name for name, value in vars(e).items()
+                      if name != "provenance"
+                      and value != getattr(rebuilt, name)]
+            if prov.decision != rebuilt.provenance.decision:
+                differ.append("decision")
+            problem = (f"{', '.join(differ) or 'its type'} not what its "
+                       "visual record and fusion provenance rebuild")
+        raise StoreError(f"cannot save document {record.doc_id!r}, enriched "
+                         f"record {e.vo_id!r}: {problem}")
 
 
 #: IndexRecord field -> (encoder, decoder) of one of its items, in
 #: IndexRecord's field order; `load_store` decodes only the columns it is
-#: asked for and leaves the others None
+#: asked for and leaves the others None. An enriched item decodes to the
+#: `fusion._enrich` arguments that rebuild it with its visual record.
 _CODECS = {"areas": (_area_out, _area_in), "vis_records": (_vis_out, _vis_in),
            "contextual": (_cx_out, _cx_in), "terms": (_term_out, _term_in),
            "enriched": (_enriched_out, _enriched_in)}
@@ -280,11 +320,13 @@ def _doc_ids(text: bytes, count: int) -> list[str]:
     return doc_ids
 
 
-def _decode_column(line: str, at: int, column: str,
-                   doc_ids: list[str]) -> list:
+def _decode_column(line: str, at: int, column: str, doc_ids: list[str],
+                   vis_column: list | None = None) -> list:
     """The decoded value of each document in the column line `line`, whose
     values list opens at `at`: each value is scanned and decoded in turn,
-    so no column is held whole as JSON."""
+    so no column is held whole as JSON. The enriched column needs each
+    document's decoded visual records, `vis_column`, to rebuild its
+    records from."""
     decode = _CODECS[column][1]
     nullable = column in _NULLABLE
     values = []
@@ -296,8 +338,13 @@ def _decode_column(line: str, at: int, column: str,
                     raise StoreError(f"expected ',' at column {at + 1}")
                 at += 1
             item, at = _scan(line, at)
-            values.append(None if item is None and nullable
-                          else tuple(map(decode, item)))
+            if item is None and nullable:
+                values.append(None)
+            elif vis_column is None:
+                values.append(tuple(map(decode, item)))
+            else:
+                values.append(_enriched_records(vis_column[len(values)],
+                                                tuple(map(decode, item))))
     except StopIteration as exc:  # _scan found no JSON value
         problem = f"bad JSON: expecting a value at column {exc.value + 1}"
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -345,12 +392,17 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
 
 
 def save_store(store: IndexStore, path: str | Path) -> None:
-    """Write the store to `path`, replacing it atomically (`atomic_writer`)."""
+    """Write the store to `path`, replacing it atomically (`atomic_writer`).
+    Refuses, before writing, enriched records that load would not rebuild
+    from their visual records and fusion provenance (`_check_enriched`)."""
     if missing := [f for f in RECORD_FIELDS if f not in store.fields]:
         raise StoreError(f"cannot save a store loaded without its records' "
                          f"{', '.join(missing)}")
     doc_ids = sorted(store.records)
     records = [store.records[doc_id] for doc_id in doc_ids]
+    for record in records:
+        if record.enriched is not None:
+            _check_enriched(record)
     with atomic_writer(path) as out:
         out.write(_meta_out(store.meta))
         _write_column(out, "doc_id", len(doc_ids), doc_ids)
@@ -365,10 +417,12 @@ def load_store(path: str | Path,
     """The store at `path`, its records holding only the IndexRecord `fields`
     (all when None). The meta line, the document ids, and every column
     line's place, crc32 and count are always checked; a column not asked
-    for is neither parsed nor decoded."""
+    for is neither parsed nor decoded, except ``vis_records`` when
+    ``enriched`` is asked for, whose records are rebuilt from them."""
     wanted = set(RECORD_FIELDS if fields is None else fields)
     if unknown := wanted - set(RECORD_FIELDS):
         raise ValueError(f"not IndexRecord fields: {sorted(unknown)}")
+    decoded = wanted | ({"vis_records"} if "enriched" in wanted else set())
     data = read_bytes(path, "index store", StoreError)
     name = one_line(Path(path))
     store = IndexStore(fields=tuple(f for f in RECORD_FIELDS if f in wanted))
@@ -390,10 +444,12 @@ def load_store(path: str | Path,
                 elif count != len(doc_ids):
                     raise StoreError(f"{column} column has count {count}, "
                                      f"not the {len(doc_ids)} of doc_id")
-                elif column in wanted:
+                elif column in decoded:
                     columns[column] = _decode_column(
                         str(memoryview(data)[start:end], "utf-8"),
-                        at - start, column, doc_ids)
+                        at - start, column, doc_ids,
+                        columns["vis_records"] if column == "enriched"
+                        else None)
             start = end + 1
         if start < len(data):
             lineno += 1
@@ -405,6 +461,6 @@ def load_store(path: str | Path,
     except (*_MALFORMED, ViscxError) as exc:  # a meta value of the wrong shape
         raise StoreError(f"{name}:{lineno}: malformed line: {exc}") from None
     unread = [None] * len(doc_ids)
-    values = [columns.get(f, unread) for f in RECORD_FIELDS]
+    values = [columns[f] if f in wanted else unread for f in RECORD_FIELDS]
     store.records = dict(zip(doc_ids, map(IndexRecord, doc_ids, *values)))
     return store

@@ -303,7 +303,8 @@ def parse_taxonomy(text: str, source: str = "<string>") -> SemanticLattice:
 
 
 def load_taxonomy(path: str | Path) -> SemanticLattice:
-    """Load a lattice from a taxonomy file (UTF-8)."""
+    """Load a lattice from a taxonomy file (UTF-8; a leading byte order
+    mark is not part of the text or its fingerprint)."""
     text = read_text(path, "taxonomy", TaxonomyError)
     return parse_taxonomy(text, source=one_line(Path(path)))
 

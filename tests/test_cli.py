@@ -626,6 +626,48 @@ def test_eval_non_utf8_input_is_data_error(corpus, tmp_path, capsys, bad):
     assert "UTF-8" in captured.err or "utf-8" in captured.err
 
 
+@pytest.mark.parametrize("marked", ["queries", "qrels", "config", "taxonomy"])
+def test_eval_ignores_a_leading_byte_order_mark(corpus, tmp_path, capsys,
+                                                marked):
+    """A UTF-8 file that starts with a byte order mark reads as the same
+    file without it; the taxonomy keeps the fingerprint of its text."""
+    index = enriched_index(corpus, tmp_path)
+    texts = {"queries": "q1\tRed Roses\nq2\tGrey Cathedral\n",
+             "qrels": "q1\td1\t2\nq2\td2\t1\n", "config": "kernel = min\n",
+             "taxonomy": bundled_taxonomy_path().read_text(encoding="utf-8")}
+    outputs = []
+    for bom in ("", "\ufeff"):
+        run = ["eval", "--index", str(index), "--out", str(tmp_path / f"r{bom}")]
+        for name, text in texts.items():
+            path = tmp_path / f"{name}{bom}.txt"
+            path.write_text((bom if name == marked else "") + text,
+                            encoding="utf-8")
+            run += [f"--{name}", str(path)]
+        capsys.readouterr()
+        assert main(run) == 0
+        captured = capsys.readouterr()
+        outputs.append((captured.out, captured.err) + tuple(
+            (tmp_path / f"r{bom}" / name).read_bytes()
+            for name in ("summary.tsv", "per_query.tsv")))
+    assert outputs[1] == outputs[0]
+    assert outputs[0][1] == ""  # no query went without judgments
+
+
+def test_eval_refuses_an_overlong_grade_in_one_short_line(corpus, tmp_path,
+                                                          capsys):
+    index = enriched_index(corpus, tmp_path)
+    queries = tmp_path / "queries.tsv"
+    queries.write_text("q1\tRed Roses\n", encoding="utf-8")
+    qrels = tmp_path / "qrels.tsv"
+    qrels.write_text("q1\td1\t" + "9" * 5000 + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--index", str(index), "--queries", str(queries),
+                 "--qrels", str(qrels), "--out", str(tmp_path / "r")]) == 2
+    captured = capsys.readouterr()
+    one_error_line(captured, "qrels line 1: grade '99999", "above 1000")
+    assert len(captured.err) < 100
+
+
 @functools.cache
 def enriched_lines() -> list[dict]:
     """The lines of the ingested and enriched store of PAGES, built once."""

@@ -129,11 +129,16 @@ def test_extract_surrounding_text_matches_offset_scan(paragraphs, image_at,
     assert areas.get(AreaKind.SURROUNDING_TEXT, ()) == want
 
 
+def tagged_areas(areas, lattice):
+    """`assign_impacts`' arguments: the areas and each one's tagged tokens."""
+    return areas, [tag_tokens(area.tokens, lattice) for area in areas]
+
+
 def test_assign_impacts_max_rule(base_lattice):
     page = ('<html><body><img src="x.jpg" alt="a rose">'
             '<p>this rose and a cathedral</p></body></html>')
     areas = extract_areas(page, "x")
-    concepts = {c.cx: c for c in assign_impacts(areas, base_lattice)}
+    concepts = {c.cx: c for c in assign_impacts(*tagged_areas(areas, base_lattice))}
     assert concepts["rose"].imp == 0.9
     assert concepts["rose"].area_kind is AreaKind.ALT_ATTRIBUTE
     assert concepts["cathedral"].imp == 0.5
@@ -143,13 +148,13 @@ def test_assign_impacts_max_rule(base_lattice):
 def test_assign_impacts_no_concepts(base_lattice):
     page = '<html><body><img src="x.jpg" alt="hello there"></body></html>'
     areas = extract_areas(page, "x")
-    assert assign_impacts(areas, base_lattice) == ()
+    assert assign_impacts(*tagged_areas(areas, base_lattice)) == ()
 
 
 def test_assign_impacts_is_fixpoint(base_lattice):
     areas = extract_areas(ALT_SRC_PAGE, "red_rose")
-    first = assign_impacts(areas, base_lattice)
-    assert assign_impacts(areas, base_lattice) == first
+    first = assign_impacts(*tagged_areas(areas, base_lattice))
+    assert assign_impacts(*tagged_areas(areas, base_lattice)) == first
     top = max(DEFAULT_IMPACTS.values())
     assert all(c.imp <= top for c in first)
 

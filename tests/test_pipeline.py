@@ -103,3 +103,27 @@ def test_pair_corpus_warns_and_sorts(tmp_path, caplog):
         pairs = pair_corpus(tmp_path)
     assert [stem for stem, _h, _v in pairs] == ["a", "b"]
     assert any("lonely" in r.message for r in caplog.records)
+
+
+def test_enrich_tags_each_area_once(base_lattice, monkeypatch):
+    """The contextual concepts and the syntactic terms read one tagging
+    of each area."""
+    import viscx.context
+    import viscx.pipeline
+    calls = []
+
+    def counted(tokens, lattice):
+        calls.append(tuple(tokens))
+        return tag_tokens(tokens, lattice)
+    tag_tokens = viscx.context.tag_tokens
+    monkeypatch.setattr(viscx.context, "tag_tokens", counted)
+    monkeypatch.setattr(viscx.pipeline, "tag_tokens", counted)
+    texts = ("red roses", "a grey cathedral", "red roses")
+    record = replace(record_with(), areas=tuple(
+        ExtractionArea(AreaKind.SURROUNDING_TEXT, tokenize(text), 0.5)
+        for text in texts))
+    enriched = enrich_document(record, base_lattice, PipelineConfig())
+    assert calls == [tokenize(text) for text in texts]
+    monkeypatch.undo()
+    assert enrich_document(record, base_lattice, PipelineConfig()) == enriched
+    assert {c.cx for c in enriched.contextual} == {"rose", "cathedral"}

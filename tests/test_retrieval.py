@@ -892,6 +892,37 @@ def test_malformed_query_and_qrels_files(tmp_path):
         Qrels.from_text("q1\td1\t1001\n")
 
 
+@pytest.mark.parametrize("grade", ["1_0", "\uff12", "\u00b2", "0x1", "1.0",
+                                   "+-1", "- 1", "", "1e3"])
+def test_a_grade_is_a_sign_and_ascii_digits(grade):
+    with pytest.raises(ViscxError, match=f"qrels line 1: grade must be an "
+                       f"integer, got {re.escape(repr(grade))}$"):
+        Qrels.from_text(f"q1\td1\t{grade}\n")
+
+
+def test_grades_parse_with_a_sign_leading_zeros_and_spaces():
+    qrels = Qrels.from_text("q1\td1\t+2\nq1\td2\t-0\nq1\td3\t 0001000 \n")
+    assert qrels.grades == {("q1", "d1"): 2, ("q1", "d2"): 0,
+                            ("q1", "d3"): 1000}
+
+
+def test_an_overlong_grade_is_refused_without_echoing_it():
+    for digits in (5, 5000):
+        with pytest.raises(ViscxError, match=r"^qrels line 2: grade "
+                           r"'9{5,20}(\.\.\.)?' for \(q1, d2\) is above "
+                           r"1000$"):
+            Qrels.from_text("q1\td1\t1\nq1\td2\t" + "9" * digits + "\n")
+        with pytest.raises(ViscxError, match=r"^qrels line 1: negative grade "
+                           r"for \(q1, d1\)$"):
+            Qrels.from_text("q1\td1\t-" + "9" * digits + "\n")
+    text = "0" * 5000 + "7"  # leading zeros count for nothing
+    assert Qrels.from_text(f"q1\td1\t{text}\n").grades == {("q1", "d1"): 7}
+    with pytest.raises(ViscxError) as raised:
+        Qrels.from_text("q1\td1\t" + "x" * 5000 + "\n")
+    assert str(raised.value) == ("qrels line 1: grade must be an integer, "
+                                 "got 'xxxxxxxxxxxxxxxxxxxx...'")
+
+
 def test_the_largest_grade_has_a_finite_ndcg():
     qrels = Qrels({("q1", "d1"): 1000, ("q1", "d2"): 1000})
     ranked = RankedList("q1", (("d2", 1.0), ("d1", 0.5)))

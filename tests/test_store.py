@@ -2,15 +2,19 @@ import copy
 import json
 import tempfile
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viscx import PipelineConfig, StoreError, VisRecord
-from viscx.context import AreaKind, ContextualConcept, ExtractionArea, SyntacticTerm
-from viscx.fusion import EnrichedVisRecord, FusionProvenance
+from viscx import PipelineConfig, StoreError, VisRecord, enrich_store
+from viscx.context import (DEFAULT_PATTERNS, AreaKind, ContextualConcept,
+                           ExtractionArea, SyntacticTerm, parse_pattern,
+                           tokenize)
+from viscx.fusion import DECISIONS, EnrichedVisRecord, FusionProvenance
+from viscx.membership import TConormKind
 from viscx.store import (RECORD_FIELDS, STORE_VERSION, IndexRecord,
                          IndexStore, StoreMeta, load_store, save_store)
 
@@ -28,6 +32,10 @@ def full_record(doc_id="doc1"):
         original_vsc="flower", final_mu=0.91,
         provenance=FusionProvenance("replaced", "correspondence_specialized",
                                     "rose", 0.88, 0.91))
+    enriched2 = EnrichedVisRecord(
+        vo_id="vo2", vsc="ground", r_vsc=0.9, original_vsc="ground",
+        final_mu=0.6, provenance=FusionProvenance("kept", "unmatched", None,
+                                                  0.6, None))
     return IndexRecord(
         doc_id=doc_id,
         areas=(ExtractionArea(AreaKind.ALT_ATTRIBUTE, ("red", "roses"), 0.9),
@@ -37,7 +45,7 @@ def full_record(doc_id="doc1"):
         contextual=(ContextualConcept("rose", 0.9, AreaKind.ALT_ATTRIBUTE),),
         terms=(SyntacticTerm(("rose", 0.9), frozenset({("red", 0.9)}),
                              frozenset(), frozenset()),),
-        enriched=(enriched,))
+        enriched=(enriched, enriched2))
 
 
 def test_record_roundtrip(tmp_path):
@@ -155,6 +163,28 @@ def test_v2_store_is_refused_with_a_rebuild_hint(tmp_path):
             load_store(path, fields)
 
 
+def test_v3_store_is_refused_with_a_rebuild_hint(tmp_path):
+    """Version 3 wrote each enriched record whole, beside its visual record."""
+    vis = ('{"colors":{},"r":0.5,"spatial":[],"textures":{},"vo":"vo1",'
+           '"vsc":"sky"}')
+    enriched = (vis[:-1] + ',"final_mu":0.5,"original_vsc":"sky",'
+                '"provenance":{"branch":"unmatched","decision":"kept",'
+                '"matched_head":null,"mu_cx":null,"mu_vsc":0.5}}')
+    values = {"doc_id": '"d"', "areas": "[]", "vis_records": f"[{vis}]",
+              "contextual": "[]", "terms": "[]", "enriched": f"[{enriched}]"}
+    path = tmp_path / "v3.jsonl"
+    path.write_text(
+        '{"config":null,"corpus":null,"taxonomy":null,"taxonomy_sha256":null,'
+        '"type":"meta","version":3}\n' + "".join(
+            sealed(f'{{"column":"{column}","count":1,"values":[{value}]')
+            + "\n" for column, value in values.items()), encoding="utf-8")
+    for fields in (None, (), ("enriched",)):
+        with pytest.raises(StoreError, match=r"v3\.jsonl:1: store version 3 "
+                           r"is not supported \(this viscx reads version 4\)"
+                           r"; re-run ingest and enrich"):
+            load_store(path, fields)
+
+
 def test_meta_line_holds_the_taxonomy_path_once(tmp_path):
     path = tmp_path / "index.jsonl"
     for taxonomy, config_taxonomy in [("tax/one.tsv", "tax/one.tsv"),
@@ -244,13 +274,11 @@ def test_store_text_rebuilds_the_saved_file(tmp_path):
     lambda lines: _set_value(lines, "terms", [0, 0, "head", 0], 5),
     lambda lines: _set_value(lines, "terms", [0, 0, "head"], []),
     lambda lines: _set_value(lines, "terms", [0, 0, "head"], ["rose"]),
-    lambda lines: _set_value(lines, "enriched", [0, 0, "original_vsc"], 5),
-    lambda lines: _set_value(lines, "enriched",
-                             [0, 0, "provenance", "decision"], 5),
-    lambda lines: _set_value(lines, "enriched",
-                             [0, 0, "provenance", "branch"], []),
-    lambda lines: _set_value(lines, "enriched",
-                             [0, 0, "provenance", "matched_head"], 5),
+    # the original concept is the visual record's, the decision the branch's
+    lambda lines: _set_value(lines, "vis_records", [0, 0, "vsc"], 5),
+    lambda lines: _set_value(lines, "enriched", [0, 0, "branch"], 5),
+    lambda lines: _set_value(lines, "enriched", [0, 0, "branch"], []),
+    lambda lines: _set_value(lines, "enriched", [0, 0, "matched_head"], 5),
 ], ids=["list-line", "deep-nesting", "config-string", "config-window",
         "enriched-string", "terms-number", "impact-5",
         "impact-huge", "duplicate-doc", "doc-id-number", "token-number",
@@ -266,12 +294,16 @@ def test_malformed_line_gives_store_error(tmp_path, damage):
 
 
 def test_null_matched_head_loads(tmp_path):
-    lines = _set_value(saved_lines(tmp_path), "enriched",
-                       [0, 0, "provenance", "matched_head"], None)
+    """A kept record needs no matched head; it keeps its visual concept."""
+    lines = _set_value(saved_lines(tmp_path), "enriched", [0, 0, "branch"],
+                       "correspondence_kept")
+    lines = _set_value(lines, "enriched", [0, 0, "matched_head"], None)
     path = tmp_path / "null_head.jsonl"
     path.write_text(store_text(lines), encoding="utf-8")
-    prov = load_store(path).records["a"].enriched[0].provenance
-    assert prov.matched_head is None and prov.branch == "correspondence_specialized"
+    record = load_store(path).records["a"].enriched[0]
+    assert record.provenance.matched_head is None
+    assert record.provenance.branch == "correspondence_kept"
+    assert (record.vsc, record.provenance.decision) == ("flower", "kept")
 
 
 @pytest.mark.parametrize("fields", [(), ("areas",), ("terms", "contextual"),
@@ -359,7 +391,10 @@ def test_partial_load_leaves_an_unread_field_unchecked(tmp_path, name):
         with pytest.raises(StoreError, match=rf"damaged\.jsonl:{LINE[name] + 1}"
                            rf": {name} of document 'a': "):
             load_store(path, fields)
-    others = [field for field in RECORD_FIELDS if field != name]
+    # enriched records are rebuilt from the visual records, so reading
+    # enriched reads vis_records too
+    others = [field for field in RECORD_FIELDS if field != name
+              and (field, name) != ("enriched", "vis_records")]
     assert load_store(path, others).records["a"].doc_id == "a"
 
 
@@ -487,3 +522,186 @@ def test_save_keeps_the_permission_bits_of_the_old_file(tmp_path):
     path.chmod(0o600)
     save_store(IndexStore(), path)
     assert path.stat().st_mode & 0o777 == 0o600
+
+
+# -- the enriched column holds each record's fusion decision ---------------
+
+
+#: what a save writes of an enriched record; the rest is derived
+DECISION_KEYS = ["branch", "matched_head", "mu_cx", "mu_vsc"]
+
+
+def test_the_enriched_column_holds_one_decision_per_visual_record(tmp_path):
+    lines = saved_lines(tmp_path)
+    assert lines[0]["version"] == 4
+    a, b = lines[LINE["enriched"]]["values"]
+    assert b is None  # not enriched
+    assert a == [{"branch": "correspondence_specialized",
+                  "matched_head": "rose", "mu_cx": 0.91, "mu_vsc": 0.88},
+                 {"branch": "unmatched", "matched_head": None, "mu_cx": None,
+                  "mu_vsc": 0.6}]
+
+
+def _vo1(record, **changes):
+    """`record` with its first enriched record changed by `changes`
+    (``decision`` and ``branch`` change its provenance)."""
+    first, *rest = record.enriched
+    prov = {key: changes.pop(key) for key in ("decision", "branch")
+            if key in changes}
+    if prov:
+        changes["provenance"] = replace(first.provenance, **prov)
+    return replace(record, enriched=(replace(first, **changes), *rest))
+
+
+@pytest.mark.parametrize("change, problem", [
+    (lambda r: _vo1(r, provenance=None), "it has no fusion provenance"),
+    (lambda r: _vo1(r, branch="guessed"), "unknown fusion branch 'guessed'"),
+    (lambda r: _vo1(r, decision="kept"), "decision not what"),
+    (lambda r: _vo1(r, vsc="flower"), "vsc not what"),
+    (lambda r: _vo1(r, original_vsc="plant"), "original_vsc not what"),
+    (lambda r: _vo1(r, final_mu=0.95), "final_mu not what"),
+    (lambda r: _vo1(r, vo_id="vo9"), "vo_id not what"),
+    (lambda r: _vo1(r, r_vsc=0.6), "r_vsc not what"),
+    (lambda r: _vo1(r, colors={"red": 0.4}), "colors not what"),
+    (lambda r: _vo1(r, textures={}), "textures not what"),
+    (lambda r: _vo1(r, spatial=frozenset()), "spatial not what"),
+    (lambda r: _vo1(r, vsc="flower", final_mu=0.88, decision="kept"),
+     "vsc, final_mu, decision not what"),
+], ids=["no-provenance", "unknown-branch", "decision", "vsc", "original-vsc",
+        "final-mu", "vo-id", "r-vsc", "colors", "textures", "spatial",
+        "three-fields"])
+def test_save_refuses_an_enriched_record_its_decision_does_not_rebuild(
+        tmp_path, change, problem):
+    """The enriched column keeps only the fusion decision, so a record that
+    differs in anything derived from it is refused, not silently changed."""
+    path = tmp_path / "index.jsonl"
+    store = IndexStore()
+    store.add(full_record("a"))
+    save_store(store, path)
+    before = path.read_bytes()
+    store.records["a"] = change(store.records["a"])
+    name = "vo9" if problem.startswith("vo_id") else "vo1"
+    with pytest.raises(StoreError, match=rf"cannot save document 'a', enriched "
+                       rf"record '{name}': {problem}"):
+        save_store(store, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["index.jsonl"]
+
+
+def test_save_refuses_enriched_records_of_another_count(tmp_path):
+    record = full_record("a")
+    for enriched in (record.enriched[:1], record.enriched * 2, ()):
+        store = IndexStore()
+        store.add(replace(record, enriched=enriched))
+        with pytest.raises(StoreError, match=rf"cannot save document 'a': "
+                           rf"{len(enriched)} enriched records, not one per "
+                           r"visual record \(2\)"):
+            save_store(store, tmp_path / "index.jsonl")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("damage, problem", [
+    (lambda items: items[:1], r"1 enriched items, not one per visual record "
+                              r"\(2\)"),
+    (lambda items: items * 2, r"4 enriched items, not one per visual record "
+                              r"\(2\)"),
+    (lambda items: [], r"0 enriched items, not one per visual record \(2\)"),
+    (lambda items: [{**items[0], "branch": "guessed"}, items[1]],
+     "unknown fusion branch 'guessed'"),
+    (lambda items: [{**items[0], "matched_head": None}, items[1]],
+     "expected a string, got None"),
+], ids=["fewer", "more", "none", "unknown-branch", "replaced-without-head"])
+def test_load_refuses_enriched_items_that_do_not_rebuild_records(
+        tmp_path, damage, problem):
+    """A load names the enriched line and the document of an item count
+    other than the visual records', an unknown branch, or a decision that
+    installs a head it does not name."""
+    lines = saved_lines(tmp_path)
+    values = lines[LINE["enriched"]]["values"]
+    values[0] = damage(values[0])
+    path = tmp_path / "damaged.jsonl"
+    path.write_text(store_text(lines), encoding="utf-8")
+    for fields in (None, ["enriched"]):
+        with pytest.raises(StoreError, match=rf"damaged\.jsonl:"
+                           rf"{LINE['enriched'] + 1}: enriched of document "
+                           rf"'a': {problem}"):
+            load_store(path, fields)
+    assert load_store(path, ["vis_records"]).records["a"].enriched is None
+
+
+def test_reading_enriched_decodes_the_visual_records_it_rebuilds_from(
+        tmp_path):
+    """A damaged visual record fails a load of enriched at its own line;
+    the visual records stay out of the records unless asked for."""
+    saved_lines(tmp_path)
+    full = load_store(tmp_path / "index.jsonl")
+    partial = load_store(tmp_path / "index.jsonl", ["enriched"])
+    assert partial.fields == ("enriched",)
+    assert partial.records["a"].vis_records is None
+    assert partial.records["a"].enriched == full.records["a"].enriched
+    lines = _set_value(saved_lines(tmp_path), "vis_records", [0, 0, "r"], 2)
+    path = tmp_path / "damaged.jsonl"
+    path.write_text(store_text(lines), encoding="utf-8")
+    with pytest.raises(StoreError, match=rf"damaged\.jsonl:"
+                       rf"{LINE['vis_records'] + 1}: vis_records of document "
+                       "'a': "):
+        load_store(path, ["enriched"])
+
+
+#: visual concepts of generated documents; the last is not in the lattice
+GENERATED_CONCEPTS = ("rose", "flower", "tulip", "sky", "cathedral", "qwzx")
+#: alt texts: headed terms, a more specific or unrelated context, attributes
+#: with no head, and none
+GENERATED_TEXTS = ("red roses", "blue sky", "red spotted", "spotted flowers",
+                   "grey cathedral near red tulips", "")
+generated_object = st.tuples(
+    st.sampled_from(GENERATED_CONCEPTS), st.sampled_from([0.1, 0.5, 0.9, 1.0]),
+    st.dictionaries(st.sampled_from(["red", "blue", "grey"]),
+                    st.sampled_from([0.25, 0.5]), max_size=2),
+    st.dictionaries(st.sampled_from(["spotted", "uniform"]),
+                    st.sampled_from([0.5, 1.0]), max_size=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(docs=st.lists(st.tuples(st.lists(generated_object, max_size=3),
+                               st.sampled_from(GENERATED_TEXTS),
+                               st.sampled_from(GENERATED_TEXTS)),
+                     max_size=6),
+       tconorm=st.sampled_from(list(TConormKind)),
+       fusion_literal=st.booleans())
+def test_enriched_stores_round_trip_through_their_fusion_decisions(
+        base_lattice, docs, tconorm, fusion_literal):
+    """For stores that enrichment builds, under every t-conorm and either
+    fusion rule: load(save(store)) == store, every enriched record loads
+    as it was built (by repr), and the enriched column holds only each
+    visual record's decision keys. A "COLOR TEXTURE" pattern mines headless
+    terms, so that every fusion branch can occur."""
+    cfg = PipelineConfig(tconorm=tconorm, fusion_literal=fusion_literal,
+                         patterns=DEFAULT_PATTERNS
+                         + (parse_pattern("COLOR TEXTURE"),))
+    store = IndexStore()
+    for n, (objects, alt, text) in enumerate(docs):
+        areas = tuple(ExtractionArea(kind, tokenize(words), imp)
+                      for kind, words, imp in
+                      ((AreaKind.ALT_ATTRIBUTE, alt, 0.9),
+                       (AreaKind.SURROUNDING_TEXT, text, 0.5)) if words)
+        # weights in name order, as the store writes and so loads them
+        vis = tuple(VisRecord(f"vo{i}", vsc, r, dict(sorted(colors.items())),
+                              dict(sorted(textures.items())))
+                    for i, (vsc, r, colors, textures) in enumerate(objects))
+        store.add(IndexRecord(f"d{n}", areas, vis))
+    enrich_store(store, base_lattice, cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "index.jsonl"
+        save_store(store, path)
+        loaded = load_store(path)
+        text = path.read_text(encoding="utf-8")
+    assert loaded == store
+    for doc_id, record in store.records.items():
+        assert repr(loaded.records[doc_id].enriched) == repr(record.enriched)
+        for e in record.enriched:
+            assert e.provenance.decision == DECISIONS[e.provenance.branch]
+    column = json.loads(text.splitlines()[LINE["enriched"]])
+    for value, record in zip(column["values"], loaded.records.values()):
+        assert len(value) == len(record.vis_records)
+        assert all(sorted(item) == DECISION_KEYS for item in value)
