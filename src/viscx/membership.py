@@ -7,12 +7,14 @@ to more generic concepts and reinforced (the value plus normalized chain
 length, clamped at 1) toward more specific ones; unrelated concepts score
 0. The lattice keeps, per concept, the step by which each related anchor
 reaches it (`SemanticLattice.membership_steps`), so a membership value is
-one dict read and at most one addition (`_membership`). A document's
-membership table, built by `aggregate_mu_tot`, folds its visual and its
-contextual evidence with a configurable t-conorm (`_tconorm`) and
-combines the two sides; it computes a concept's total on its first read
-and memoises it, since fusion and scoring read only a few concepts of
-each document.
+one dict read and at most one addition. A document's membership table,
+built by `aggregate_mu_tot`, folds its visual and its contextual evidence
+with a configurable t-conorm (`_tconorm`) and combines the two sides; it
+computes a concept's total on its first read and memoises it, since
+fusion and scoring read only a few concepts of each document. Its one
+fold, which the total and both sides share, applies the t-conorm inline
+and skips unrelated evidence, whose membership, 0, is the identity of
+every t-conorm.
 """
 
 from __future__ import annotations
@@ -39,16 +41,6 @@ def _tconorm(kind: TConormKind, a: float, b: float) -> float:
     return min(a + b, 1.0)
 
 
-def _membership(steps: Mapping[str, float | None], anchor: str,
-                value: float) -> float:
-    """Evidence `value` on the canonical `anchor`, carried to the concept
-    whose `SemanticLattice.membership_steps` are `steps`."""
-    if anchor not in steps:
-        return 0.0
-    step = steps[anchor]
-    return value if step is None else min(value + step, 1.0)
-
-
 class MembershipTable:
     """A document's aggregated likelihoods over the lattice concepts: the
     visual side folds the visual evidence, the context side the contextual
@@ -73,9 +65,29 @@ class MembershipTable:
 
     def _fold(self, pairs: list[tuple[str, float]],
               steps: Mapping[str, float | None]) -> float:
+        """The t-conorm of the memberships `pairs` carry to the concept
+        whose `SemanticLattice.membership_steps` are `steps`, folded left
+        to right from 0 as `_tconorm` folds. An anchor absent from `steps`
+        carries 0, the identity of every t-conorm, so it is skipped."""
+        kind = self._kind
         acc = 0.0
         for anchor, value in pairs:
-            acc = _tconorm(self._kind, acc, _membership(steps, anchor, value))
+            if anchor not in steps:
+                continue
+            step = steps[anchor]
+            if step is not None:
+                value += step
+                if value > 1.0:
+                    value = 1.0
+            if kind is TConormKind.MAX:
+                if value > acc:
+                    acc = value
+            elif kind is TConormKind.PROBABILISTIC_SUM:
+                acc = acc + value - acc * value
+            else:
+                acc += value
+                if acc > 1.0:
+                    acc = 1.0
         return acc
 
     def total(self, concept: str) -> float:

@@ -196,14 +196,16 @@ class _Scorer:
     mu None for a headless unit or a head the lattice does not know, and
     for `bounds` one ``(head, mu, largest view mass)`` triple per distinct
     unit head; equal scoring views of units are interned, so they are one
-    object. Per group of documents sharing a set of unit heads: its member
-    ids in ascending order, a `_MaxTotals` over their tables and per head
-    the largest unit mu and the largest view mass. Per query, rebuilt only
-    when a different query object comes in: each term's view and a memo
-    from the ``id`` of an interned view to `view_part`, so a term is
-    compared with each distinct unit view once, and per document only the
-    membership part is added, with the term head's mu read once; for the
-    bounds, each term's view mass and a memo of epsilon per unit head."""
+    object, and a unit object that several documents share (a loaded
+    store's equal items are one object) is viewed once. Per group of
+    documents sharing a set of unit heads: its member ids in ascending
+    order, a `_MaxTotals` over their tables and per head the largest unit
+    mu and the largest view mass. Per query, rebuilt only when a different
+    query object comes in: each term's view and a memo from the ``id`` of
+    an interned view to `view_part`, so a term is compared with each
+    distinct unit view once, and per document only the membership part is
+    added, with the term head's mu read once; for the bounds, each term's
+    view mass and a memo of epsilon per unit head."""
 
     def __init__(self, store: IndexStore, lattice: SemanticLattice,
                  cfg: PipelineConfig, strategy: Strategy):
@@ -213,6 +215,7 @@ class _Scorer:
         self._query: Query | None = None
         self._query_state: list = []
         views: dict[ScoringView, ScoringView] = {}
+        unit_views: dict[int, ScoringView] = {}  # id of a unit the store holds
         self._docs: dict[str, tuple] = {}
         by_heads: dict[frozenset, tuple[list, list, dict]] = {}
         for doc_id, record in store.records.items():
@@ -240,8 +243,10 @@ class _Scorer:
             pairs = []
             heads: dict[str | None, tuple] = {}
             for unit in units:
-                view = scoring_view(unit, lattice)
-                view = views.setdefault(view, view)
+                view = unit_views.get(id(unit))
+                if view is None:
+                    view = scoring_view(unit, lattice)
+                    view = unit_views[id(unit)] = views.setdefault(view, view)
                 head = view[0]
                 mu = (table.total(head)
                       if head is not None and head in lattice else None)

@@ -16,7 +16,10 @@ document-id order::
 The crc32 covers the text of the line before it. A load checks every
 column line's place, count and crc32, but parses and decodes only
 ``doc_id`` and the columns it is asked for, so a search pays only for
-the fields its strategy reads.
+the fields its strategy reads. Within a column, equal item texts are
+decoded and checked once, and the loaded records share that one object:
+a few concepts, area kinds and impacts make most of a column's items.
+Records are never mutated, so sharing them is safe.
 
 Since format version 4 the ``enriched`` column holds, per visual record
 and in the same order, only its fusion decision:
@@ -38,6 +41,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import shutil
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -228,6 +232,8 @@ _COLUMNS = ("doc_id", *RECORD_FIELDS)  # the column lines, in file order
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _BATCH = 64  # values per piece of a column line written
 _scan = json.JSONDecoder().scan_once  # (value, end) of the JSON at an index
+_SPACE = re.compile(r"[ \t\n\r]*").match  # the whitespace JSON allows
+_BLANK = " \t\n\r"  # its characters; "", the end of a line, is in it too
 # A column line: _HEAD with the column's name, its value count, _VALUES,
 # the values, "]", and _CRC with the crc32 of all the text before _CRC.
 _HEAD = '{{"column":"{}","count":'
@@ -323,12 +329,17 @@ def _doc_ids(text: bytes, count: int) -> list[str]:
 def _decode_column(line: str, at: int, column: str, doc_ids: list[str],
                    vis_column: list | None = None) -> list:
     """The decoded value of each document in the column line `line`, whose
-    values list opens at `at`: each value is scanned and decoded in turn,
-    so no column is held whole as JSON. The enriched column needs each
-    document's decoded visual records, `vis_column`, to rebuild its
-    records from."""
+    values list opens at `at`, so no column is held whole as JSON. The
+    items of a document's list are scanned one by one, as the JSON scanner
+    scans a list (with the same whitespace and the same errors; `line`
+    ends with its crc32, so only an item can run to its end), and then
+    decoded. Equal item texts are decoded, and so checked, once: the
+    records loaded share that one object, as they may, since records are
+    never mutated. The enriched column needs each document's decoded
+    visual records, `vis_column`, to rebuild its records from."""
     decode = _CODECS[column][1]
     nullable = column in _NULLABLE
+    decoded: dict[str, object] = {}  # item text -> its decoded value
     values = []
     at += 1  # past the '['
     try:
@@ -337,14 +348,44 @@ def _decode_column(line: str, at: int, column: str, doc_ids: list[str],
                 if line[at] != ",":
                     raise StoreError(f"expected ',' at column {at + 1}")
                 at += 1
-            item, at = _scan(line, at)
-            if item is None and nullable:
-                values.append(None)
-            elif vis_column is None:
-                values.append(tuple(map(decode, item)))
+            if line[at] != "[":  # null, or no list: scanned and decoded whole
+                item, at = _scan(line, at)
+                if item is None and nullable:
+                    values.append(None)
+                    continue
+                value = tuple(map(decode, item))
             else:
-                values.append(_enriched_records(vis_column[len(values)],
-                                                tuple(map(decode, item))))
+                texts, fresh = [], []  # fresh: the (text, JSON) to decode
+                at += 1
+                if line[at] in _BLANK:
+                    at = _SPACE(line, at).end()
+                sep = line[at]
+                if sep == "]":
+                    at += 1
+                while sep != "]":
+                    item, end = _scan(line, at)
+                    text = line[at:end]
+                    texts.append(text)
+                    if text not in decoded:
+                        fresh.append((text, item))
+                    at = end + 1
+                    sep = line[end:at]
+                    if sep in _BLANK:
+                        end = _SPACE(line, end).end()
+                        at = end + 1
+                        sep = line[end:at]
+                    if sep == ",":
+                        if line[at] in _BLANK:
+                            at = _SPACE(line, at).end()
+                    elif sep != "]":
+                        raise json.JSONDecodeError("Expecting ',' delimiter",
+                                                   line, end)
+                for text, item in fresh:
+                    if text not in decoded:
+                        decoded[text] = decode(item)
+                value = tuple(map(decoded.__getitem__, texts))
+            values.append(value if vis_column is None else
+                          _enriched_records(vis_column[len(values)], value))
     except StopIteration as exc:  # _scan found no JSON value
         problem = f"bad JSON: expecting a value at column {exc.value + 1}"
     except (json.JSONDecodeError, RecursionError) as exc:

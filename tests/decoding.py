@@ -1,6 +1,6 @@
 """The check that a store loaded with only the record fields of one
 strategy ranks exactly as the fully loaded store, for the tests of store
-decoding, and the query mix it ranks.
+decoding, the query mix it ranks, and a plain decode of a store's records.
 
 `partial_load_differences` is the one place this comparison lives: a
 change to how `load_store` decodes records, or to which fields a strategy
@@ -9,12 +9,15 @@ reads, should leave it returning nothing.
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 from viscx import (COLOR_NAMES, SPATIAL_NAMES, TEXTURE_NAMES, load_store,
                    parse_query, rank)
 from viscx.retrieval import ALL_STRATEGIES, STRATEGY_FIELDS
-from viscx.store import RECORD_FIELDS
+from viscx.store import (_CODECS, _COLUMNS, RECORD_FIELDS, IndexRecord,
+                         _enriched_records)
 
 import corpusgen
 
@@ -76,3 +79,31 @@ def partial_load_differences(path, lattice, cfg, queries,
                     != ranking_text(full, lattice, cfg, query, strategy, k)):
                 differences.append(f"{strategy.value} {query.raw!r}")
     return differences
+
+
+def plain_records(path) -> dict[str, IndexRecord]:
+    """Every record of the store at `path`, each column line parsed whole
+    with `json.loads` and each item decoded on its own, with no memo: the
+    reference that an interning load must equal."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()[1:]
+    columns = {column: json.loads(line)["values"]
+               for column, line in zip(_COLUMNS, lines)}
+    fields = {}
+    for name, (_encode, decode) in _CODECS.items():
+        fields[name] = [None if value is None else tuple(map(decode, value))
+                        for value in columns[name]]
+    fields["enriched"] = [
+        None if decisions is None else _enriched_records(vis, decisions)
+        for vis, decisions in zip(fields["vis_records"], fields["enriched"])]
+    return {doc_id: IndexRecord(doc_id, *values)
+            for doc_id, *values in zip(columns["doc_id"], *fields.values())}
+
+
+def item_texts(path, column: str) -> list[str]:
+    """The JSON text of every item of `column` in the store at `path`, as
+    the store writes it (compact, keys sorted)."""
+    line = Path(path).read_text(encoding="utf-8").splitlines()[
+        _COLUMNS.index(column) + 1]
+    return [json.dumps(item, sort_keys=True, separators=(",", ":"))
+            for value in json.loads(line)["values"] if value is not None
+            for item in value]

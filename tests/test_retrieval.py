@@ -10,7 +10,8 @@ from hypothesis import strategies as hst
 
 from viscx import (COLOR_NAMES, SPATIAL_NAMES, TEXTURE_NAMES, PipelineConfig,
                    StoreError, UnindexableQueryError, UnknownConceptError,
-                   ViscxError, VisRecord, enrich_store, ingest_corpus)
+                   ViscxError, VisRecord, enrich_store, ingest_corpus,
+                   retrieval)
 from viscx.context import AreaKind, ExtractionArea, SyntacticTerm, tokenize
 from viscx.fusion import FacetKernel
 from viscx.membership import TConormKind
@@ -183,6 +184,56 @@ def test_scorer_matches_score_oracle(acceptance_run, base_lattice, kernel):
                     cfg.tconorm.value, kernel.value, vocabs)
                 got = scorer.score(query, doc_id)
                 assert abs(got - want) <= 1e-12, (strategy, query.raw, doc_id)
+
+
+def test_a_loaded_scorer_views_each_unit_object_once(acceptance_run,
+                                                     base_lattice, tmp_path,
+                                                     monkeypatch):
+    """Over a loaded store, whose documents share equal items, one
+    `make_scorer` makes one `scoring_view` call per distinct unit object,
+    and ranks and scores as `oracles.score_oracle` at every k."""
+    store, cfg, queries = acceptance_run
+    save_store(store, tmp_path / "acceptance.jsonl")
+    store = load_store(tmp_path / "acceptance.jsonl")
+    parents = {cid: base_lattice.parents(cid)
+               for cid in base_lattice.concept_ids()}
+    vocabs = (COLOR_NAMES, TEXTURE_NAMES, SPATIAL_NAMES)
+    viewed = []
+
+    def counted(unit, lattice):
+        viewed.append(unit)
+        return view(unit, lattice)
+    view = retrieval.scoring_view
+    monkeypatch.setattr(retrieval, "scoring_view", counted)
+    for strategy, units in (
+            (Strategy.VIS, lambda r: [u for u in r.vis_records
+                                      if u.vsc in base_lattice]),
+            (Strategy.CX, lambda r: r.terms),
+            (Strategy.VIS_CX, lambda r: [u for u in r.enriched
+                                         if u.vsc in base_lattice])):
+        viewed.clear()
+        scorer = make_scorer(store, base_lattice, cfg, strategy)
+        every = [u for record in store.records.values() for u in units(record)]
+        assert len(viewed) == len({id(u) for u in every}), strategy
+        assert {id(u) for u in viewed} == {id(u) for u in every}, strategy
+        if strategy is Strategy.CX:
+            assert len(viewed) < len(every)
+        for query in queries:
+            want = {doc_id: oracles.score_oracle(
+                parents, record, query.terms, strategy.value,
+                cfg.tconorm.value, cfg.kernel.value, vocabs)
+                for doc_id, record in store.records.items()}
+            for k in (1, 10, 1000):
+                got = rank_with_scorer(scorer, query, k).items
+                ranked = heapq.nsmallest(
+                    k, [(doc_id, score) for doc_id, score in want.items()
+                        if score > 0.0],
+                    key=lambda item: (-item[1], item[0]))
+                assert [doc_id for doc_id, _ in got] == [
+                    doc_id for doc_id, _ in ranked], (strategy, query.raw, k)
+                for doc_id, score in got:
+                    assert abs(score - want[doc_id]) <= 1e-12, (
+                        strategy, query.raw, doc_id)
 
 
 @functools.cache

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viscx import PipelineConfig, StoreError, VisRecord, enrich_store
+from viscx import (PipelineConfig, StoreError, VisRecord, enrich_store,
+                   ingest_corpus, store as store_module)
 from viscx.context import (DEFAULT_PATTERNS, AreaKind, ContextualConcept,
                            ExtractionArea, SyntacticTerm, parse_pattern,
                            tokenize)
@@ -17,6 +18,9 @@ from viscx.fusion import DECISIONS, EnrichedVisRecord, FusionProvenance
 from viscx.membership import TConormKind
 from viscx.store import (RECORD_FIELDS, STORE_VERSION, IndexRecord,
                          IndexStore, StoreMeta, load_store, save_store)
+
+import corpusgen
+import decoding
 
 #: the index in a store's lines of each column line; the meta line is 0
 LINE = {column: n for n, column in enumerate(("doc_id", *RECORD_FIELDS), 1)}
@@ -251,6 +255,24 @@ def _set_value(lines, column: str, keys, value) -> list:
     return lines
 
 
+def _column_line(lines, column: str, render) -> list:
+    """`lines` with `column`'s line written afresh, each document's value
+    rendered as JSON text by `render` (None as null), and sealed."""
+    line = lines[LINE[column]]
+    values = ",".join("null" if value is None else render(value)
+                      for value in line["values"])
+    lines[LINE[column]] = sealed(f'{{"column":"{column}","count":'
+                                 f'{line["count"]},"values":[{values}]')
+    return lines
+
+
+def _spaced(value: list) -> str:
+    """A document's list with JSON whitespace around and inside its items."""
+    items = " ,\t".join(json.dumps(item, separators=(" , ", " :\r"))
+                        for item in value)
+    return f"[ \r{items}\t ]" if items else "[ ]"
+
+
 def test_store_text_rebuilds_the_saved_file(tmp_path):
     lines = saved_lines(tmp_path)
     assert store_text(lines) == (tmp_path / "index.jsonl").read_text()
@@ -279,18 +301,122 @@ def test_store_text_rebuilds_the_saved_file(tmp_path):
     lambda lines: _set_value(lines, "enriched", [0, 0, "branch"], 5),
     lambda lines: _set_value(lines, "enriched", [0, 0, "branch"], []),
     lambda lines: _set_value(lines, "enriched", [0, 0, "matched_head"], 5),
+    # a document's value that is neither a list nor null, or null where
+    # the column holds a list for every document
+    lambda lines: _set_value(lines, "areas", [1], 7),
+    lambda lines: _set_value(lines, "contextual", [0], {"cx": "rose"}),
+    lambda lines: _set_value(lines, "areas", [0], None),
+    lambda lines: _column_line(lines, "contextual",
+                               lambda value: json.dumps(value)[:-1] + ",]"),
+    lambda lines: _column_line(lines, "terms",
+                               lambda value: "[,]" if value else "[]"),
 ], ids=["list-line", "deep-nesting", "config-string", "config-window",
         "enriched-string", "terms-number", "impact-5",
         "impact-huge", "duplicate-doc", "doc-id-number", "token-number",
         "cx-number", "head-number", "head-empty", "head-short",
         "original-vsc-number", "decision-number", "branch-list",
-        "matched-head-number"])
+        "matched-head-number", "document-number", "document-object",
+        "areas-null", "trailing-comma", "comma-only"])
 def test_malformed_line_gives_store_error(tmp_path, damage):
     lines = damage(saved_lines(tmp_path))
     path = tmp_path / "damaged.jsonl"
     path.write_text(store_text(lines), encoding="utf-8")
     with pytest.raises(StoreError, match=r"damaged\.jsonl:\d+: "):
         load_store(path)
+
+
+def test_json_whitespace_inside_a_documents_list_loads(tmp_path):
+    """Whitespace inside a document's list, around or inside its items,
+    is JSON and loads as the compact text does."""
+    lines = saved_lines(tmp_path)
+    for column in RECORD_FIELDS:
+        lines = _column_line(lines, column, _spaced)
+    path = tmp_path / "spaced.jsonl"
+    path.write_text(store_text(lines), encoding="utf-8")
+    assert b" :\r" in path.read_bytes()
+    assert load_store(path).records == load_store(
+        tmp_path / "index.jsonl").records
+
+
+def test_a_damaged_item_in_several_documents_is_named_at_the_first(
+        tmp_path):
+    """An item text that fails to decode is reported once, at the first
+    document holding it, with the message of decoding it there."""
+    store = IndexStore()
+    for doc_id in "abcd":
+        store.add(full_record(doc_id))
+    save_store(store, tmp_path / "index.jsonl")
+    lines = [json.loads(line) for line in
+             (tmp_path / "index.jsonl").read_text().splitlines()]
+    for doc in (1, 2, 3):
+        _set_value(lines, "contextual", [doc, 0, "imp"], "high")
+    path = tmp_path / "damaged.jsonl"
+    path.write_text(store_text(lines), encoding="utf-8")
+    with pytest.raises(StoreError) as error:
+        load_store(path)
+    assert str(error.value) == (
+        f"{path}:{LINE['contextual'] + 1}: contextual of document "
+        "'b': malformed value: could not convert string to float: 'high'")
+
+
+def repeating_store() -> IndexStore:
+    """Documents that repeat each other's items, and one that does not."""
+    store = IndexStore()
+    for doc_id in ("a", "b", "c"):
+        store.add(full_record(doc_id))
+    other = full_record("d")
+    store.add(replace(other, contextual=(
+        ContextualConcept("rose", 0.5, AreaKind.ALT_ATTRIBUTE),
+        *other.contextual)))
+    return store
+
+
+def test_an_interning_load_equals_the_plain_decode(tmp_path):
+    store = repeating_store()
+    path = tmp_path / "index.jsonl"
+    save_store(store, path)
+    loaded = load_store(path)
+    assert loaded.records == decoding.plain_records(path) == store.records
+    assert repr(loaded.records) == repr(store.records)
+    save_store(loaded, tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+    assert load_store(tmp_path / "again.jsonl") == loaded
+
+
+def test_equal_item_texts_load_as_one_object(tmp_path):
+    path = tmp_path / "index.jsonl"
+    save_store(repeating_store(), path)
+    records = list(load_store(path).records.values())
+    for name in ("areas", "vis_records", "contextual", "terms"):
+        items = [item for record in records for item in getattr(record, name)]
+        by_text = {}
+        for text, item in zip(decoding.item_texts(path, name), items):
+            assert by_text.setdefault(text, item) is item, name
+        assert len(by_text) < len(items), name
+
+
+def test_each_distinct_item_text_is_decoded_once(tmp_path, monkeypatch,
+                                                 base_lattice):
+    """On the seed-1 corpus, loading decodes one syntactic term and one
+    contextual concept per distinct item text, not per item."""
+    corpusgen.generate_corpus(tmp_path / "corpus", seed=1)
+    cfg = PipelineConfig()
+    store = ingest_corpus(tmp_path / "corpus", cfg)
+    enrich_store(store, base_lattice, cfg)
+    path = tmp_path / "index.jsonl"
+    save_store(store, path)
+    calls = {}
+    for column in ("terms", "contextual"):
+        encode, decode = store_module._CODECS[column]
+
+        def counted(data, decode=decode, column=column):
+            calls[column] = calls.get(column, 0) + 1
+            return decode(data)
+        monkeypatch.setitem(store_module._CODECS, column, (encode, counted))
+    assert load_store(path) == store
+    for column in ("terms", "contextual"):
+        texts = decoding.item_texts(path, column)
+        assert calls[column] == len(set(texts)) < len(texts), column
 
 
 def test_null_matched_head_loads(tmp_path):
