@@ -14,8 +14,8 @@ them, and the sha256 of the taxonomy text, so search and eval refuse a
 taxonomy whose content differs from the one the store was enriched with.
 search parses and decodes only the store columns its strategy reads
 (`retrieval.STRATEGY_FIELDS`; vis+cx reads the visual records and the
-fusion decisions of the format-4 enriched column, and rebuilds the
-enriched records from both), and eval those of its strategies; enrich
+fusion decisions of the format-4 enriched column, and makes the enriched
+records of both), and eval those of its strategies; enrich
 decodes every column. Every command checks each column's crc32, read or
 not.
 """
@@ -102,14 +102,12 @@ def _cmd_search(args) -> int:
     strategy = Strategy.from_name(args.strategy)
     store = load_store(args.index, STRATEGY_FIELDS[strategy])
     cfg = _config_from_args(args, store.meta)
-    if strategy is Strategy.TFIDF:
-        # tf-idf ranks raw tokens and needs no taxonomy
-        query = Query(args.query, ())
-        ranked = rank(store, None, cfg, query, strategy, args.k)
+    if strategy is Strategy.TFIDF:  # raw tokens, and no taxonomy
+        lattice, query = None, Query(args.query, ())
     else:
         _path, lattice = _lattice_for(args, cfg, store.meta)
         query = parse_query(args.query, lattice, patterns=cfg.patterns)
-        ranked = rank(store, lattice, cfg, query, strategy, args.k)
+    ranked = rank(store, lattice, cfg, query, strategy, args.k)
     for position, (doc_id, score) in enumerate(ranked.items, start=1):
         print(f"{position}\t{doc_id}\t{score:.6f}")
     return 0

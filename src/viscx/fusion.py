@@ -12,23 +12,24 @@ their mass, so a facet sum walks the few entries a unit has rather than
 all 11. Fusion then either keeps the visual concept (always one the
 lattice does not know), replaces it with a more specific contextual one,
 or corrects it wholesale when the membership values disagree beyond a
-threshold. Each outcome is a branch with one decision (`DECISIONS`), and
-`_enrich` derives the enriched record from the visual record, the branch,
-the matched head and the two membership values; the index store keeps
-only those four and rebuilds the record with `_enrich` on load.
+threshold. Each outcome is a branch with one decision (`DECISIONS`). An
+enriched record holds its visual record, not a copy, and its decision
+(`FusionProvenance`), and derives the rest; the index store keeps only
+the decision, and a load hands it the visual record again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import FrozenInstanceError, dataclass
+from operator import attrgetter
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .context import SyntacticTerm
 from .errors import NamedEnum
 from .membership import MembershipTable
 from .taxonomy import SemanticLattice, SemRelation
-from .vis import (COLOR_NAMES, SPATIAL_NAMES, TEXTURE_NAMES, VOCAB_SIZE,
-                  VisRecord)
+from .vis import (_TOKEN_OK, COLOR_NAMES, SPATIAL_NAMES, TEXTURE_NAMES,
+                  VOCAB_SIZE, VisRecord)
 
 if TYPE_CHECKING:  # config imports FacetKernel from here
     from .config import PipelineConfig
@@ -64,28 +65,60 @@ DECISIONS = {
 }
 
 
-@dataclass(frozen=True)
-class FusionProvenance:
-    """Everything needed to reconstruct one fusion decision: with the
-    visual record, its branch, matched head and membership values rebuild
-    the enriched record (`_enrich`), which is all the index store keeps of
-    it; the decision is the branch's."""
+class FusionProvenance(NamedTuple):
+    """One fusion decision: the branch taken, the matched head and the two
+    membership values; the decision (kept | replaced | corrected) is the
+    branch's. With the visual record, all an enriched record is made of."""
 
-    decision: str  # kept | replaced | corrected, DECISIONS[branch]
     branch: str
     matched_head: str | None
     mu_vsc: float
-    mu_cx: float | None
+    mu_cx: float | None = None
+
+    @property
+    def decision(self) -> str:
+        return DECISIONS[self.branch]
 
 
-@dataclass(frozen=True)
 class EnrichedVisRecord(VisRecord):
-    """A VisRecord after fusion: possibly respecialized or corrected
-    semantic concept, the fused membership value, and provenance."""
+    """A VisRecord after fusion: the visual record it holds, not copied and
+    not validated again, and its fusion decision, which needs a known
+    branch, a concept token for a head that replaces or corrects, and
+    membership values in [0,1]. It reads its visual fields through the held
+    record, whose concept is `original_vsc`, and derives once its concept
+    `vsc` (the matched head unless kept) and `final_mu` (the larger mu)."""
 
-    original_vsc: str = ""
-    final_mu: float = 0.0
-    provenance: FusionProvenance | None = None
+    def __init__(self, vis: VisRecord, provenance: FusionProvenance):
+        branch, head, mu_vsc, mu_cx = provenance
+        if branch not in DECISIONS:
+            raise ValueError(f"unknown fusion branch {branch!r}")
+        kept = DECISIONS[branch] == "kept"
+        if not (kept or isinstance(head, str) and _TOKEN_OK.fullmatch(head)):
+            raise ValueError(f"invalid semantic concept {head!r}")
+        if not 0.0 <= mu_vsc <= 1.0:
+            raise ValueError(f"mu_vsc out of [0,1]: {mu_vsc!r}")
+        if mu_cx is not None and not 0.0 <= mu_cx <= 1.0:
+            raise ValueError(f"mu_cx out of [0,1]: {mu_cx!r}")
+        self.__dict__.update(
+            vis=vis, provenance=provenance, vsc=vis.vsc if kept else head,
+            final_mu=mu_vsc if mu_cx is None else max(mu_vsc, mu_cx))
+
+    def __setattr__(self, name, *_value):
+        raise FrozenInstanceError(f"cannot change field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__ and self.vis == other.vis
+                and self.provenance == other.provenance)
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(vis={self.vis!r}, "
+                f"provenance={self.provenance!r})")
+
+    vo_id, r_vsc, colors, textures, spatial, original_vsc = (
+        property(attrgetter(f"vis.{name}")) for name in
+        ("vo_id", "r_vsc", "colors", "textures", "spatial", "vsc"))
 
 
 #: one facet of a scoring view: the (vocabulary index, weight) entries with
@@ -259,28 +292,11 @@ def best_correspondences(matrix: SimilarityMatrix,
     return pairs
 
 
-def _enrich(vis: VisRecord, branch: str, matched_head: str | None,
-            mu_vsc: float, mu_cx: float | None = None) -> EnrichedVisRecord:
-    """The enriched record of one fusion decision, derived from the visual
-    record and the decision's branch, matched head and membership values:
-    the branch's `DECISIONS` entry, the matched head as the concept unless
-    the decision is kept, and ``max(mu_vsc, mu_cx)`` as the fused
-    membership (``mu_vsc`` when there is no contextual value)."""
-    decision = DECISIONS[branch]
-    return EnrichedVisRecord(
-        vo_id=vis.vo_id, vsc=vis.vsc if decision == "kept" else matched_head,
-        r_vsc=vis.r_vsc, colors=dict(vis.colors), textures=dict(vis.textures),
-        spatial=vis.spatial, original_vsc=vis.vsc,
-        final_mu=mu_vsc if mu_cx is None else max(mu_vsc, mu_cx),
-        provenance=FusionProvenance(decision, branch, matched_head, mu_vsc,
-                                    mu_cx))
-
-
 def keep_unmatched(vis: VisRecord, table: MembershipTable,
                    lattice: SemanticLattice) -> EnrichedVisRecord:
     """Pass a record through fusion unchanged (no correspondence found)."""
-    return _enrich(vis, "unmatched", None,
-                   table.total(lattice.require(vis.vsc)))
+    return EnrichedVisRecord(vis, FusionProvenance(
+        "unmatched", None, table.total(lattice.require(vis.vsc))))
 
 
 def fuse(vis: VisRecord, st: SyntacticTerm, table: MembershipTable,
@@ -297,7 +313,7 @@ def fuse(vis: VisRecord, st: SyntacticTerm, table: MembershipTable,
     vsc = lattice.require(vis.vsc)
     mu_v = table.total(vsc)
     if st.head is None:
-        return _enrich(vis, "headless", None, mu_v)
+        return EnrichedVisRecord(vis, FusionProvenance("headless", None, mu_v))
     cx = lattice.require(st.head[0])
     mu_c = table.total(cx)
 
@@ -316,7 +332,7 @@ def fuse(vis: VisRecord, st: SyntacticTerm, table: MembershipTable,
         branch = "correction_context"
     else:
         branch = "correction_visual"
-    return _enrich(vis, branch, cx, mu_v, mu_c)
+    return EnrichedVisRecord(vis, FusionProvenance(branch, cx, mu_v, mu_c))
 
 
 def enrich_records(records: Sequence[VisRecord], terms: Sequence[SyntacticTerm],
@@ -338,6 +354,6 @@ def enrich_records(records: Sequence[VisRecord], terms: Sequence[SyntacticTerm],
         elif record.vsc in lattice:
             enriched.append(keep_unmatched(record, table, lattice))
         else:
-            enriched.append(_enrich(record, "unknown_concept", None,
-                                    record.r_vsc))
+            enriched.append(EnrichedVisRecord(record, FusionProvenance(
+                "unknown_concept", None, record.r_vsc)))
     return enriched

@@ -53,8 +53,8 @@ class Strategy(NamedEnum, what="strategy"):
 
 ALL_STRATEGIES = (Strategy.VIS, Strategy.CX, Strategy.VIS_CX, Strategy.TFIDF)
 
-#: the IndexRecord fields each strategy scores, or that the store rebuilds
-#: them from (enriched records from their visual records); a one-shot search
+#: the IndexRecord fields each strategy scores, or that they hold (enriched
+#: records hold their visual records); a one-shot search
 #: decodes only these (``load_store(path, STRATEGY_FIELDS[strategy])``)
 STRATEGY_FIELDS = {Strategy.VIS: ("vis_records",),
                    Strategy.CX: ("terms", "contextual"),

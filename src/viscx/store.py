@@ -23,10 +23,11 @@ Records are never mutated, so sharing them is safe.
 
 Since format version 4 the ``enriched`` column holds, per visual record
 and in the same order, only its fusion decision:
-``{"branch","matched_head","mu_cx","mu_vsc"}``. The enriched record is
-rebuilt from that and its visual record (`fusion._enrich`), so a load
-that reads ``enriched`` also decodes ``vis_records``, and a save refuses
-an enriched record that would not be rebuilt as it is. A store of another format version is refused on load:
+``{"branch","matched_head","mu_cx","mu_vsc"}``. An enriched record is
+made of that and its visual record (`fusion.EnrichedVisRecord`), so a
+load that reads ``enriched`` also decodes ``vis_records``, and a save
+refuses an enriched record that does not hold its document's visual
+record. A store of another format version is refused on load:
 version 3 wrote each enriched record whole, a second copy of its visual
 record; version 2 held one JSON record per document, and version 1 also
 area text, per-record paths and fusion notes.
@@ -52,7 +53,7 @@ from typing import Iterable, Iterator, Mapping, TextIO
 from .context import AreaKind, ContextualConcept, ExtractionArea, SyntacticTerm
 from .config import PipelineConfig
 from .errors import StoreError, ViscxError, one_line, read_bytes
-from .fusion import DECISIONS, EnrichedVisRecord, _enrich
+from .fusion import DECISIONS, EnrichedVisRecord, FusionProvenance
 from .vis import VisRecord
 
 STORE_VERSION = 4
@@ -160,68 +161,56 @@ def _cx_in(data) -> ContextualConcept:
                              AreaKind(data["area"]))
 
 
+def _number(value) -> float:
+    if isinstance(value, (str, bool)):  # JSON's other types `float` takes
+        raise StoreError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _enriched_out(record: EnrichedVisRecord) -> dict:
-    """The fusion decision of an enriched record (see `_check_enriched`)."""
-    prov = record.provenance
-    return {"branch": prov.branch, "matched_head": prov.matched_head,
-            "mu_cx": prov.mu_cx, "mu_vsc": prov.mu_vsc}
+    return record.provenance._asdict()
 
 
-def _enriched_in(data) -> tuple[str, str | None, float, float | None]:
-    """The `fusion._enrich` arguments after the visual record."""
+def _enriched_in(data) -> FusionProvenance:
     branch = _str(data["branch"])
     if branch not in DECISIONS:
         raise StoreError(f"unknown fusion branch {branch!r}")
     head = _str(data["matched_head"], null_ok=DECISIONS[branch] == "kept")
     mu_cx = data["mu_cx"]
-    return (branch, head, float(data["mu_vsc"]),
-            None if mu_cx is None else float(mu_cx))
+    return FusionProvenance(branch, head, _number(data["mu_vsc"]),
+                            None if mu_cx is None else _number(mu_cx))
 
 
 def _enriched_records(vis: tuple[VisRecord, ...],
-                      decisions: tuple[tuple, ...]) -> tuple[EnrichedVisRecord, ...]:
-    """A document's enriched records, rebuilt from its visual records and
-    the fusion decision of each."""
+                      decisions: tuple[FusionProvenance, ...]) -> tuple:
+    """A document's enriched records: its visual records, each with its
+    fusion decision."""
     if len(decisions) != len(vis):
         raise StoreError(f"{len(decisions)} enriched items, not one per "
                          f"visual record ({len(vis)})")
-    return tuple(_enrich(record, *decision)
-                 for record, decision in zip(vis, decisions))
+    return tuple(map(EnrichedVisRecord, vis, decisions))
 
 
 def _check_enriched(record: IndexRecord) -> None:
     """Refuse to save enriched records that the enriched column, which
-    holds only each one's fusion decision, would not rebuild as they are."""
+    holds only their decisions, would not load as they are."""
     vis, enriched = record.vis_records, record.enriched
     if len(enriched) != len(vis):
         raise StoreError(
             f"cannot save document {record.doc_id!r}: {len(enriched)} "
             f"enriched records, not one per visual record ({len(vis)})")
-    for visual, e in zip(vis, enriched):
-        prov = e.provenance
-        if prov is None:
-            problem = "it has no fusion provenance"
-        elif prov.branch not in DECISIONS:
-            problem = f"unknown fusion branch {prov.branch!r}"
-        elif e == (rebuilt := _enrich(visual, prov.branch, prov.matched_head,
-                                      prov.mu_vsc, prov.mu_cx)):
-            continue
-        else:
-            differ = [name for name, value in vars(e).items()
-                      if name != "provenance"
-                      and value != getattr(rebuilt, name)]
-            if prov.decision != rebuilt.provenance.decision:
-                differ.append("decision")
-            problem = (f"{', '.join(differ) or 'its type'} not what its "
-                       "visual record and fusion provenance rebuild")
-        raise StoreError(f"cannot save document {record.doc_id!r}, enriched "
-                         f"record {e.vo_id!r}: {problem}")
+    for k, (visual, e) in enumerate(zip(vis, enriched)):
+        if e.vis != visual:
+            raise StoreError(f"cannot save document {record.doc_id!r}, "
+                             f"enriched record {e.vo_id!r}: its visual record "
+                             f"differs from the document's visual record {k} "
+                             f"({visual.vo_id!r})")
 
 
 #: IndexRecord field -> (encoder, decoder) of one of its items, in
 #: IndexRecord's field order; `load_store` decodes only the columns it is
-#: asked for and leaves the others None. An enriched item decodes to the
-#: `fusion._enrich` arguments that rebuild it with its visual record.
+#: asked for and leaves the others None. An enriched item decodes to its
+#: `FusionProvenance`, which makes the record with its visual record.
 _CODECS = {"areas": (_area_out, _area_in), "vis_records": (_vis_out, _vis_in),
            "contextual": (_cx_out, _cx_in), "terms": (_term_out, _term_in),
            "enriched": (_enriched_out, _enriched_in)}
@@ -336,7 +325,7 @@ def _decode_column(line: str, at: int, column: str, doc_ids: list[str],
     decoded. Equal item texts are decoded, and so checked, once: the
     records loaded share that one object, as they may, since records are
     never mutated. The enriched column needs each document's decoded
-    visual records, `vis_column`, to rebuild its records from."""
+    visual records, `vis_column`, for its records to hold."""
     decode = _CODECS[column][1]
     nullable = column in _NULLABLE
     decoded: dict[str, object] = {}  # item text -> its decoded value
@@ -434,8 +423,8 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
 
 def save_store(store: IndexStore, path: str | Path) -> None:
     """Write the store to `path`, replacing it atomically (`atomic_writer`).
-    Refuses, before writing, enriched records that load would not rebuild
-    from their visual records and fusion provenance (`_check_enriched`)."""
+    Refuses, before writing, enriched records that do not hold their
+    document's visual records, one each, in order (`_check_enriched`)."""
     if missing := [f for f in RECORD_FIELDS if f not in store.fields]:
         raise StoreError(f"cannot save a store loaded without its records' "
                          f"{', '.join(missing)}")
@@ -459,7 +448,7 @@ def load_store(path: str | Path,
     (all when None). The meta line, the document ids, and every column
     line's place, crc32 and count are always checked; a column not asked
     for is neither parsed nor decoded, except ``vis_records`` when
-    ``enriched`` is asked for, whose records are rebuilt from them."""
+    ``enriched`` is asked for, whose records hold them."""
     wanted = set(RECORD_FIELDS if fields is None else fields)
     if unknown := wanted - set(RECORD_FIELDS):
         raise ValueError(f"not IndexRecord fields: {sorted(unknown)}")

@@ -93,11 +93,6 @@ FACET_VOCABS = (COLOR_VOCAB, TEXTURE_VOCAB, SPATIAL_VOCAB)
 _TOKEN_OK = re.compile(r"[a-z][a-z0-9_]*")
 
 
-def _check_weight(name: str, value: float) -> None:
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"weight for {name!r} out of [0,1]: {value!r}")
-
-
 @dataclass(frozen=True)
 class VisRecord:
     """One visual object: its semantic concept with recognition
@@ -123,7 +118,8 @@ class VisRecord:
             for name, w in weights.items():
                 if name not in vocab.names:
                     raise ValueError(f"unknown {vocab.kind} concept {name!r}")
-                _check_weight(name, w)
+                if not 0.0 <= w <= 1.0:
+                    raise ValueError(f"weight for {name!r} out of [0,1]: {w!r}")
             if vocab is COLOR_VOCAB and sum(weights.values()) > 1.0 + 1e-9:
                 raise ValueError("color weights sum beyond 1")
         for rel, target in self.spatial:

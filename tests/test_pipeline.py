@@ -44,8 +44,8 @@ def test_enrich_unknown_vsc_left_out_of_fusion(base_lattice):
                                base_lattice, PipelineConfig())
     e = enriched.enriched[0]
     assert e.vsc == "gizmo"
-    assert e.provenance == FusionProvenance("kept", "unknown_concept", None,
-                                            0.7, None)
+    assert e.provenance == FusionProvenance("unknown_concept", None, 0.7, None)
+    assert e.provenance.decision == "kept"
     assert e.final_mu == 0.7
 
 
@@ -64,10 +64,11 @@ def test_an_unknown_concept_between_known_records_keeps_its_place(
                             base_lattice, cfg).enriched
     assert [e.vo_id for e in mixed] == ["vo1", "vo2", "vo3"]
     assert mixed[1].provenance == FusionProvenance(
-        "kept", "unknown_concept", None, unknown.r_vsc, None)
+        "unknown_concept", None, unknown.r_vsc, None)
+    assert mixed[1].provenance.decision == "kept"
     assert mixed[1].final_mu == unknown.r_vsc
     assert (mixed[1].vsc, mixed[1].original_vsc) == ("gizmo", "gizmo")
-    assert repr((mixed[0], mixed[2])) == repr(alone)
+    assert (mixed[0], mixed[2]) == alone
     assert {e.provenance.branch for e in alone} == {
         "correspondence_specialized"}
 

@@ -1,8 +1,10 @@
 import copy
 import json
+import pickle
+import re
 import tempfile
 import zlib
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
@@ -14,8 +16,10 @@ from viscx import (PipelineConfig, StoreError, VisRecord, enrich_store,
 from viscx.context import (DEFAULT_PATTERNS, AreaKind, ContextualConcept,
                            ExtractionArea, SyntacticTerm, parse_pattern,
                            tokenize)
-from viscx.fusion import DECISIONS, EnrichedVisRecord, FusionProvenance
+from viscx.fusion import (DECISIONS, EnrichedVisRecord, FacetKernel,
+                          FusionProvenance)
 from viscx.membership import TConormKind
+from viscx.retrieval import STRATEGY_FIELDS, Strategy
 from viscx.store import (RECORD_FIELDS, STORE_VERSION, IndexRecord,
                          IndexStore, StoreMeta, load_store, save_store)
 
@@ -30,16 +34,10 @@ def full_record(doc_id="doc1"):
     vis = VisRecord("vo1", "flower", 0.7, {"red": 0.5}, {"uniform": 0.8},
                     frozenset({("near", "vo2")}))
     vis2 = VisRecord("vo2", "ground", 0.9)
-    enriched = EnrichedVisRecord(
-        vo_id="vo1", vsc="rose", r_vsc=0.7, colors={"red": 0.5},
-        textures={"uniform": 0.8}, spatial=frozenset({("near", "vo2")}),
-        original_vsc="flower", final_mu=0.91,
-        provenance=FusionProvenance("replaced", "correspondence_specialized",
-                                    "rose", 0.88, 0.91))
-    enriched2 = EnrichedVisRecord(
-        vo_id="vo2", vsc="ground", r_vsc=0.9, original_vsc="ground",
-        final_mu=0.6, provenance=FusionProvenance("kept", "unmatched", None,
-                                                  0.6, None))
+    enriched = EnrichedVisRecord(vis, FusionProvenance(
+        "correspondence_specialized", "rose", 0.88, 0.91))
+    enriched2 = EnrichedVisRecord(vis2, FusionProvenance("unmatched", None,
+                                                         0.6))
     return IndexRecord(
         doc_id=doc_id,
         areas=(ExtractionArea(AreaKind.ALT_ATTRIBUTE, ("red", "roses"), 0.9),
@@ -668,48 +666,84 @@ def test_the_enriched_column_holds_one_decision_per_visual_record(tmp_path):
                   "mu_vsc": 0.6}]
 
 
-def _vo1(record, **changes):
-    """`record` with its first enriched record changed by `changes`
-    (``decision`` and ``branch`` change its provenance)."""
+def _holding(record, **changes):
+    """`record` whose first enriched record holds its visual record
+    changed by `changes`, with the same fusion decision."""
     first, *rest = record.enriched
-    prov = {key: changes.pop(key) for key in ("decision", "branch")
-            if key in changes}
-    if prov:
-        changes["provenance"] = replace(first.provenance, **prov)
-    return replace(record, enriched=(replace(first, **changes), *rest))
+    return replace(record, enriched=(EnrichedVisRecord(
+        replace(first.vis, **changes), first.provenance), *rest))
 
 
-@pytest.mark.parametrize("change, problem", [
-    (lambda r: _vo1(r, provenance=None), "it has no fusion provenance"),
-    (lambda r: _vo1(r, branch="guessed"), "unknown fusion branch 'guessed'"),
-    (lambda r: _vo1(r, decision="kept"), "decision not what"),
-    (lambda r: _vo1(r, vsc="flower"), "vsc not what"),
-    (lambda r: _vo1(r, original_vsc="plant"), "original_vsc not what"),
-    (lambda r: _vo1(r, final_mu=0.95), "final_mu not what"),
-    (lambda r: _vo1(r, vo_id="vo9"), "vo_id not what"),
-    (lambda r: _vo1(r, r_vsc=0.6), "r_vsc not what"),
-    (lambda r: _vo1(r, colors={"red": 0.4}), "colors not what"),
-    (lambda r: _vo1(r, textures={}), "textures not what"),
-    (lambda r: _vo1(r, spatial=frozenset()), "spatial not what"),
-    (lambda r: _vo1(r, vsc="flower", final_mu=0.88, decision="kept"),
-     "vsc, final_mu, decision not what"),
+def _assign(**changes):
+    """A change that assigns `changes`, in order, to the first enriched
+    record (``decision`` to its provenance)."""
+    def change(record):
+        first = record.enriched[0]
+        for name, value in changes.items():
+            setattr(first.provenance if name == "decision" else first, name,
+                    value)
+    return change
+
+
+def _rebuilt(record, branch):
+    """The first enriched record made anew with its decision's branch set
+    to `branch`."""
+    first = record.enriched[0]
+    return EnrichedVisRecord(first.vis, first.provenance._replace(
+        branch=branch))
+
+
+ANOTHER_VISUAL_RECORD = (r"its visual record differs from the document's "
+                         r"visual record 0 \('vo1'\)")
+
+
+@pytest.mark.parametrize("change, error, problem", [
+    (lambda r: EnrichedVisRecord(r.enriched[0].vis), TypeError,
+     "missing 1 required positional argument: 'provenance'"),
+    (lambda r: _rebuilt(r, "guessed"), ValueError,
+     "unknown fusion branch 'guessed'"),
+    (_assign(decision="kept"), AttributeError,
+     "'FusionProvenance' object has no setter"),
+    (_assign(vsc="flower"), FrozenInstanceError, "field 'vsc'"),
+    (_assign(original_vsc="plant"), FrozenInstanceError, "field 'original_vsc'"),
+    (_assign(final_mu=0.95), FrozenInstanceError, "field 'final_mu'"),
+    (lambda r: _holding(r, vo_id="vo9"), StoreError,
+     f"enriched record 'vo9': {ANOTHER_VISUAL_RECORD}"),
+    (lambda r: _holding(r, r_vsc=0.6), StoreError, ANOTHER_VISUAL_RECORD),
+    (lambda r: _holding(r, colors={"red": 0.4}), StoreError,
+     ANOTHER_VISUAL_RECORD),
+    (lambda r: _holding(r, textures={}), StoreError, ANOTHER_VISUAL_RECORD),
+    (lambda r: _holding(r, spatial=frozenset()), StoreError,
+     ANOTHER_VISUAL_RECORD),
+    (lambda r: replace(r.enriched[0], vsc="flower", final_mu=0.88,
+                       decision="kept"), TypeError,
+     "unexpected keyword argument"),
 ], ids=["no-provenance", "unknown-branch", "decision", "vsc", "original-vsc",
         "final-mu", "vo-id", "r-vsc", "colors", "textures", "spatial",
         "three-fields"])
 def test_save_refuses_an_enriched_record_its_decision_does_not_rebuild(
-        tmp_path, change, problem):
-    """The enriched column keeps only the fusion decision, so a record that
-    differs in anything derived from it is refused, not silently changed."""
+        tmp_path, change, error, problem):
+    """The enriched column keeps only the fusion decision, so an enriched
+    record that differs from what its visual record and decision make is
+    never written. It holds the two and derives the rest, so a record with
+    no decision, an unknown branch, or a decision, concept, original
+    concept or fused membership of its own cannot be made, by assignment
+    or by `dataclasses.replace`; a save refuses one that holds another
+    visual record than its document's at its place."""
     path = tmp_path / "index.jsonl"
     store = IndexStore()
     store.add(full_record("a"))
     save_store(store, path)
     before = path.read_bytes()
-    store.records["a"] = change(store.records["a"])
-    name = "vo9" if problem.startswith("vo_id") else "vo1"
-    with pytest.raises(StoreError, match=rf"cannot save document 'a', enriched "
-                       rf"record '{name}': {problem}"):
+    with pytest.raises(error, match=problem):
+        store.records["a"] = change(store.records["a"])
         save_store(store, path)
+    if error is not StoreError:  # nothing was made or changed
+        assert store.records["a"] == full_record("a")
+        first = store.records["a"].enriched[0]
+        assert (first.vsc, first.original_vsc, first.final_mu,
+                first.provenance.decision) == ("rose", "flower", 0.91,
+                                               "replaced")
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["index.jsonl"]
 
@@ -799,7 +833,8 @@ def test_enriched_stores_round_trip_through_their_fusion_decisions(
         base_lattice, docs, tconorm, fusion_literal):
     """For stores that enrichment builds, under every t-conorm and either
     fusion rule: load(save(store)) == store, every enriched record loads
-    as it was built (by repr), and the enriched column holds only each
+    as it was built (attribute by attribute, each value with its type),
+    and the enriched column holds only each
     visual record's decision keys. A "COLOR TEXTURE" pattern mines headless
     terms, so that every fusion branch can occur."""
     cfg = PipelineConfig(tconorm=tconorm, fusion_literal=fusion_literal,
@@ -824,10 +859,143 @@ def test_enriched_stores_round_trip_through_their_fusion_decisions(
         text = path.read_text(encoding="utf-8")
     assert loaded == store
     for doc_id, record in store.records.items():
-        assert repr(loaded.records[doc_id].enriched) == repr(record.enriched)
+        assert (list(map(typed_attributes, loaded.records[doc_id].enriched))
+                == list(map(typed_attributes, record.enriched)))
         for e in record.enriched:
             assert e.provenance.decision == DECISIONS[e.provenance.branch]
     column = json.loads(text.splitlines()[LINE["enriched"]])
     for value, record in zip(column["values"], loaded.records.values()):
         assert len(value) == len(record.vis_records)
         assert all(sorted(item) == DECISION_KEYS for item in value)
+
+
+#: every attribute an enriched record is read by
+ENRICHED_ATTRIBUTES = ("vo_id", "vsc", "r_vsc", "colors", "textures",
+                       "spatial", "original_vsc", "final_mu", "provenance")
+
+
+def typed_attributes(record) -> list:
+    """Each of `record`'s ENRICHED_ATTRIBUTES and its provenance's
+    decision, with its type, so that 1 and 1.0 differ."""
+    values = [getattr(record, name) for name in ENRICHED_ATTRIBUTES]
+    values.append(record.provenance.decision)
+    return [(type(value), value) for value in values]
+
+
+def derived_attributes(vis: VisRecord, prov: FusionProvenance) -> list:
+    """The attributes of the enriched record of `vis` under the decision
+    `prov`, derived as format-4 stores have derived them since they began
+    to keep only the decision: the concept is the matched head unless the
+    decision is kept, the fused membership ``max(mu_vsc, mu_cx)``, and the
+    visual fields are the visual record's."""
+    decision = DECISIONS[prov.branch]
+    values = [vis.vo_id, vis.vsc if decision == "kept" else prov.matched_head,
+              vis.r_vsc, vis.colors, vis.textures, vis.spatial, vis.vsc,
+              prov.mu_vsc if prov.mu_cx is None else max(prov.mu_vsc,
+                                                         prov.mu_cx),
+              prov, decision]
+    return [(type(value), value) for value in values]
+
+
+@pytest.mark.parametrize("seed", [1, None], ids=["seed-1", "acceptance"])
+def test_a_vis_cx_load_validates_each_visual_record_once(
+        tmp_path, monkeypatch, base_lattice, seed):
+    """A vis+cx load validates one visual record per distinct item text of
+    the vis_records column (not one more per enriched record), and every
+    enriched record is a VisRecord that holds its document's visual record
+    itself, with the attributes its decision derives."""
+    if seed is None:  # the acceptance corpus, with its kernel
+        corpusgen.generate_corpus(tmp_path / "corpus")
+        cfg = PipelineConfig(kernel=FacetKernel.MIN)
+    else:
+        corpusgen.generate_corpus(tmp_path / "corpus", seed=seed)
+        cfg = PipelineConfig()
+    store = ingest_corpus(tmp_path / "corpus", cfg)
+    enrich_store(store, base_lattice, cfg)
+    path = tmp_path / "index.jsonl"
+    save_store(store, path)
+    validations = []
+    post_init = VisRecord.__post_init__
+
+    def counted(record):
+        validations.append(record)
+        post_init(record)
+    monkeypatch.setattr(VisRecord, "__post_init__", counted)
+    loaded = load_store(path, STRATEGY_FIELDS[Strategy.VIS_CX])
+    monkeypatch.undo()
+    texts = decoding.item_texts(path, "vis_records")
+    assert len(validations) == len(set(texts))
+    for doc_id, record in loaded.records.items():
+        assert len(record.enriched) == len(record.vis_records)
+        for vis, e, built in zip(record.vis_records, record.enriched,
+                                 store.records[doc_id].enriched):
+            assert isinstance(e, VisRecord)
+            assert e.vis is vis
+            assert typed_attributes(e) == typed_attributes(built) == (
+                derived_attributes(vis, e.provenance))
+        assert pickle.loads(pickle.dumps(record.enriched)) == record.enriched
+
+
+@pytest.mark.parametrize("branch", [
+    "correspondence_specialized", "correction_context", "correction_literal"])
+def test_a_replacing_decisions_head_must_be_a_concept_token(tmp_path, branch):
+    """A replaced or corrected record takes its matched head as its
+    concept, so a head that is no concept token is refused at load."""
+    lines = _set_value(saved_lines(tmp_path), "enriched", [0, 0, "branch"],
+                       branch)
+    lines = _set_value(lines, "enriched", [0, 0, "matched_head"], "Rose!")
+    path = tmp_path / "damaged.jsonl"
+    path.write_text(store_text(lines), encoding="utf-8")
+    for fields in (None, ["enriched"]):
+        with pytest.raises(StoreError) as error:
+            load_store(path, fields)
+        assert str(error.value) == (
+            f"{path}:{LINE['enriched'] + 1}: enriched of document 'a': "
+            "malformed value: invalid semantic concept 'Rose!'")
+
+
+def test_a_kept_decisions_head_is_not_its_concept(tmp_path):
+    """A kept record keeps its visual concept, so its matched head is
+    loaded as written, and saved again as it was read."""
+    lines = _set_value(saved_lines(tmp_path), "enriched", [0, 0, "branch"],
+                       "correspondence_unrelated")
+    lines = _set_value(lines, "enriched", [0, 0, "matched_head"], "Rose!")
+    path = tmp_path / "kept.jsonl"
+    path.write_text(store_text(lines), encoding="utf-8")
+    record = load_store(path).records["a"].enriched[0]
+    assert (record.vsc, record.provenance.matched_head) == ("flower", "Rose!")
+    save_store(load_store(path), tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("key, value, problem", [
+    ("mu_vsc", True, "expected a number, got True"),
+    ("mu_vsc", "0.5", "expected a number, got '0.5'"),
+    ("mu_vsc", float("nan"), "malformed value: mu_vsc out of [0,1]: nan"),
+    ("mu_vsc", 1.5, "malformed value: mu_vsc out of [0,1]: 1.5"),
+    ("mu_vsc", -0.25, "malformed value: mu_vsc out of [0,1]: -0.25"),
+    ("mu_cx", False, "expected a number, got False"),
+    ("mu_cx", "x", "expected a number, got 'x'"),
+    ("mu_cx", float("nan"), "malformed value: mu_cx out of [0,1]: nan"),
+    ("mu_cx", -1, "malformed value: mu_cx out of [0,1]: -1.0"),
+    ("mu_cx", 1e300, "malformed value: mu_cx out of [0,1]: 1e+300"),
+], ids=["vsc-bool", "vsc-string", "vsc-nan", "vsc-above", "vsc-below",
+        "cx-bool", "cx-string", "cx-nan", "cx-below", "cx-above"])
+def test_a_membership_value_must_be_a_number_in_the_unit_interval(
+        tmp_path, key, value, problem):
+    """A decision's membership values are JSON numbers in [0,1] (mu_cx may
+    be null): anything else is refused at load, naming the store, line and
+    document, and by the record's constructor."""
+    lines = _set_value(saved_lines(tmp_path), "enriched", [0, 0, key], value)
+    path = tmp_path / "damaged.jsonl"
+    path.write_text(store_text(lines), encoding="utf-8")
+    for fields in (None, ["enriched"]):
+        with pytest.raises(StoreError) as error:
+            load_store(path, fields)
+        assert str(error.value) == (f"{path}:{LINE['enriched'] + 1}: enriched "
+                                    f"of document 'a': {problem}")
+    first = full_record().enriched[0]
+    if problem.startswith("malformed"):
+        with pytest.raises(ValueError, match=re.escape(problem[17:])):
+            EnrichedVisRecord(first.vis, first.provenance._replace(
+                **{key: float(value)}))
