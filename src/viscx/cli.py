@@ -14,10 +14,9 @@ them, and the sha256 of the taxonomy text, so search and eval refuse a
 taxonomy whose content differs from the one the store was enriched with.
 search parses and decodes only the store columns its strategy reads
 (`retrieval.STRATEGY_FIELDS`; vis+cx reads the visual records and the
-fusion decisions of the format-4 enriched column, and makes the enriched
-records of both), and eval those of its strategies; enrich
-decodes every column. Every command checks each column's crc32, read or
-not.
+fusion decisions of the enriched column, and makes the enriched records
+of both), and eval those of its strategies; enrich decodes every column.
+Every command checks each column's crc32, read or not.
 """
 
 from __future__ import annotations

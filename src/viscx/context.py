@@ -67,6 +67,10 @@ class ContextualConcept:
     imp: float
     area_kind: AreaKind
 
+    def __post_init__(self):
+        if not (0.0 <= self.imp <= 1.0):
+            raise ViscxError(f"impact out of [0,1]: {self.imp!r}")
+
 
 class Category(Enum):
     """Tag categories; values double as the pattern regex alphabet."""

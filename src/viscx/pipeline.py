@@ -47,8 +47,9 @@ def pair_corpus(corpus_dir: str | Path) -> list[tuple[str, Path, Path]]:
 
 def ingest_document(doc_id: str, html_path: Path, vis_path: Path,
                     cfg: PipelineConfig) -> IndexRecord:
-    html = html_path.read_text(encoding="utf-8")
-    records = parse_vis(vis_path.read_text(encoding="utf-8"))
+    # without a leading byte order mark, as every input file is read
+    html = html_path.read_text(encoding="utf-8-sig")
+    records = parse_vis(vis_path.read_text(encoding="utf-8-sig"))
     areas = extract_areas(html, image_ref=doc_id,
                           impacts=cfg.impacts, window=cfg.window)
     return IndexRecord(doc_id=doc_id, areas=tuple(areas),

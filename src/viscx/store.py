@@ -7,30 +7,33 @@ without re-supplying them and refuse another taxonomy. The snapshot's
 taxonomy is the meta line's and is not written twice; a snapshot whose
 taxonomy differs keeps its own.
 
-Then come the column lines: ``doc_id``, then each `IndexRecord` field in
-`RECORD_FIELDS` order, each holding the value of every document in
-document-id order::
+Then come the column lines: ``doc_id``, holding every document id in
+order, then each `IndexRecord` field in `RECORD_FIELDS` order. A record
+column line holds each distinct item of the column once (``items``,
+numbered in order of first reference) and, per document in document-id
+order, the list of its items' numbers, or null (``values``)::
 
-    {"column":"areas","count":300,"values":[...],"crc32":"0a1b2c3d"}
+    {"column":"doc_id","count":300,"values":["a","b",...],"crc32":"..."}
+    {"column":"terms","count":300,"items":[...],"values":[[0,1],[2],null,...],"crc32":"0a1b2c3d"}
 
 The crc32 covers the text of the line before it. A load checks every
 column line's place, count and crc32, but parses and decodes only
 ``doc_id`` and the columns it is asked for, so a search pays only for
-the fields its strategy reads. Within a column, equal item texts are
-decoded and checked once, and the loaded records share that one object:
-a few concepts, area kinds and impacts make most of a column's items.
-Records are never mutated, so sharing them is safe.
+the fields its strategy reads. Each item is decoded and checked once,
+and the loaded records share that one object: a few concepts, area
+kinds and impacts make most of a column's items. Records are never
+mutated, so sharing them is safe.
 
-Since format version 4 the ``enriched`` column holds, per visual record
-and in the same order, only its fusion decision:
-``{"branch","matched_head","mu_cx","mu_vsc"}``. An enriched record is
-made of that and its visual record (`fusion.EnrichedVisRecord`), so a
-load that reads ``enriched`` also decodes ``vis_records``, and a save
-refuses an enriched record that does not hold its document's visual
-record. A store of another format version is refused on load:
-version 3 wrote each enriched record whole, a second copy of its visual
-record; version 2 held one JSON record per document, and version 1 also
-area text, per-record paths and fusion notes.
+The ``enriched`` column holds, per visual record and in the same order,
+only its fusion decision: ``{"branch","matched_head","mu_cx","mu_vsc"}``.
+An enriched record is made of that and its visual record
+(`fusion.EnrichedVisRecord`), so a load that reads ``enriched`` also
+decodes ``vis_records``, and a save refuses an enriched record that does
+not hold its document's visual record. A store of another format version
+is refused on load: version 4 wrote every item wherever it occurred;
+version 3 also wrote each enriched record whole, a second copy of its
+visual record; version 2 held one JSON record per document, and version
+1 also area text, per-record paths and fusion notes.
 
 Values are written with sorted keys and hold no path, so the same store
 content always produces the same column lines wherever the corpus lives,
@@ -42,13 +45,14 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import re
 import shutil
 import zlib
+from collections import Counter
 from dataclasses import asdict, dataclass, field
-from itertools import islice
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Iterable, Iterator, Mapping, NoReturn, TextIO
 
 from .context import AreaKind, ContextualConcept, ExtractionArea, SyntacticTerm
 from .config import PipelineConfig
@@ -56,7 +60,7 @@ from .errors import StoreError, ViscxError, one_line, read_bytes
 from .fusion import DECISIONS, EnrichedVisRecord, FusionProvenance
 from .vis import VisRecord
 
-STORE_VERSION = 4
+STORE_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -103,12 +107,18 @@ def _str(value, null_ok: bool = False) -> str:
     return value
 
 
+def _number(value) -> float:
+    if isinstance(value, (str, bool)):  # JSON's other types `float` takes
+        raise StoreError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _pairs_out(pairs: frozenset[tuple[str, float]]) -> list[list]:
     return [[name, imp] for name, imp in sorted(pairs)]
 
 
 def _pairs_in(data) -> frozenset[tuple[str, float]]:
-    return frozenset((name, float(imp)) for name, imp in data)
+    return frozenset((name, _number(imp)) for name, imp in data)
 
 
 def _area_out(area: ExtractionArea) -> dict:
@@ -120,7 +130,8 @@ def _area_in(data) -> ExtractionArea:
     tokens = tuple(data["tokens"])
     if set(map(type, tokens)) - {str}:  # one check per area, not per token
         raise StoreError(f"area tokens must be strings: {tokens!r}")
-    return ExtractionArea(AreaKind(data["kind"]), tokens, float(data["impact"]))
+    return ExtractionArea(AreaKind(data["kind"]), tokens,
+                          _number(data["impact"]))
 
 
 def _vis_out(record: VisRecord) -> dict:
@@ -131,9 +142,9 @@ def _vis_out(record: VisRecord) -> dict:
 
 
 def _vis_in(data) -> VisRecord:
-    return VisRecord(data["vo"], data["vsc"], float(data["r"]),
-                     {k: float(v) for k, v in data["colors"].items()},
-                     {k: float(v) for k, v in data["textures"].items()},
+    return VisRecord(data["vo"], data["vsc"], _number(data["r"]),
+                     {k: _number(v) for k, v in data["colors"].items()},
+                     {k: _number(v) for k, v in data["textures"].items()},
                      frozenset((rel, target) for rel, target in data["spatial"]))
 
 
@@ -147,7 +158,7 @@ def _term_out(term: SyntacticTerm) -> dict:
 def _term_in(data) -> SyntacticTerm:
     head = data.get("head")
     return SyntacticTerm(
-        (_str(head[0]), float(head[1])) if head is not None else None,
+        (_str(head[0]), _number(head[1])) if head is not None else None,
         _pairs_in(data["colors"]), _pairs_in(data["textures"]),
         _pairs_in(data["spatials"]))
 
@@ -157,14 +168,8 @@ def _cx_out(cx: ContextualConcept) -> dict:
 
 
 def _cx_in(data) -> ContextualConcept:
-    return ContextualConcept(_str(data["cx"]), float(data["imp"]),
+    return ContextualConcept(_str(data["cx"]), _number(data["imp"]),
                              AreaKind(data["area"]))
-
-
-def _number(value) -> float:
-    if isinstance(value, (str, bool)):  # JSON's other types `float` takes
-        raise StoreError(f"expected a number, got {value!r}")
-    return float(value)
 
 
 def _enriched_out(record: EnrichedVisRecord) -> dict:
@@ -219,16 +224,15 @@ _NULLABLE = {"contextual", "terms", "enriched"}  # null before enrich
 _COLUMNS = ("doc_id", *RECORD_FIELDS)  # the column lines, in file order
 
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_BATCH = 64  # values per piece of a column line written
-_scan = json.JSONDecoder().scan_once  # (value, end) of the JSON at an index
-_SPACE = re.compile(r"[ \t\n\r]*").match  # the whitespace JSON allows
-_BLANK = " \t\n\r"  # its characters; "", the end of a line, is in it too
-# A column line: _HEAD with the column's name, its value count, _VALUES,
-# the values, "]", and _CRC with the crc32 of all the text before _CRC.
+# A column line: _HEAD with the column's name, its count, its items (in a
+# record column) and values, and _CRC with the crc32 of the text before it.
 _HEAD = '{{"column":"{}","count":'
-_VALUES = ',"values":['
 _CRC = ',"crc32":"%08x"}'
 _TAIL = len(_CRC % 0)
+#: the memo key of an item whose text a save has encoded, for the columns
+#: whose items are not hashable: a visual record's identity, and an
+#: enriched record's decision, which is all of it that the column holds
+_ITEM_KEYS = {"vis_records": id, "enriched": attrgetter("provenance")}
 #: what a value of the wrong shape or out of range raises while decoded
 _MALFORMED = (AttributeError, LookupError, TypeError, ValueError,
               ArithmeticError)
@@ -260,136 +264,129 @@ def _meta_in(data: Mapping) -> StoreMeta:
     return meta
 
 
-def _write_column(out: TextIO, column: str, count: int,
-                  values: Iterable) -> None:
-    """The column line of `count` `values`, written a few values at a time
-    with a running crc32, so that no column is held whole in memory."""
-    crc = 0
-    for piece in _column_pieces(column, count, values):
-        out.write(piece)
-        crc = zlib.crc32(piece.encode(), crc)
-    out.write(_CRC % crc + "\n")
+def _column_line(column: str, values: list,
+                 items: Iterable[str] | None = None) -> str:
+    """The column line of `values`, sealed with its crc32; a record
+    column's also holds its `items` texts."""
+    text = f"{_HEAD.format(column)}{len(values)}"
+    if items is not None:
+        text += f',"items":[{",".join(items)}]'
+    text += f',"values":{_JSON.encode(values)}'
+    return text + _CRC % zlib.crc32(text.encode()) + "\n"
 
 
-def _column_pieces(column: str, count: int, values: Iterable) -> Iterator[str]:
-    yield f"{_HEAD.format(column)}{count}{_VALUES}"
-    values, separator = iter(values), ""
-    # one encode call per _BATCH values: each call has a fixed cost
-    while batch := list(islice(values, _BATCH)):
-        yield separator + _JSON.encode(batch)[1:-1]  # the values, no brackets
-        separator = ","
-    yield "]"
+def _numbered(name: str, records: list[IndexRecord]) -> tuple[dict, list]:
+    """The number of each distinct item text of column `name`, in order of
+    first reference, and each record's list of its item numbers. An item
+    whose memo key (itself, or its `_ITEM_KEYS` key) was met is not
+    encoded again."""
+    encode, key = _CODECS[name][0], _ITEM_KEYS.get(name)
+    numbers, memo, values = {}, {}, []
+    for record in records:
+        if (items := getattr(record, name)) is None:
+            values.append(None)
+            continue
+        values.append(refs := [])
+        for item, k in zip(items, map(key, items) if key else items):
+            if (number := memo.get(k)) is None:
+                number = memo[k] = numbers.setdefault(
+                    _JSON.encode(encode(item)), len(numbers))
+            refs.append(number)
+    return numbers, values
 
 
-def _column_at(data: bytes, start: int, end: int,
-               column: str) -> tuple[int, int]:
-    """The count of the column line `data[start:end]` and the offset of its
-    values list, once the line is checked to be `column`'s and to match
-    its crc32."""
+def _column_at(line: bytes, column: str) -> int:
+    """The count of the column line `line`, once it is checked to be
+    `column`'s and to match its crc32."""
     head = _HEAD.format(column).encode()
-    if not data.startswith(head, start, end):
+    if not line.startswith(head):
         raise StoreError(f"expected the {column} column line")
-    crc = zlib.crc32(memoryview(data)[start:end - _TAIL])
-    if data[end - _TAIL:end] != (_CRC % crc).encode():
+    crc = zlib.crc32(memoryview(line)[:-_TAIL])
+    if line[-_TAIL:] != (_CRC % crc).encode():
         raise StoreError(f"checksum mismatch: the {column} column line does "
                          "not match its crc32")
-    values = data.find(_VALUES.encode(), start, end)
-    count = data[start + len(head):values]
-    if values < 0 or not count.isdigit():
+    # the line ends with _CRC, so it holds a "," after the head
+    count = line[len(head):line.index(b",", len(head))]
+    if not count.isdigit():
         raise StoreError(f"malformed {column} column line")
-    return int(count), values + len(_VALUES) - 1
+    return int(count)
 
 
-def _doc_ids(text: bytes, count: int) -> list[str]:
-    doc_ids = json.loads(text)
-    if len(doc_ids) != count:
-        raise StoreError(f"doc_id column holds {len(doc_ids)} values, not "
-                         f"its count {count}")
-    seen = set()
-    for doc_id in doc_ids:
-        if not isinstance(doc_id, str):
-            raise StoreError(f"document id {doc_id!r} is not a string")
-        if doc_id in seen:
-            raise StoreError(f"duplicate document id {doc_id!r}")
-        seen.add(doc_id)
+def _doc_ids(line: dict, count: int) -> list[str]:
+    doc_ids = line["values"]
+    if type(doc_ids) is not list or len(doc_ids) != count:
+        raise StoreError(f"doc_id column does not hold its {count} ids")
+    if wrong := [doc_id for doc_id in doc_ids if type(doc_id) is not str]:
+        raise StoreError(f"document id {wrong[0]!r} is not a string")
+    if len(set(doc_ids)) < count:
+        twice = next(d for d, n in Counter(doc_ids).items() if n > 1)
+        raise StoreError(f"duplicate document id {twice!r}")
     return doc_ids
 
 
-def _decode_column(line: str, at: int, column: str, doc_ids: list[str],
+def _decode_column(line: dict, column: str, doc_ids: list[str],
                    vis_column: list | None = None) -> list:
-    """The decoded value of each document in the column line `line`, whose
-    values list opens at `at`, so no column is held whole as JSON. The
-    items of a document's list are scanned one by one, as the JSON scanner
-    scans a list (with the same whitespace and the same errors; `line`
-    ends with its crc32, so only an item can run to its end), and then
-    decoded. Equal item texts are decoded, and so checked, once: the
-    records loaded share that one object, as they may, since records are
-    never mutated. The enriched column needs each document's decoded
-    visual records, `vis_column`, for its records to hold."""
-    decode = _CODECS[column][1]
-    nullable = column in _NULLABLE
-    decoded: dict[str, object] = {}  # item text -> its decoded value
-    values = []
-    at += 1  # past the '['
+    """The decoded value of each document in the parsed column line
+    `line`. Each item is decoded, and so checked, once: the records
+    loaded share that one object, as they may, since records are never
+    mutated. The enriched column needs each document's decoded visual
+    records, `vis_column`, for its records to hold. Any fault is named by
+    `_first_fault`."""
+    items, values = line["items"], line["values"]
+    if (type(items) is not list or type(values) is not list
+            or len(values) != len(doc_ids)):
+        raise StoreError(f"malformed {column} column line: it must hold a "
+                         "list of items and a list of one value per document")
+    kinds = {list, type(None)} if column in _NULLABLE else {list}
     try:
-        for _ in doc_ids:
-            if values:
-                if line[at] != ",":
-                    raise StoreError(f"expected ',' at column {at + 1}")
-                at += 1
-            if line[at] != "[":  # null, or no list: scanned and decoded whole
-                item, at = _scan(line, at)
-                if item is None and nullable:
-                    values.append(None)
-                    continue
-                value = tuple(map(decode, item))
-            else:
-                texts, fresh = [], []  # fresh: the (text, JSON) to decode
-                at += 1
-                if line[at] in _BLANK:
-                    at = _SPACE(line, at).end()
-                sep = line[at]
-                if sep == "]":
-                    at += 1
-                while sep != "]":
-                    item, end = _scan(line, at)
-                    text = line[at:end]
-                    texts.append(text)
-                    if text not in decoded:
-                        fresh.append((text, item))
-                    at = end + 1
-                    sep = line[end:at]
-                    if sep in _BLANK:
-                        end = _SPACE(line, end).end()
-                        at = end + 1
-                        sep = line[end:at]
-                    if sep == ",":
-                        if line[at] in _BLANK:
-                            at = _SPACE(line, at).end()
-                    elif sep != "]":
-                        raise json.JSONDecodeError("Expecting ',' delimiter",
-                                                   line, end)
-                for text, item in fresh:
-                    if text not in decoded:
-                        decoded[text] = decode(item)
-                value = tuple(map(decoded.__getitem__, texts))
-            values.append(value if vis_column is None else
-                          _enriched_records(vis_column[len(values)], value))
-    except StopIteration as exc:  # _scan found no JSON value
-        problem = f"bad JSON: expecting a value at column {exc.value + 1}"
-    except (json.JSONDecodeError, RecursionError) as exc:
-        problem = f"bad JSON: {exc}"
-    except ViscxError as exc:
-        problem = str(exc)
-    except _MALFORMED as exc:
-        problem = f"malformed value: {exc}"
-    else:
-        if at == len(line) - _TAIL - 1 and line[at] == "]":
-            return values
-        raise StoreError(f"{column} column: expected ']' after its "
-                         f"{len(values)} values, at column {at + 1}")
-    doc_id = doc_ids[len(values)]  # the first value not decoded
-    raise StoreError(f"{column} of document {doc_id!r}: {problem}")
+        decoded = list(map(_CODECS[column][1], items))
+        numbers = list(chain.from_iterable(filter(None, values)))
+        # each value a list of item numbers, and every item referenced
+        if (set(map(type, values)) - kinds or set(map(type, numbers)) - {int}
+                or set(numbers) != set(range(len(items)))):
+            raise ValueError
+        take = decoded.__getitem__
+        loaded = [None if refs is None else tuple(map(take, refs))
+                  for refs in values]
+        if vis_column is not None:
+            loaded = [None if decisions is None else _enriched_records(
+                vis, decisions) for vis, decisions in zip(vis_column, loaded)]
+    except (ViscxError, *_MALFORMED):
+        _first_fault(column, doc_ids, values, items, vis_column)
+    return loaded
+
+
+def _first_fault(column: str, doc_ids: list[str], values: list, items: list,
+                 vis_column: list | None) -> NoReturn:
+    """Raise the StoreError of the first document whose value does not
+    load: it is neither a list of item numbers nor a null the column may
+    hold, an item it references does not decode, or its enriched records
+    cannot be made; else of an item that no document references."""
+    decoded = {}
+    for n, (doc_id, refs) in enumerate(zip(doc_ids, values)):
+        try:
+            if refs is None and column in _NULLABLE:
+                continue
+            if type(refs) is not list:
+                raise StoreError(f"expected a list of item numbers, got "
+                                 f"{refs!r}")
+            for ref in refs:
+                if type(ref) is not int or not 0 <= ref < len(items):
+                    raise StoreError(f"expected the number of one of the "
+                                     f"column's {len(items)} items, got "
+                                     f"{ref!r}")
+                if ref not in decoded:
+                    decoded[ref] = _CODECS[column][1](items[ref])
+            if vis_column is not None:
+                _enriched_records(vis_column[n], tuple(map(decoded.get, refs)))
+        except (ViscxError, *_MALFORMED) as exc:
+            problem = (str(exc) if isinstance(exc, ViscxError)
+                       else f"malformed value: {exc}")
+            raise StoreError(f"{column} of document {doc_id!r}: {problem}"
+                             ) from None
+    unreferenced = set(range(len(items))) - set(decoded)
+    raise StoreError(f"{column} column: no document references item "
+                     f"{min(unreferenced)}")
 
 
 @contextlib.contextmanager
@@ -435,11 +432,10 @@ def save_store(store: IndexStore, path: str | Path) -> None:
             _check_enriched(record)
     with atomic_writer(path) as out:
         out.write(_meta_out(store.meta))
-        _write_column(out, "doc_id", len(doc_ids), doc_ids)
-        for name, (encode, _decode) in _CODECS.items():
-            _write_column(out, name, len(records), (
-                None if (items := getattr(record, name)) is None
-                else list(map(encode, items)) for record in records))
+        out.write(_column_line("doc_id", doc_ids))
+        for name in RECORD_FIELDS:
+            numbers, values = _numbered(name, records)
+            out.write(_column_line(name, values, numbers))
 
 
 def load_store(path: str | Path,
@@ -453,35 +449,32 @@ def load_store(path: str | Path,
     if unknown := wanted - set(RECORD_FIELDS):
         raise ValueError(f"not IndexRecord fields: {sorted(unknown)}")
     decoded = wanted | ({"vis_records"} if "enriched" in wanted else set())
-    data = read_bytes(path, "index store", StoreError)
+    lines = read_bytes(path, "index store", StoreError).split(b"\n")
+    if not lines[-1]:
+        lines.pop()  # what follows the last newline
     name = one_line(Path(path))
     store = IndexStore(fields=tuple(f for f in RECORD_FIELDS if f in wanted))
     columns = {}
-    start = 0
     try:
         for lineno, column in enumerate(("meta", *_COLUMNS), start=1):
-            if start >= len(data):
+            if lineno > len(lines):
                 raise StoreError(f"missing the {column} line" if lineno == 1
                                  else f"missing the {column} column line")
-            end = data.find(b"\n", start)
-            end = len(data) if end < 0 else end
+            line = lines[lineno - 1]
             if column == "meta":
-                store.meta = _meta_in(json.loads(data[start:end]))
-            else:
-                count, at = _column_at(data, start, end, column)
-                if column == "doc_id":
-                    doc_ids = _doc_ids(data[at:end - _TAIL], count)
-                elif count != len(doc_ids):
-                    raise StoreError(f"{column} column has count {count}, "
-                                     f"not the {len(doc_ids)} of doc_id")
-                elif column in decoded:
-                    columns[column] = _decode_column(
-                        str(memoryview(data)[start:end], "utf-8"),
-                        at - start, column, doc_ids,
-                        columns["vis_records"] if column == "enriched"
-                        else None)
-            start = end + 1
-        if start < len(data):
+                store.meta = _meta_in(json.loads(line))
+                continue
+            count = _column_at(line, column)
+            if column == "doc_id":
+                doc_ids = _doc_ids(json.loads(line), count)
+            elif count != len(doc_ids):
+                raise StoreError(f"{column} column has count {count}, not "
+                                 f"the {len(doc_ids)} of doc_id")
+            elif column in decoded:
+                columns[column] = _decode_column(
+                    json.loads(line), column, doc_ids, columns.get(
+                        "vis_records") if column == "enriched" else None)
+        if len(lines) > lineno:
             lineno += 1
             raise StoreError("unexpected line after the last column")
     except StoreError as exc:

@@ -1,6 +1,7 @@
 """The check that a store loaded with only the record fields of one
 strategy ranks exactly as the fully loaded store, for the tests of store
-decoding, the query mix it ranks, and a plain decode of a store's records.
+decoding, the query mix it ranks, a plain decode of a store's records, and
+the change of one document's items in a column line.
 
 `partial_load_differences` is the one place this comparison lives: a
 change to how `load_store` decodes records, or to which fields a strategy
@@ -9,6 +10,7 @@ reads, should leave it returning nothing.
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 from pathlib import Path
@@ -83,27 +85,67 @@ def partial_load_differences(path, lattice, cfg, queries,
 
 def plain_records(path) -> dict[str, IndexRecord]:
     """Every record of the store at `path`, each column line parsed whole
-    with `json.loads` and each item decoded on its own, with no memo: the
-    reference that an interning load must equal."""
+    with `json.loads` and each item decoded at each reference to it, with
+    no sharing: the reference that a load must equal."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()[1:]
-    columns = {column: json.loads(line)["values"]
+    columns = {column: json.loads(line)
                for column, line in zip(_COLUMNS, lines)}
     fields = {}
     for name, (_encode, decode) in _CODECS.items():
-        fields[name] = [None if value is None else tuple(map(decode, value))
-                        for value in columns[name]]
+        items = columns[name]["items"]
+        fields[name] = [None if refs is None
+                        else tuple(decode(items[n]) for n in refs)
+                        for refs in columns[name]["values"]]
     fields["enriched"] = [
         None if decisions is None else _enriched_records(vis, decisions)
         for vis, decisions in zip(fields["vis_records"], fields["enriched"])]
-    return {doc_id: IndexRecord(doc_id, *values)
-            for doc_id, *values in zip(columns["doc_id"], *fields.values())}
+    return {doc_id: IndexRecord(doc_id, *values) for doc_id, *values
+            in zip(columns["doc_id"]["values"], *fields.values())}
+
+
+def item_text(item) -> str:
+    """The JSON text of an item as a store writes it (compact, keys
+    sorted)."""
+    return json.dumps(item, sort_keys=True, separators=(",", ":"))
 
 
 def item_texts(path, column: str) -> list[str]:
-    """The JSON text of every item of `column` in the store at `path`, as
-    the store writes it (compact, keys sorted)."""
+    """The JSON text of the item at every reference in `column` of the
+    store at `path`, in document order."""
     line = Path(path).read_text(encoding="utf-8").splitlines()[
         _COLUMNS.index(column) + 1]
-    return [json.dumps(item, sort_keys=True, separators=(",", ":"))
-            for value in json.loads(line)["values"] if value is not None
-            for item in value]
+    return [item_text(item) for value in expanded(json.loads(line))
+            if value is not None for item in value]
+
+
+def expanded(line: dict) -> list:
+    """Each document's value in the parsed record column line `line`,
+    with a copy of its items in place of their numbers (as a version 4
+    store held it), so that one document's items can be changed alone."""
+    items = line["items"]
+    return [copy.deepcopy([items[n] for n in refs])
+            if isinstance(refs, list) else refs for refs in line["values"]]
+
+
+def packed(line: dict, values: list) -> dict:
+    """`line` holding the documents' `values`, given as `expanded` gives
+    them: each distinct item once, numbered in order of first reference as
+    a save numbers them; a value that is not a list is kept as it is."""
+    numbers: dict[str, int] = {}
+    refs = [[numbers.setdefault(item_text(item), len(numbers))
+             for item in value] if isinstance(value, list) else value
+            for value in values]
+    return {**line, "items": list(map(json.loads, numbers)), "values": refs}
+
+
+def with_value(line: dict, doc: int, change) -> dict:
+    """The parsed column line `line` with the value of its document `doc`
+    replaced by `change` of it. In a record column `change` is given a
+    copy of the document's items (`expanded`), which the line then
+    numbers afresh (`packed`)."""
+    if "items" not in line:  # the doc_id line
+        line["values"][doc] = change(line["values"][doc])
+        return line
+    values = expanded(line)
+    values[doc] = change(values[doc])
+    return packed(line, values)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import decoding
 from test_store import LINE, damaged_text, damages, line_text
 from viscx import ALL_STRATEGIES, PipelineConfig, bundled_taxonomy_path
 from viscx.cli import main
@@ -270,6 +271,21 @@ def test_cx_search_with_an_unknown_term_head(corpus, tmp_path, capsys):
     assert captured.err == "error: unknown concept 'zzz'\n"
     assert main(cx + ["red"]) == 0
     assert capsys.readouterr().out == before
+
+
+def test_a_contextual_impact_out_of_range_is_refused_at_load(corpus, tmp_path,
+                                                              capsys):
+    """The error names the store, the line and the document, not only the
+    impact, and comes before any scoring."""
+    index = enriched_index(corpus, tmp_path)
+    rewrite_value(index, "contextual", 0,
+                  lambda cx: [{**cx[0], "imp": 1.5}, *cx[1:]])
+    capsys.readouterr()
+    assert main(["search", "--index", str(index), "--strategy", "cx",
+                 "--query", "Red Roses"]) == 2
+    one_error_line(capsys.readouterr(),
+                   f"{index}:{LINE['contextual'] + 1}: contextual of "
+                   "document 'd1': impact out of [0,1]: 1.5")
 
 
 def test_search_output_format(corpus, tmp_path, capsys):
@@ -546,11 +562,10 @@ def rewrite_line(path, n, change):
 
 
 def rewrite_value(path, column, doc_index, change):
-    """Rewrite the value of the document at `doc_index` in `column`."""
-    def changed(line):
-        line["values"][doc_index] = change(line["values"][doc_index])
-        return line
-    rewrite_line(path, LINE[column], changed)
+    """Rewrite the value of the document at `doc_index` in `column` (see
+    decoding.with_value)."""
+    rewrite_line(path, LINE[column],
+                 lambda line: decoding.with_value(line, doc_index, change))
 
 
 def set_config_key(meta, key, value):
@@ -684,7 +699,7 @@ def enriched_lines() -> list[dict]:
 
 @settings(max_examples=100, deadline=None)
 @given(st.deferred(lambda: damages(enriched_lines())))
-@example((LINE["terms"], "replace", ("values", 0, 0, "head"), []))
+@example((LINE["terms"], "replace", ("items", 0, "head"), []))
 def test_damaged_store_exits_0_or_2_with_one_error_line(damage):
     """search under every strategy and enrich, on a store with one damaged
     line, exit 0 or 2 and raise nothing; exit 2 prints one error line."""

@@ -3,7 +3,7 @@ from dataclasses import replace
 from viscx import PipelineConfig, VisRecord
 from viscx.context import AreaKind, ExtractionArea, tokenize
 from viscx.fusion import FusionProvenance
-from viscx.pipeline import enrich_document, pair_corpus
+from viscx.pipeline import enrich_document, ingest_document, pair_corpus
 from viscx.store import IndexRecord
 
 
@@ -128,3 +128,20 @@ def test_enrich_tags_each_area_once(base_lattice, monkeypatch):
     monkeypatch.undo()
     assert enrich_document(record, base_lattice, PipelineConfig()) == enriched
     assert {c.cx for c in enriched.contextual} == {"rose", "cathedral"}
+
+
+def test_a_byte_order_mark_before_a_document_is_ignored(tmp_path):
+    """A .vis or .html file that starts with a UTF-8 byte order mark is
+    ingested as the same file without it."""
+    html = ('<html><body><img src="d.jpg" alt="red roses">'
+            '<p>Smooth roses.</p></body></html>')
+    vis = "vis vo1 { sem: flower@0.7; color: red=0.6; texture: ; spa: ; }\n"
+    records = []
+    for bom in ("", "\ufeff"):
+        paths = tmp_path / f"d{len(bom)}.html", tmp_path / f"d{len(bom)}.vis"
+        for path, text in zip(paths, (html, vis)):
+            path.write_text(bom + text, encoding="utf-8")
+        records.append(ingest_document("d", *paths, PipelineConfig()))
+    assert records[1] == records[0]
+    assert records[0].vis_records[0].vsc == "flower"
+    assert records[0].areas[0].tokens == ("red", "roses")

@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import pickle
 import re
@@ -8,11 +9,11 @@ from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from viscx import (PipelineConfig, StoreError, VisRecord, enrich_store,
-                   ingest_corpus, store as store_module)
+from viscx import (PipelineConfig, StoreError, ViscxError, VisRecord,
+                   enrich_store, ingest_corpus, store as store_module)
 from viscx.context import (DEFAULT_PATTERNS, AreaKind, ContextualConcept,
                            ExtractionArea, SyntacticTerm, parse_pattern,
                            tokenize)
@@ -182,7 +183,24 @@ def test_v3_store_is_refused_with_a_rebuild_hint(tmp_path):
             + "\n" for column, value in values.items()), encoding="utf-8")
     for fields in (None, (), ("enriched",)):
         with pytest.raises(StoreError, match=r"v3\.jsonl:1: store version 3 "
-                           r"is not supported \(this viscx reads version 4\)"
+                           r"is not supported \(this viscx reads version 5\)"
+                           r"; re-run ingest and enrich"):
+            load_store(path, fields)
+
+
+def test_v4_store_is_refused_with_a_rebuild_hint(tmp_path):
+    """Version 4 wrote every item wherever it occurred."""
+    lines = saved_lines(tmp_path)
+    lines[0]["version"] = 4
+    for column in RECORD_FIELDS:
+        line = lines[LINE[column]]
+        lines[LINE[column]] = {"column": column, "count": line["count"],
+                               "values": decoding.expanded(line), "crc32": ""}
+    path = tmp_path / "v4.jsonl"
+    path.write_text(store_text(lines), encoding="utf-8")
+    for fields in (None, (), ("enriched",)):
+        with pytest.raises(StoreError, match=r"v4\.jsonl:1: store version 4 "
+                           r"is not supported \(this viscx reads version 5\)"
                            r"; re-run ingest and enrich"):
             load_store(path, fields)
 
@@ -248,32 +266,44 @@ def _set(line: dict, keys, value) -> dict:
 
 def _set_value(lines, column: str, keys, value) -> list:
     """`lines` with the node at `keys` of `column`'s values set to `value`;
-    `keys` start with the document's index."""
-    _set(lines[LINE[column]], ["values", *keys], value)
+    `keys` start with the document's index, and in a record column go on
+    into its items (see decoding.with_value)."""
+    def change(old):
+        return _set(old, keys[1:], value) if keys[1:] else value
+    lines[LINE[column]] = decoding.with_value(lines[LINE[column]], keys[0],
+                                              change)
     return lines
 
 
-def _column_line(lines, column: str, render) -> list:
-    """`lines` with `column`'s line written afresh, each document's value
-    rendered as JSON text by `render` (None as null), and sealed."""
+def _column_line(lines, column: str, render, render_item=json.dumps) -> list:
+    """`lines` with `column`'s line written afresh, each document's list of
+    item numbers rendered as JSON text by `render` (None as null) and each
+    item by `render_item`, and sealed."""
     line = lines[LINE[column]]
+    items = ",".join(map(render_item, line["items"]))
     values = ",".join("null" if value is None else render(value)
                       for value in line["values"])
-    lines[LINE[column]] = sealed(f'{{"column":"{column}","count":'
-                                 f'{line["count"]},"values":[{values}]')
+    lines[LINE[column]] = sealed(
+        f'{{"column":"{column}","count":{line["count"]},"items":[{items}],'
+        f'"values":[{values}]')
     return lines
 
 
-def _spaced(value: list) -> str:
-    """A document's list with JSON whitespace around and inside its items."""
-    items = " ,\t".join(json.dumps(item, separators=(" , ", " :\r"))
-                        for item in value)
-    return f"[ \r{items}\t ]" if items else "[ ]"
+def _spaced(value) -> str:
+    """A list or an item with JSON whitespace around and inside it."""
+    if isinstance(value, list):
+        inner = " ,\t".join(map(_spaced, value))
+        return f"[ \r{inner}\t ]" if inner else "[ ]"
+    return json.dumps(value, separators=(" , ", " :\r"))
 
 
 def test_store_text_rebuilds_the_saved_file(tmp_path):
     lines = saved_lines(tmp_path)
     assert store_text(lines) == (tmp_path / "index.jsonl").read_text()
+    # a record column line numbers its items as decoding.packed does
+    for column in RECORD_FIELDS:
+        line = lines[LINE[column]]
+        assert decoding.packed(line, decoding.expanded(line)) == line
 
 
 @pytest.mark.parametrize("damage", [
@@ -323,12 +353,12 @@ def test_malformed_line_gives_store_error(tmp_path, damage):
         load_store(path)
 
 
-def test_json_whitespace_inside_a_documents_list_loads(tmp_path):
-    """Whitespace inside a document's list, around or inside its items,
-    is JSON and loads as the compact text does."""
+def test_json_whitespace_inside_a_column_line_loads(tmp_path):
+    """Whitespace inside a document's list of item numbers, and around or
+    inside the items, is JSON and loads as the compact text does."""
     lines = saved_lines(tmp_path)
     for column in RECORD_FIELDS:
-        lines = _column_line(lines, column, _spaced)
+        lines = _column_line(lines, column, _spaced, _spaced)
     path = tmp_path / "spaced.jsonl"
     path.write_text(store_text(lines), encoding="utf-8")
     assert b" :\r" in path.read_bytes()
@@ -354,7 +384,7 @@ def test_a_damaged_item_in_several_documents_is_named_at_the_first(
         load_store(path)
     assert str(error.value) == (
         f"{path}:{LINE['contextual'] + 1}: contextual of document "
-        "'b': malformed value: could not convert string to float: 'high'")
+        "'b': expected a number, got 'high'")
 
 
 def repeating_store() -> IndexStore:
@@ -415,6 +445,130 @@ def test_each_distinct_item_text_is_decoded_once(tmp_path, monkeypatch,
     for column in ("terms", "contextual"):
         texts = decoding.item_texts(path, column)
         assert calls[column] == len(set(texts)) < len(texts), column
+
+
+def test_a_column_line_holds_each_distinct_item_once(tmp_path):
+    """A save numbers each distinct item text of a column once, in order of
+    first reference, and refers to it from every document that holds it
+    (that this loads and saves again as it was:
+    test_an_interning_load_equals_the_plain_decode)."""
+    path = tmp_path / "index.jsonl"
+    save_store(repeating_store(), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for column in RECORD_FIELDS:
+        line = json.loads(lines[LINE[column]])
+        assert list(line) == ["column", "count", "items", "values", "crc32"]
+        texts = list(map(decoding.item_text, line["items"]))
+        assert len(set(texts)) == len(texts), column
+        refs = [n for value in line["values"] if value for n in value]
+        assert list(dict.fromkeys(refs)) == list(range(len(texts))), column
+        assert len(refs) > len(texts), column  # every document repeats some
+        for text in texts:
+            assert lines[LINE[column]].count(text) == 1, column
+
+
+@pytest.mark.parametrize("column, keys, value, doc, problem", [
+    ("areas", ["values", 1], "x", "b",
+     "expected a list of item numbers, got 'x'"),
+    ("contextual", ["values", 1], {"0": 0}, "b",
+     "expected a list of item numbers, got {'0': 0}"),
+    ("areas", ["values", 0], None, "a",
+     "expected a list of item numbers, got None"),
+    ("vis_records", ["values", 1, 0], True, "b",
+     "expected the number of one of the column's 3 items, got True"),
+    ("areas", ["values", 1], [True], "b",
+     "expected the number of one of the column's 2 items, got True"),
+    ("vis_records", ["values", 1, 0], -1, "b",
+     "expected the number of one of the column's 3 items, got -1"),
+    ("vis_records", ["values", 1, 0], 3, "b",
+     "expected the number of one of the column's 3 items, got 3"),
+    ("vis_records", ["values", 1, 0], 2.0, "b",
+     "expected the number of one of the column's 3 items, got 2.0"),
+    ("terms", ["values", 0, 0], "0", "a",
+     "expected the number of one of the column's 1 items, got '0'"),
+    ("vis_records", ["items", 2, "r"], 2, "b",
+     "malformed value: recognition probability out of [0,1]: 2.0"),
+    ("enriched", ["items", 0, "branch"], "guessed", "a",
+     "unknown fusion branch 'guessed'"),
+], ids=["value-string", "value-object", "value-null", "ref-bool",
+        "ref-bool-to-a-referenced-item", "ref-negative", "ref-count",
+        "ref-float", "ref-string", "item-of-second-document",
+        "item-of-first-document"])
+def test_a_bad_item_number_or_item_is_named_at_its_first_document(
+        tmp_path, column, keys, value, doc, problem):
+    """A document's value that is not a list of the numbers of the
+    column's items, or an item that does not decode, gives one StoreError
+    that names the line and the first document that holds or references
+    it."""
+    lines = saved_lines(tmp_path)
+    _set(lines[LINE[column]], keys, value)
+    path = tmp_path / "damaged.jsonl"
+    path.write_text(store_text(lines), encoding="utf-8")
+    for fields in (None, [column]):
+        with pytest.raises(StoreError) as error:
+            load_store(path, fields)
+        assert str(error.value) == (f"{path}:{LINE[column] + 1}: {column} "
+                                    f"of document '{doc}': {problem}")
+
+
+def test_an_item_no_document_references_is_refused(tmp_path):
+    lines = saved_lines(tmp_path)
+    items = lines[LINE["areas"]]["items"]
+    items.insert(1, items[0])
+    lines[LINE["areas"]]["values"][0] = [0, 2]
+    path = tmp_path / "damaged.jsonl"
+    path.write_text(store_text(lines), encoding="utf-8")
+    with pytest.raises(StoreError) as error:
+        load_store(path, ["areas"])
+    assert str(error.value) == (f"{path}:{LINE['areas'] + 1}: areas column: "
+                                "no document references item 1")
+    assert load_store(path, ["terms"]).records["a"].areas is None
+
+
+@pytest.mark.parametrize("column, keys, value", [
+    ("areas", [0, 0, "impact"], "0.9"),
+    ("areas", [0, 1, "impact"], True),
+    ("vis_records", [0, 0, "r"], "0.5"),
+    ("vis_records", [0, 0, "colors", "red"], True),
+    ("vis_records", [0, 0, "textures", "uniform"], "0.8"),
+    ("contextual", [0, 0, "imp"], "0.9"),
+    ("contextual", [0, 0, "imp"], True),
+    ("terms", [0, 0, "head", 1], "0.9"),
+    ("terms", [0, 0, "colors", 0, 1], True),
+], ids=["area-impact-string", "area-impact-bool", "vis-r-string",
+        "vis-color-bool", "vis-texture-string", "cx-imp-string",
+        "cx-imp-bool", "term-head-string", "term-pair-bool"])
+def test_a_number_of_an_item_must_be_a_json_number(tmp_path, column, keys,
+                                                   value):
+    """Every decoder takes a number only from a JSON number, though
+    `float` would take a numeric string or a bool: the areas, visual
+    records, contextual concepts, term heads and term attribute pairs, as
+    the enriched decisions (test_a_membership_value_must_be_a_number_...)."""
+    lines = _set_value(saved_lines(tmp_path), column, keys, value)
+    path = tmp_path / "damaged.jsonl"
+    path.write_text(store_text(lines), encoding="utf-8")
+    for fields in (None, [column]):
+        with pytest.raises(StoreError) as error:
+            load_store(path, fields)
+        assert str(error.value) == (f"{path}:{LINE[column] + 1}: {column} of "
+                                    f"document 'a': expected a number, got "
+                                    f"{value!r}")
+
+
+@pytest.mark.parametrize("imp", [1.5, -0.25, float("nan")])
+def test_a_contextual_impact_out_of_the_unit_interval_is_refused_at_load(
+        tmp_path, imp):
+    lines = _set_value(saved_lines(tmp_path), "contextual", [0, 0, "imp"], imp)
+    path = tmp_path / "damaged.jsonl"
+    path.write_text(store_text(lines), encoding="utf-8")
+    for fields in (None, ["contextual"]):
+        with pytest.raises(StoreError) as error:
+            load_store(path, fields)
+        assert str(error.value) == (
+            f"{path}:{LINE['contextual'] + 1}: contextual of document 'a': "
+            f"impact out of [0,1]: {imp!r}")
+    with pytest.raises(ViscxError, match=re.escape(f"out of [0,1]: {imp!r}")):
+        ContextualConcept("rose", imp, AreaKind.ALT_ATTRIBUTE)
 
 
 def test_null_matched_head_loads(tmp_path):
@@ -585,21 +739,59 @@ def damaged_text(lines, damage) -> str:
     return store_text(lines, unsealed={n} if keys[:1] == ("crc32",) else ())
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_truncated_or_mutated_line_gives_store_error_only(data):
-    """A damaged line either still decodes or raises StoreError; no other
-    exception escapes load_store, whichever fields it reads."""
+@functools.cache
+def stored_lines() -> list:
+    """The lines of `saved_lines`, saved once."""
     with tempfile.TemporaryDirectory() as tmp:
-        lines = saved_lines(Path(tmp))
+        return saved_lines(Path(tmp))
+
+
+def loads_or_store_error(path, fields_list) -> None:
+    for fields in fields_list:
+        try:
+            load_store(path, fields)
+        except StoreError:
+            pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.deferred(lambda: damages(stored_lines())))
+@example((LINE["terms"], "replace", ("items", 0, "head", 1), "0.9"))
+@example((LINE["areas"], "delete", ("items", 1, "kind"), None))
+@example((LINE["vis_records"], "replace", ("items", 2), [0]))
+@example((LINE["enriched"], "replace", ("items",), {"0": 1}))
+@example((LINE["contextual"], "replace", ("values", 0, 0), True))
+def test_truncated_or_mutated_line_gives_store_error_only(damage):
+    """A damaged line, its items included, either still decodes or raises
+    StoreError; no other exception escapes load_store, whichever fields
+    it reads."""
+    with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "damaged.jsonl"
-        path.write_text(damaged_text(lines, data.draw(damages(lines))),
+        path.write_text(damaged_text(stored_lines(), damage),
                         encoding="utf-8")
-        for fields in (None, ()):
-            try:
-                load_store(path, fields)
-            except StoreError:
-                pass
+        loads_or_store_error(path, (None, ()))
+
+
+#: what replaces a node of a column line's items or item numbers
+REPLACEMENTS = (None, True, -1, 2.5, 10 ** 400, "x", [], {}, [0])
+
+
+def test_every_damaged_item_or_item_number_gives_store_error_only(tmp_path):
+    """Each node of every record column's items and lists of item numbers,
+    deleted or replaced by each of REPLACEMENTS, either still loads or
+    raises StoreError, whichever fields are read."""
+    lines = saved_lines(tmp_path)
+    path = tmp_path / "damaged.jsonl"
+    for column in RECORD_FIELDS:
+        n = LINE[column]
+        for keys in _node_paths(lines[n]):
+            if keys[:1] not in (("items",), ("values",)):
+                continue
+            for how, value in [("delete", None), *(
+                    ("replace", value) for value in REPLACEMENTS)]:
+                path.write_text(damaged_text(lines, (n, how, keys, value)),
+                                encoding="utf-8")
+                loads_or_store_error(path, (None, (column,)))
 
 
 @pytest.mark.parametrize("fault", ["encode", "rename"])
@@ -657,8 +849,9 @@ DECISION_KEYS = ["branch", "matched_head", "mu_cx", "mu_vsc"]
 
 def test_the_enriched_column_holds_one_decision_per_visual_record(tmp_path):
     lines = saved_lines(tmp_path)
-    assert lines[0]["version"] == 4
-    a, b = lines[LINE["enriched"]]["values"]
+    assert lines[0]["version"] == 5
+    assert lines[LINE["enriched"]]["values"] == [[0, 1], None]
+    a, b = decoding.expanded(lines[LINE["enriched"]])
     assert b is None  # not enriched
     assert a == [{"branch": "correspondence_specialized",
                   "matched_head": "rose", "mu_cx": 0.91, "mu_vsc": 0.88},
@@ -777,8 +970,8 @@ def test_load_refuses_enriched_items_that_do_not_rebuild_records(
     other than the visual records', an unknown branch, or a decision that
     installs a head it does not name."""
     lines = saved_lines(tmp_path)
-    values = lines[LINE["enriched"]]["values"]
-    values[0] = damage(values[0])
+    lines[LINE["enriched"]] = decoding.with_value(lines[LINE["enriched"]], 0,
+                                                  damage)
     path = tmp_path / "damaged.jsonl"
     path.write_text(store_text(lines), encoding="utf-8")
     for fields in (None, ["enriched"]):
@@ -863,8 +1056,8 @@ def test_enriched_stores_round_trip_through_their_fusion_decisions(
                 == list(map(typed_attributes, record.enriched)))
         for e in record.enriched:
             assert e.provenance.decision == DECISIONS[e.provenance.branch]
-    column = json.loads(text.splitlines()[LINE["enriched"]])
-    for value, record in zip(column["values"], loaded.records.values()):
+    column = decoding.expanded(json.loads(text.splitlines()[LINE["enriched"]]))
+    for value, record in zip(column, loaded.records.values()):
         assert len(value) == len(record.vis_records)
         assert all(sorted(item) == DECISION_KEYS for item in value)
 
@@ -884,7 +1077,7 @@ def typed_attributes(record) -> list:
 
 def derived_attributes(vis: VisRecord, prov: FusionProvenance) -> list:
     """The attributes of the enriched record of `vis` under the decision
-    `prov`, derived as format-4 stores have derived them since they began
+    `prov`, derived as stores have derived them since format 4 began
     to keep only the decision: the concept is the matched head unless the
     decision is kept, the fused membership ``max(mu_vsc, mu_cx)``, and the
     visual fields are the visual record's."""
