@@ -13,7 +13,10 @@ descending score (ties broken by document id):
 * ``tfidf``  - cosine over tf-idf weighted context tokens.
 
 `make_scorer` builds `_Scorer` (the first three) or `_TfIdfIndex` in one
-pass over the store; `rank_with_scorer` ranks either's ``candidates``.
+pass over the store, which checks every document; what a ranking reads of
+a document is made on its first read, so a one-shot search builds it only
+for the documents its ranking reaches. `rank_with_scorer` ranks either's
+``candidates``.
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ import functools
 import heapq
 import logging
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .config import PipelineConfig
 from .context import (DEFAULT_PATTERNS, SyntacticTerm, apply_patterns,
@@ -36,7 +39,7 @@ from .errors import (NamedEnum, StoreError, UnindexableQueryError, ViscxError,
                      read_text)
 from .fusion import (FacetKernel, ScoringView, scoring_view, view_mass,
                      view_part)
-from .membership import aggregate_mu_tot
+from .membership import MembershipTable, TConormKind, aggregate_mu_tot
 from .store import IndexStore
 from .taxonomy import SemanticLattice
 from .vis import VOCAB_SIZE
@@ -108,30 +111,54 @@ def parse_query(text: str, lattice: SemanticLattice, *,
 # -- scoring --------------------------------------------------------------
 
 
+class _OnFirstRead(dict):
+    """A dict that makes a missing key's value with ``make(key)`` on the
+    key's first read and keeps it."""
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        value = self[key] = self._make(key)
+        return value
+
+
+def _norm(tf: Counter, idf: dict[str, float]) -> float:
+    """The norm of a document's tf-idf weights."""
+    weights = [count * idf[term] for term, count in tf.items()]
+    return math.sqrt(sum([w * w for w in weights]))
+
+
 class _TfIdfIndex:
     """The ``tfidf`` scorer: standard tf * log(N/df) weighting with cosine
-    scoring over the plural-folded context tokens of every document. Per
-    folded token, the postings list the ids of the documents that hold it,
-    in store order; a list's length is its token's df, and the counts stay
-    in `doc_tf`. Per query, rebuilt only when a different query object
-    comes in: the cosines of the documents its postings reach."""
+    scoring over the plural-folded context tokens of every document.
+
+    Built in one pass over the store: each document's folded token counts
+    (`doc_tf`), each token's df and idf. What a query reads is filled on
+    its first read and kept: per folded token, the postings, the ids of
+    the documents that hold it in store order, and per document its norm,
+    so a one-shot search builds them only for the documents its query
+    reaches. Per query, rebuilt only when a different query object comes
+    in: the cosines of the documents its postings reach."""
 
     def __init__(self, store: IndexStore):
-        self.doc_tf: dict[str, Counter] = {}
-        self.postings: dict[str, list[str]] = defaultdict(list)
         fold = functools.cache(singularize)  # once per distinct token
-        for doc_id, record in store.records.items():
-            tf = self.doc_tf[doc_id] = Counter(map(fold, chain.from_iterable(
+        self.doc_tf = doc_tf = {
+            doc_id: Counter(map(fold, chain.from_iterable(
                 area.tokens for area in record.areas)))
-            for term in tf:
-                self.postings[term].append(doc_id)
-        n_docs = len(self.doc_tf)
-        self._idf = idf = {term: math.log(n_docs / len(ids))
-                           for term, ids in self.postings.items()}
-        self._norm = {}
-        for doc_id, tf in self.doc_tf.items():
-            weights = [count * idf[term] for term, count in tf.items()]
-            self._norm[doc_id] = math.sqrt(sum([w * w for w in weights]))
+            for doc_id, record in store.records.items()}
+        df: Counter = Counter()
+        for tf in doc_tf.values():
+            df.update(tf.keys())
+        n_docs = len(doc_tf)
+        self._idf = idf = {term: math.log(n_docs / count)
+                           for term, count in df.items()}
+        self.postings: dict[str, list[str]] = _OnFirstRead(
+            lambda term: [doc_id for doc_id, tf in doc_tf.items()
+                          if term in tf])
+        self._norm: dict[str, float] = _OnFirstRead(
+            lambda doc_id: _norm(doc_tf[doc_id], idf))
         self._query: Query | None = None
         self._cosines: dict[str, float] = {}
 
@@ -172,40 +199,100 @@ class _TfIdfIndex:
         return [item for item in self.cosines(query).items() if item[1] > 0.0]
 
 
-class _MaxTotals(dict):
-    """Read as a membership table by the bound pass: at a concept, the
-    largest total of a group of documents' tables, memoised across queries
-    as each table memoises its own."""
+#: per evidence value of a group's table, how far `_group_mu` raises its
+#: bound above the table's float total
+_MU_MARGIN = 2e-15
 
-    def __init__(self, tables: list):
-        super().__init__()
-        self._tables = tables
 
-    def __missing__(self, concept: str) -> float:
-        value = self[concept] = max([t.total(concept) for t in self._tables])
-        return value
+def _add_evidence(top: dict, pairs: list[tuple[str, float]]) -> None:
+    """Merge one document's evidence pairs of one side into a group's
+    ``[largest value, largest count of values]`` per anchor."""
+    counts: dict[str, int] = {}
+    for anchor, value in pairs:
+        count = counts[anchor] = counts.get(anchor, 0) + 1
+        held = top.get(anchor)
+        if held is None:
+            top[anchor] = [value, count]
+        else:
+            if value > held[0]:
+                held[0] = value
+            if count > held[1]:
+                held[1] = count
 
-    total = dict.__getitem__
+
+def _group_mu(vis_top: dict, cx_top: dict, lattice: SemanticLattice,
+              kind: TConormKind) -> Callable[[str], float]:
+    """At a concept, memoised, a bound on the membership total of every
+    document whose evidence `_add_evidence` merged into `vis_top` and
+    `cx_top`: the total of a table holding, per side and anchor, as many
+    copies of the largest value as the most any document holds there,
+    plus a margin.
+
+    Every t-conorm has identity 0 and is monotone, and carrying a value by
+    its anchor's step is monotone in the value, so the table's exact total
+    is at least each document's. (Folding the raw values before carrying
+    would not be: under ``psum``, two values of 0.1 and a step of 0.5 give
+    0.69 that way and 0.84 carried first.) Float totals need not keep that
+    order: the ``psum`` fold subtracts a product, and each document folds
+    in its own order. A fold step on values in [0,1] rounds by under
+    4.5e-16 and does not enlarge an earlier error, so the margin,
+    `_MU_MARGIN` (2e-15) per value of the table plus one, covers the
+    rounding of both totals and of its own addition, and lies far below
+    `BOUND_SLACK`."""
+    vis, cx = ([(lattice.require(anchor), value)
+                for anchor, (value, count) in top.items()
+                for _ in range(count)] for top in (vis_top, cx_top))
+    table = MembershipTable(vis, cx, lattice, kind)
+    margin = (len(vis) + len(cx) + 1) * _MU_MARGIN
+    bound = _OnFirstRead(lambda concept: table.total(concept) + margin)
+    return bound.__getitem__
+
+
+def _head_triples(lattice: SemanticLattice, mu_of: Callable[[str], float],
+                  masses: dict) -> list[tuple]:
+    """``(head, mu, largest view mass)`` per head of `masses`, mu None for
+    no head or a head the lattice does not know."""
+    return [(head, mu_of(head) if head is not None and head in lattice
+             else None, mass) for head, mass in masses.items()]
+
+
+def _doc_state(evidence: dict, lattice: SemanticLattice, doc_id: str) -> tuple:
+    """A document's ``(pairs, mu_of, heads)`` from its `_Scorer` evidence,
+    which it takes out: its unit pairs, its membership table's `total` and
+    its head triples."""
+    views, table, masses = evidence.pop(doc_id)
+    heads = _head_triples(lattice, table.total, masses)
+    mus = {head: mu for head, mu, _mass in heads}
+    return [(view, mus[view[0]]) for view in views], table.total, heads
 
 
 class _Scorer:
     """The scorer of ``vis``, ``cx`` and ``vis+cx``.
 
-    Built in one pass over the store, in store order. Per document: the
-    membership table, one ``(view, mu of the unit's head)`` pair per unit,
-    mu None for a headless unit or a head the lattice does not know, and
-    for `bounds` one ``(head, mu, largest view mass)`` triple per distinct
-    unit head; equal scoring views of units are interned, so they are one
-    object, and a unit object that several documents share (a loaded
-    store's equal items are one object) is viewed once. Per group of
-    documents sharing a set of unit heads: its member ids in ascending
-    order, a `_MaxTotals` over their tables and per head the largest unit
-    mu and the largest view mass. Per query, rebuilt only when a different
-    query object comes in: each term's view and a memo from the ``id`` of
-    an interned view to `view_part`, so a term is compared with each
-    distinct unit view once, and per document only the membership part is
-    added, with the term head's mu read once; for the bounds, each term's
-    view mass and a memo of epsilon per unit head."""
+    Built in one pass over the store, in store order, which runs every
+    check of the evidence: `StoreError` for the first document not
+    enriched, and `aggregate_mu_tot`'s for every document. Per document it
+    keeps the membership table, the scoring view of each unit and the
+    largest view mass per unit head; equal scoring views of units are
+    interned, so they are one object, and a unit object that several
+    documents share (a loaded store's equal items) is viewed once. Per
+    group of documents sharing a set of unit heads: its member ids in
+    ascending order, per head the largest view mass, and a bound on every
+    member's membership at any concept, from the largest values and counts
+    of values its members hold per evidence side and anchor (`_group_mu`);
+    a lone member's own table is its group's.
+
+    What ranking reads of a document is made on its first read by `score`
+    or `bounds` and kept: one ``(view, mu of the unit's head)`` pair per
+    unit, mu None for a headless unit or a head the lattice does not know,
+    and one ``(head, mu, largest view mass)`` triple per distinct unit head.
+    So a one-shot search builds it only for the members of the groups its
+    ranking visits. Per query, rebuilt only when a different query object
+    comes in: each term's view and a memo from the ``id`` of an interned
+    view to `view_part`, so a term is compared with each distinct unit view
+    once, and per document only the membership part is added, with the
+    term head's mu read once; for the bounds, each term's view mass and a
+    memo of epsilon per unit head."""
 
     def __init__(self, store: IndexStore, lattice: SemanticLattice,
                  cfg: PipelineConfig, strategy: Strategy):
@@ -215,9 +302,10 @@ class _Scorer:
         self._query: Query | None = None
         self._query_state: list = []
         views: dict[ScoringView, ScoringView] = {}
-        unit_views: dict[int, ScoringView] = {}  # id of a unit the store holds
-        self._docs: dict[str, tuple] = {}
-        by_heads: dict[frozenset, tuple[list, list, dict]] = {}
+        # per id of a unit the store holds: its interned view and view mass
+        unit_views: dict[int, tuple[ScoringView, float]] = {}
+        evidence: dict[str, tuple] = {}
+        by_heads: dict[frozenset, tuple[list, dict, dict, dict]] = {}
         for doc_id, record in store.records.items():
             if strategy is Strategy.VIS:
                 units = [r for r in record.vis_records if r.vsc in lattice]
@@ -240,33 +328,43 @@ class _Scorer:
                 vis_pairs = [(e.vsc, e.final_mu) for e in units]
                 cx_pairs = []
             table = aggregate_mu_tot(vis_pairs, cx_pairs, lattice, cfg.tconorm)
-            pairs = []
-            heads: dict[str | None, tuple] = {}
+            doc_views = []
+            masses: dict[str | None, float] = {}  # per head, in unit order
             for unit in units:
-                view = unit_views.get(id(unit))
-                if view is None:
+                viewed = unit_views.get(id(unit))
+                if viewed is None:
                     view = scoring_view(unit, lattice)
-                    view = unit_views[id(unit)] = views.setdefault(view, view)
+                    view = views.setdefault(view, view)
+                    viewed = unit_views[id(unit)] = (view, view_mass(view))
+                view, mass = viewed
+                doc_views.append(view)
                 head = view[0]
-                mu = (table.total(head)
-                      if head is not None and head in lattice else None)
-                pairs.append((view, mu))
-                mass = view_mass(view)
-                if head not in heads or mass > heads[head][2]:
-                    heads[head] = (head, mu, mass)
-            self._docs[doc_id] = (pairs, table, list(heads.values()))
-            members, tables, top = by_heads.setdefault(frozenset(heads),
-                                                       ([], [], {}))
+                if head not in masses or mass > masses[head]:
+                    masses[head] = mass
+            evidence[doc_id] = (doc_views, table, masses)
+            group = by_heads.get(key := frozenset(masses))
+            if group is None:
+                group = by_heads[key] = ([], {}, {}, {})
+            members, top, vis_top, cx_top = group
             members.append(doc_id)
-            tables.append(table)
-            for head, mu, mass in heads.values():
-                _head, top_mu, top_mass = top.get(head, (head, mu, mass))
-                # mu is None for every member or for none: the head decides
-                top[head] = (head, None if mu is None else max(top_mu, mu),
-                             max(top_mass, mass))
-        self._groups = [
-            (sorted(members), _MaxTotals(tables), list(top.values()))
-            for members, tables, top in by_heads.values()]
+            for head, mass in masses.items():
+                if head not in top or mass > top[head]:
+                    top[head] = mass
+            if vis_pairs:
+                _add_evidence(vis_top, vis_pairs)
+            if cx_pairs:
+                _add_evidence(cx_top, cx_pairs)
+        # made by functions that do not hold the scorer, so that no
+        # reference cycle keeps a dropped scorer alive until a collection
+        self._docs: dict[str, tuple] = _OnFirstRead(
+            functools.partial(_doc_state, evidence, lattice))
+        self._groups = []
+        for members, top, vis_top, cx_top in by_heads.values():
+            # a lone member's own totals are its group's, exactly
+            mu_of = (evidence[members[0]][1].total if len(members) == 1 else
+                     _group_mu(vis_top, cx_top, lattice, cfg.tconorm))
+            self._groups.append((sorted(members), mu_of,
+                                 _head_triples(lattice, mu_of, top)))
 
     def _query_terms(self, query: Query) -> list[tuple]:
         if query is not self._query:
@@ -279,13 +377,13 @@ class _Scorer:
 
     def score(self, query: Query, doc_id: str) -> float:
         query_terms = self._query_terms(query)
-        units, table, _heads = self._docs[doc_id]
+        units, mu_of, _heads = self._docs[doc_id]
         if not units:
             return 0.0
         lattice, kernel = self.lattice, self.cfg.kernel
         total = 0.0
         for term_view, memo, _mass, _eps in query_terms:
-            mu_term = None if term_view[0] is None else table.total(term_view[0])
+            mu_term = None if term_view[0] is None else mu_of(term_view[0])
             best = 0.0  # similarities are non-negative
             for view, mu in units:
                 part = memo.get(id(view))
@@ -324,18 +422,18 @@ class _Scorer:
             self._query_terms(query), [docs[doc_id] for doc_id in doc_ids])))
 
     def _bounds(self, query_terms, states) -> list[float]:
-        """The bound of `bounds` per ``(_, table, heads)`` state: a
-        document's membership table and head triples, or a group's
-        `_MaxTotals` and head maxima."""
+        """The bound of `bounds` per ``(_, mu_of, heads)`` state: a
+        document's membership total and head triples, or a group's bound
+        on its members' totals and its head maxima."""
         lattice = self.lattice
         union = self.cfg.kernel is FacetKernel.MAX  # else an intersection
         out = []
-        for _units, table, heads in states:
+        for _units, mu_of, heads in states:
             total = 0.0
             if heads:
                 for term_view, _memo, term_mass, eps_of in query_terms:
                     head = term_view[0]
-                    mu_term = None if head is None else table.total(head)
+                    mu_term = None if head is None else mu_of(head)
                     best = 0.0
                     for unit_head, mu, mass in heads:
                         bound = (term_mass + mass if union else
@@ -356,16 +454,19 @@ class _Scorer:
         """Per group of documents sharing a set of unit heads, in store
         order of their first members, ``(bound, member ids)`` with the ids
         in ascending order. The bound is that of `bounds`, built from the
-        group's largest unit mu and view mass per head and its largest
-        total at each term head. Every operation of the bound (``+``,
-        ``min``, the division by `VOCAB_SIZE`, the product with epsilon
-        >= 0) is monotone in floats, so a group's bound is at least each
-        member's, with no slack. A group reads its heads in its first
-        member's order, so an unknown head raises as in `bounds`: for the
-        first document in store order that has one."""
+        group's largest view mass per head and, at each unit and term head,
+        its bound on every member's membership total (`_group_mu`, or a
+        lone member's own total), which builds no member's state. That
+        bound is raised by a margin that covers float rounding, so it is at
+        least each member's total in floats, and every other operation of
+        the bound (``+``, ``min``, the division by `VOCAB_SIZE`, the
+        product with epsilon >= 0) is monotone in floats, so a group's
+        bound is at least each member's. A group reads its
+        heads in its first member's order, so an unknown head raises as in
+        `bounds`: for the first document in store order that has one."""
         groups = self._groups
         return list(zip(self._bounds(self._query_terms(query), groups),
-                        [members for members, _totals, _heads in groups]))
+                        [members for members, _mu_of, _heads in groups]))
 
     def candidates(self, query: Query, k: int) -> list[tuple[str, float]]:
         """``(doc_id, score)`` of every positive exact score computed on the
@@ -391,9 +492,9 @@ class _Scorer:
         for group_bound, members in groups:
             if len(best) == k and group_bound < best[0] - BOUND_SLACK:
                 break
-            # no member can be pruned when a lone member's bound is the
-            # group's, just checked, or when the heap cannot fill before
-            # the last member
+            # a lone member is scored without a bound of its own, its group's
+            # having just been checked, and no member can be pruned when the
+            # heap cannot fill before the last member
             prune = len(members) > 1 and len(best) + len(members) > k
             if prune:
                 bounds = self.bounds(query, members)

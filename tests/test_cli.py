@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 
 import decoding
 from test_store import LINE, damaged_text, damages, line_text
-from viscx import ALL_STRATEGIES, PipelineConfig, bundled_taxonomy_path
+from viscx import (ALL_STRATEGIES, PipelineConfig, Strategy,
+                   bundled_taxonomy_path, load_taxonomy)
 from viscx.cli import main
+from viscx.retrieval import (BOUND_SLACK, STRATEGY_FIELDS, make_scorer,
+                             parse_query, rank_with_scorer)
 from viscx.store import load_store
 
 PAGES = {
@@ -271,6 +274,30 @@ def test_cx_search_with_an_unknown_term_head(corpus, tmp_path, capsys):
     assert captured.err == "error: unknown concept 'zzz'\n"
     assert main(cx + ["red"]) == 0
     assert capsys.readouterr().out == before
+
+
+def test_an_unknown_contextual_concept_fails_a_search_that_would_prune_it(
+        corpus, tmp_path, capsys):
+    """Every document's evidence is checked when the scorer is made, also
+    a document's that the ranking never reaches: on the intact store a cx
+    search for "Red Roses" at k = 1 prunes d3's group, and a `contextual`
+    item of d3 naming a concept the taxonomy lacks fails that search."""
+    index = enriched_index(corpus, tmp_path)
+    store = load_store(index, STRATEGY_FIELDS[Strategy.CX])
+    lattice = load_taxonomy(store.meta.taxonomy)
+    scorer = make_scorer(store, lattice, PipelineConfig(), Strategy.CX)
+    query = parse_query("Red Roses", lattice)
+    (_top, score), = rank_with_scorer(scorer, query, 1).items
+    assert ["d3"] in [members for bound, members in scorer.group_bounds(query)
+                      if bound < score - BOUND_SLACK]
+    rewrite_value(index, "contextual", 2,
+                  lambda cx: [{**cx[0], "cx": "zzz"}, *cx[1:]])
+    capsys.readouterr()
+    assert main(["search", "--index", str(index), "--strategy", "cx",
+                 "-k", "1", "--query", "Red Roses"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown concept 'zzz'\n"
 
 
 def test_a_contextual_impact_out_of_range_is_refused_at_load(corpus, tmp_path,

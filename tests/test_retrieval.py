@@ -2,6 +2,7 @@ import functools
 import heapq
 import math
 import re
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -14,7 +15,7 @@ from viscx import (COLOR_NAMES, SPATIAL_NAMES, TEXTURE_NAMES, PipelineConfig,
                    retrieval)
 from viscx.context import AreaKind, ExtractionArea, SyntacticTerm, tokenize
 from viscx.fusion import FacetKernel
-from viscx.membership import TConormKind
+from viscx.membership import MembershipTable, TConormKind, aggregate_mu_tot
 from viscx.pipeline import enrich_document
 from viscx.retrieval import (ALL_STRATEGIES, BOUND_SLACK, STRATEGY_FIELDS,
                              Qrels, Query, RankedList, Strategy, eval_report,
@@ -553,7 +554,8 @@ visual_object = hst.tuples(
 @settings(max_examples=60, deadline=None)
 @given(docs=hst.lists(hst.tuples(hst.lists(visual_object, max_size=3),
                                  hst.sampled_from(GROUP_TEXTS),
-                                 hst.sampled_from((None,) + HEADLESS_TERMS)),
+                                 hst.sampled_from((None,) + HEADLESS_TERMS),
+                                 hst.sampled_from([None, 0.25, 0.9])),
                       min_size=1, max_size=12),
        order=hst.randoms(use_true_random=False),
        kernel=hst.sampled_from(list(FacetKernel)),
@@ -561,15 +563,17 @@ visual_object = hst.tuples(
 def test_group_bounds_cover_their_members_and_rank_as_the_plain_ranking(
         base_lattice, docs, order, kernel, tconorm):
     """Over small stores of many head sets (shared and distinct heads,
-    documents with no visual object or no term, headless cx terms) in a
-    random store order: the groups split the store, every group bound is
-    at least each member's `bounds` value, and every k ranks as scoring
-    every document."""
+    documents with no visual object or no term, headless cx terms, two
+    records of one concept) in a random store order: the groups split the
+    store, every group bound is at least each member's `bounds` value, and
+    every k ranks as scoring every document."""
     cfg = replace(PipelineConfig(), kernel=kernel, tconorm=tconorm)
     ids = [f"d{i:02d}" for i in range(len(docs))]
     order.shuffle(ids)
     store = IndexStore()
-    for doc_id, (objects, text, headless) in zip(ids, docs):
+    for doc_id, (objects, text, headless, again) in zip(ids, docs):
+        if objects and again is not None:  # a second record of one concept
+            objects = objects + [(objects[0][0], again, {"red": 0.5}, {})]
         areas = (area(AreaKind.ALT_ATTRIBUTE, text, 0.9),) if text else ()
         record = enrich_document(replace(vis_doc(doc_id, *objects),
                                          areas=areas), base_lattice, cfg)
@@ -591,6 +595,87 @@ def test_group_bounds_cover_their_members_and_rank_as_the_plain_ranking(
             for k in sorted({1, 2, 10, n - 1, n, n + 2} - {0}):
                 assert (rank_with_scorer(scorer, query, k).items
                         == plain_ranking(scorer, query, k)), (strategy, text, k)
+
+
+#: evidence anchors of a group's members: a chain (rose, flower and its
+#: synonym bloom, vegetation), a concept below it (oak) and one apart (sky)
+MU_ANCHORS = ("rose", "flower", "bloom", "vegetation", "oak", "sky")
+#: concepts read: the anchors, concepts above them (tree, entity), below
+#: them (tulip) and unrelated to them (cathedral)
+MU_READS = ("rose", "flower", "vegetation", "oak", "sky", "tulip", "tree",
+            "entity", "cathedral")
+evidence = hst.lists(hst.tuples(
+    hst.sampled_from(MU_ANCHORS),
+    hst.one_of(hst.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]),
+               hst.floats(0.0, 1.0))), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(members=hst.lists(hst.tuples(evidence, evidence), min_size=1,
+                         max_size=8),
+       kind=hst.sampled_from(list(TConormKind)))
+def test_a_group_mu_is_at_least_each_member_total(base_lattice, members,
+                                                  kind):
+    """A group's membership bound (`retrieval._group_mu`) over up to 8
+    members, whose visual and contextual evidence repeats anchors, is at
+    least each member's `MembershipTable.total` in floats (no tolerance) at
+    concepts equal to, above, below and unrelated to the anchors."""
+    vis_top: dict = {}
+    cx_top: dict = {}
+    tables = []
+    for vis, cx in members:
+        retrieval._add_evidence(vis_top, vis)
+        retrieval._add_evidence(cx_top, cx)
+        tables.append(aggregate_mu_tot(vis, cx, base_lattice, kind))
+    mu_of = retrieval._group_mu(vis_top, cx_top, base_lattice, kind)
+    for concept in MU_READS:
+        bound = mu_of(concept)
+        assert all(bound >= table.total(concept) for table in tables), concept
+
+
+def test_a_ranking_builds_no_state_for_the_members_of_a_pruned_group(
+        base_lattice, monkeypatch):
+    """At k = 1 "red roses" prunes the sky and cathedral groups on their
+    group bounds: no membership total of their members is read, while
+    both rose documents are bounded and so read. A tf-idf ranking computes
+    the norms of the documents its postings reach, and no other."""
+    made = []
+    aggregate = retrieval.aggregate_mu_tot
+    monkeypatch.setattr(retrieval, "aggregate_mu_tot",
+                        lambda *args: made.append(aggregate(*args))
+                        or made[-1])
+    read = []
+    total = MembershipTable.total
+    monkeypatch.setattr(MembershipTable, "total",
+                        lambda table, concept: read.append(id(table))
+                        or total(table, concept))
+    store = IndexStore()
+    for record in (vis_doc("r1", ("rose", 0.9, {"red": 1.0}, {})),
+                   vis_doc("r2", ("rose", 0.5, {"red": 0.25}, {})),
+                   vis_doc("s1", ("sky", 0.9, {"blue": 1.0}, {})),
+                   vis_doc("s2", ("sky", 0.5, {}, {})),
+                   vis_doc("c1", ("cathedral", 0.9, {"grey": 0.5}, {})),
+                   vis_doc("c2", ("cathedral", 0.75, {}, {}))):
+        store.add(record)
+    scorer = make_scorer(store, base_lattice, PipelineConfig(), Strategy.VIS)
+    tables = dict(zip(store.records, made))
+    query = parse_query("red roses", base_lattice)
+    (top, score), = rank_with_scorer(scorer, query, 1).items
+    assert top == "r1"
+    assert {doc_id for doc_id, table in tables.items()
+            if id(table) in read} == {"r1", "r2"}
+    pruned = [members for bound, members in scorer.group_bounds(query)
+              if bound < score - BOUND_SLACK]
+    assert pruned == [["s1", "s2"], ["c1", "c2"]]
+
+    index = tfidf_scorer(base_lattice, [
+        ("d1", "red roses"), ("d2", "blue sky"), ("d3", "red sky"),
+        ("d4", "grey wall")])
+    rank_with_scorer(index, Query("roses", ()), 1)
+    assert set(index._norm) == {"d1"}
+    rank_with_scorer(index, Query("red roses", ()), 1)
+    assert set(index._norm) == {"d1", "d3"}
+    assert set(index.postings) == {"rose", "red"}
 
 
 @pytest.mark.parametrize("kernel", [None, FacetKernel.MIN, FacetKernel.PRODUCT],
@@ -661,6 +746,20 @@ def test_scorer_reused_across_queries_matches_fresh_scorers(acceptance_run,
             assert ranked == rank_with_scorer(fresh, query, n), strategy
             rankings.append(ranked)
         assert rankings[0] != rankings[1], strategy
+
+
+def test_a_dropped_scorer_is_freed_without_a_collection(acceptance_run,
+                                                        base_lattice):
+    """A scorer holds no reference cycle, also after ranking has filled
+    its state on first read, so dropping it frees it at once."""
+    store, cfg, queries = acceptance_run
+    for strategy in ALL_STRATEGIES:
+        scorer = make_scorer(store, base_lattice, cfg, strategy)
+        for k in (1, len(store.records)):
+            rank_with_scorer(scorer, queries[0], k)
+        dropped = weakref.ref(scorer)
+        del scorer
+        assert dropped() is None, strategy
 
 
 def test_tfidf_doc_with_query_word_beats_doc_without(base_lattice):
