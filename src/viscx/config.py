@@ -15,9 +15,10 @@ Keys and their value syntax::
     fusion_literal = true|false  (or yes|no, on|off, 1|0)
     ndcg_n         = one or more integers >= 1, comma-separated
 
-Every key is optional and an unknown key is refused; blank lines and ``#``
-comments are ignored. A store's config snapshot is read back through the
-same per-key readers, which take a file's string or a JSON value.
+Every key is optional and an unknown key is refused; lines end at
+``\\n``, and blank lines and ``#`` comments are ignored. A store's config
+snapshot is read back through the same per-key readers, which take a
+file's string or a JSON value.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def parse_config(text: str, *, base_dir: Path | None = None) -> PipelineConfig:
     """Parse configuration text; relative taxonomy paths resolve against
     `base_dir` when given."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

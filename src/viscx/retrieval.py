@@ -205,8 +205,8 @@ _MU_MARGIN = 2e-15
 
 
 def _add_evidence(top: dict, pairs: list[tuple[str, float]]) -> None:
-    """Merge one document's evidence pairs of one side into a group's
-    ``[largest value, largest count of values]`` per anchor."""
+    """Merge one document's evidence pairs into a group's ``[largest
+    value, largest count of values]`` per anchor."""
     counts: dict[str, int] = {}
     for anchor, value in pairs:
         count = counts[anchor] = counts.get(anchor, 0) + 1
@@ -220,13 +220,15 @@ def _add_evidence(top: dict, pairs: list[tuple[str, float]]) -> None:
                 held[1] = count
 
 
-def _group_mu(vis_top: dict, cx_top: dict, lattice: SemanticLattice,
+def _group_mu(top: dict, lattice: SemanticLattice,
               kind: TConormKind) -> Callable[[str], float]:
     """At a concept, memoised, a bound on the membership total of every
-    document whose evidence `_add_evidence` merged into `vis_top` and
-    `cx_top`: the total of a table holding, per side and anchor, as many
-    copies of the largest value as the most any document holds there,
-    plus a margin.
+    document whose evidence `_add_evidence` merged into `top`: the total
+    of a table holding, per anchor, as many copies of the largest value as
+    the most any document holds there, plus a margin. The copies sit on
+    the table's visual side whichever side a document's evidence fills:
+    the other side folds to 0.0, and the t-conorm of x and 0.0 is x in
+    either order.
 
     Every t-conorm has identity 0 and is monotone, and carrying a value by
     its anchor's step is monotone in the value, so the table's exact total
@@ -239,11 +241,10 @@ def _group_mu(vis_top: dict, cx_top: dict, lattice: SemanticLattice,
     `_MU_MARGIN` (2e-15) per value of the table plus one, covers the
     rounding of both totals and of its own addition, and lies far below
     `BOUND_SLACK`."""
-    vis, cx = ([(lattice.require(anchor), value)
-                for anchor, (value, count) in top.items()
-                for _ in range(count)] for top in (vis_top, cx_top))
-    table = MembershipTable(vis, cx, lattice, kind)
-    margin = (len(vis) + len(cx) + 1) * _MU_MARGIN
+    pairs = [(lattice.require(anchor), value)
+             for anchor, (value, count) in top.items() for _ in range(count)]
+    table = MembershipTable(pairs, [], lattice, kind)
+    margin = (len(pairs) + 1) * _MU_MARGIN
     bound = _OnFirstRead(lambda concept: table.total(concept) + margin)
     return bound.__getitem__
 
@@ -279,8 +280,9 @@ class _Scorer:
     group of documents sharing a set of unit heads: its member ids in
     ascending order, per head the largest view mass, and a bound on every
     member's membership at any concept, from the largest values and counts
-    of values its members hold per evidence side and anchor (`_group_mu`);
-    a lone member's own table is its group's.
+    of values its members hold per anchor (`_group_mu`); a lone member's
+    own table is its group's. Each strategy's evidence fills one side of
+    the tables: ``vis`` and ``vis+cx`` the visual, ``cx`` the contextual.
 
     What ranking reads of a document is made on its first read by `score`
     or `bounds` and kept: one ``(view, mu of the unit's head)`` pair per
@@ -305,29 +307,27 @@ class _Scorer:
         # per id of a unit the store holds: its interned view and view mass
         unit_views: dict[int, tuple[ScoringView, float]] = {}
         evidence: dict[str, tuple] = {}
-        by_heads: dict[frozenset, tuple[list, dict, dict, dict]] = {}
+        by_heads: dict[frozenset, tuple[list, dict, dict]] = {}
         for doc_id, record in store.records.items():
             if strategy is Strategy.VIS:
                 units = [r for r in record.vis_records if r.vsc in lattice]
-                vis_pairs = [(r.vsc, r.r_vsc) for r in units]
-                cx_pairs = []
+                pairs = [(r.vsc, r.r_vsc) for r in units]
             elif strategy is Strategy.CX:
                 if record.terms is None:
                     raise StoreError(
                         f"document {doc_id!r} has no syntactic terms; "
                         "run enrich before cx search")
                 units = list(record.terms)
-                vis_pairs = []
-                cx_pairs = [(c.cx, c.imp) for c in record.contextual or ()]
+                pairs = [(c.cx, c.imp) for c in record.contextual or ()]
             else:  # VIS_CX
                 if record.enriched is None:
                     raise StoreError(
                         f"document {doc_id!r} is not enriched; "
                         "run enrich before vis+cx search")
                 units = [e for e in record.enriched if e.vsc in lattice]
-                vis_pairs = [(e.vsc, e.final_mu) for e in units]
-                cx_pairs = []
-            table = aggregate_mu_tot(vis_pairs, cx_pairs, lattice, cfg.tconorm)
+                pairs = [(e.vsc, e.final_mu) for e in units]
+            sides = ([], pairs) if strategy is Strategy.CX else (pairs, [])
+            table = aggregate_mu_tot(*sides, lattice, cfg.tconorm)
             doc_views = []
             masses: dict[str | None, float] = {}  # per head, in unit order
             for unit in units:
@@ -344,25 +344,22 @@ class _Scorer:
             evidence[doc_id] = (doc_views, table, masses)
             group = by_heads.get(key := frozenset(masses))
             if group is None:
-                group = by_heads[key] = ([], {}, {}, {})
-            members, top, vis_top, cx_top = group
+                group = by_heads[key] = ([], {}, {})
+            members, top, group_evidence = group
             members.append(doc_id)
             for head, mass in masses.items():
                 if head not in top or mass > top[head]:
                     top[head] = mass
-            if vis_pairs:
-                _add_evidence(vis_top, vis_pairs)
-            if cx_pairs:
-                _add_evidence(cx_top, cx_pairs)
+            _add_evidence(group_evidence, pairs)
         # made by functions that do not hold the scorer, so that no
         # reference cycle keeps a dropped scorer alive until a collection
         self._docs: dict[str, tuple] = _OnFirstRead(
             functools.partial(_doc_state, evidence, lattice))
         self._groups = []
-        for members, top, vis_top, cx_top in by_heads.values():
+        for members, top, group_evidence in by_heads.values():
             # a lone member's own totals are its group's, exactly
             mu_of = (evidence[members[0]][1].total if len(members) == 1 else
-                     _group_mu(vis_top, cx_top, lattice, cfg.tconorm))
+                     _group_mu(group_evidence, lattice, cfg.tconorm))
             self._groups.append((sorted(members), mu_of,
                                  _head_triples(lattice, mu_of, top)))
 
@@ -624,7 +621,7 @@ class Qrels:
     def from_text(cls, text: str) -> "Qrels":
         grades: dict[tuple[str, str], int] = {}
         first_line: dict[tuple[str, str], int] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(text.split("\n"), start=1):
             if not line.strip() or line.startswith("#"):
                 continue
             parts = line.split("\t")
@@ -651,7 +648,7 @@ def load_queries(path: str | Path) -> list[tuple[str, str]]:
     queries = []
     first_line: dict[str, int] = {}
     for lineno, line in enumerate(
-            read_text(path, "queries").splitlines(), start=1):
+            read_text(path, "queries").split("\n"), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         qid, tab, text = line.partition("\t")

@@ -44,7 +44,8 @@ class SemRelation(Enum):
 
 @dataclass(frozen=True)
 class Concept:
-    """A lattice node: canonical id plus alias tokens that resolve to it."""
+    """A lattice node: canonical id plus alias tokens that resolve to it;
+    both follow the id pattern ``[a-z][a-z0-9_]*``."""
 
     id: str
     synonyms: frozenset[str] = frozenset()
@@ -52,6 +53,9 @@ class Concept:
     def __post_init__(self):
         if not _ID_RE.fullmatch(self.id):
             raise TaxonomyError(f"invalid concept id {self.id!r}")
+        for syn in sorted(self.synonyms):
+            if not _ID_RE.fullmatch(syn):
+                raise TaxonomyError(f"invalid synonym {syn!r} of {self.id!r}")
 
 
 class SemanticLattice:
@@ -61,9 +65,10 @@ class SemanticLattice:
     count of the shortest upward chain to each of its ancestors; relations
     and chain lengths are reads of that table. `longest_path` is the edge
     count of the longest root-to-leaf chain; it normalizes the chain
-    lengths. Undirected path similarities are memoised per canonical pair,
-    membership steps per concept and token tags per token, which is safe
-    because the lattice never changes.
+    lengths. Undirected path similarities are kept as one row per
+    canonical head, filled by one breadth-first search, membership steps
+    per concept and token tags per token, which is safe because the
+    lattice never changes.
     """
 
     def __init__(self, concepts: Sequence[Concept], parents: Mapping[str, Sequence[str]],
@@ -110,7 +115,8 @@ class SemanticLattice:
         self._children = {cid: tuple(lst) for cid, lst in kids.items()}
 
         self._finalize()
-        self._epsilons: dict[tuple[str, str], float] = {}
+        #: per canonical head, its path similarity to every concept
+        self._eps_rows: dict[str, dict[str, float]] = {}
         self._steps: dict[str, dict[str, float | None]] = {}
         #: token tags, filled by context.tag_tokens
         self._tags: dict[str, TaggedToken] = {}
@@ -229,31 +235,25 @@ class SemanticLattice:
 
     def path_sim_epsilon(self, a: str, b: str) -> float:
         """Path similarity 1/(1+d) with d the shortest undirected is_a
-        distance; 1 on equal concepts, 0 when no path exists at all."""
-        # memo keys are canonical ids, which resolve to themselves, so a
-        # hit on the raw pair needs no resolution
-        eps = self._epsilons.get((a, b))
-        if eps is None:
-            ca, cb = self.require(a), self.require(b)
-            eps = self._epsilons.get((ca, cb))
-            if eps is None:
-                eps = self._epsilons[ca, cb] = self._epsilon(ca, cb)
-        return eps
-
-    def _epsilon(self, ca: str, cb: str) -> float:
-        if ca == cb:
-            return 1.0
-        seen = {ca}
-        queue = deque([(ca, 0)])
-        while queue:
-            cid, d = queue.popleft()
-            for nxt in self._parents[cid] + self._children[cid]:
-                if nxt == cb:
-                    return 1.0 / (1.0 + d + 1)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append((nxt, d + 1))
-        return 0.0
+        distance; 1 on equal concepts, 0 when no path exists at all. Read
+        from `a`'s row, which one breadth-first search fills on the first
+        call per head."""
+        row = self._eps_rows.get(a)
+        if row is None:
+            ca = self.require(a)
+            row = self._eps_rows.get(ca)
+            if row is None:
+                row = self._eps_rows[ca] = dict.fromkeys(self._order, 0.0)
+                row[ca] = 1.0
+                queue = deque([(ca, 1)])  # a concept, its neighbours' d
+                while queue:
+                    cid, d = queue.popleft()
+                    for near in self._parents[cid] + self._children[cid]:
+                        if not row[near]:  # unreached: only they hold 0.0
+                            row[near] = 1.0 / (1.0 + d)
+                            queue.append((near, d + 1))
+        eps = row.get(b)
+        return row[self.require(b)] if eps is None else eps
 
 
 def insert_concept(lattice: SemanticLattice, concept: Concept,
@@ -275,18 +275,22 @@ def insert_concept(lattice: SemanticLattice, concept: Concept,
 def parse_taxonomy(text: str, source: str = "<string>") -> SemanticLattice:
     """Build a lattice from taxonomy text.
 
-    One record per line: ``concept<TAB>parent1,parent2<TAB>syn1,syn2``;
-    the parent field is empty for roots, the synonym field may be omitted.
-    Blank lines and ``#`` comments are skipped; everything is
+    One record per line, lines ending at ``\\n``:
+    ``concept<TAB>parent1,parent2<TAB>syn1,syn2``; the parent field is
+    empty for roots, the synonym field may be omitted, and a fourth field
+    is refused. Blank lines and ``#`` comments are skipped; everything is
     lowercase-normalized.
     """
     concepts: list[Concept] = []
     parents: dict[str, list[str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = raw.rstrip("\n").split("\t")
+        fields = raw.split("\t")
+        if len(fields) > 3:
+            raise TaxonomyError(f"{source}:{lineno}: expected at most 3 "
+                                f"tab-separated fields, got {len(fields)}")
         fields += [""] * (3 - len(fields))
         cid = fields[0].strip().lower()
         if not cid:

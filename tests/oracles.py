@@ -299,10 +299,10 @@ def ndcg_oracle(grades_in_rank_order, all_grades, n: int) -> float:
     return dcg / idcg if idcg > 0 else 0.0
 
 
-def random_taxonomy(rng, n_concepts: int):
-    """Random single-root DAG as (text, parents dict); node i may have one
-    or two parents among earlier nodes."""
-    names = [f"c{i}" for i in range(n_concepts)]
+def random_taxonomy(rng, n_concepts: int, prefix: str = "c"):
+    """Random single-root DAG as (text, parents dict); node i, named
+    `prefix` + i, may have one or two parents among earlier nodes."""
+    names = [f"{prefix}{i}" for i in range(n_concepts)]
     parents: dict[str, tuple[str, ...]] = {names[0]: ()}
     for i in range(1, n_concepts):
         k = 1 if n_concepts < 3 or rng.random() < 0.7 else 2

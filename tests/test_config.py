@@ -63,6 +63,17 @@ def test_bad_config_is_refused(text, message):
         parse_config(text)
 
 
+def test_config_lines_end_at_newline_only(tmp_path):
+    """A line separator other than ``\\n`` stays inside its value."""
+    with pytest.raises(ConfigError, match=r"t_mu.*window = 5"):
+        parse_config("t_mu = 0.2\x0bwindow = 5\n")
+    path = tmp_path / "crlf.cfg"
+    path.write_bytes(b"# a comment\r\nt_mu = 0.2\r\n\r\nwindow = 5\r\n")
+    for cfg in (load_config(path),
+                parse_config("t_mu = 0.2\r\nwindow = 5\r\n")):
+        assert (cfg.t_mu, cfg.window) == (0.2, 5)
+
+
 def test_relative_taxonomy_resolves_against_the_config_directory(tmp_path):
     conf = tmp_path / "conf"
     conf.mkdir()

@@ -611,23 +611,22 @@ evidence = hst.lists(hst.tuples(
 
 
 @settings(max_examples=300, deadline=None)
-@given(members=hst.lists(hst.tuples(evidence, evidence), min_size=1,
-                         max_size=8),
+@given(members=hst.lists(evidence, min_size=1, max_size=8),
        kind=hst.sampled_from(list(TConormKind)))
 def test_a_group_mu_is_at_least_each_member_total(base_lattice, members,
                                                   kind):
     """A group's membership bound (`retrieval._group_mu`) over up to 8
-    members, whose visual and contextual evidence repeats anchors, is at
-    least each member's `MembershipTable.total` in floats (no tolerance) at
-    concepts equal to, above, below and unrelated to the anchors."""
-    vis_top: dict = {}
-    cx_top: dict = {}
+    members, whose evidence repeats anchors, is at least each member's
+    `MembershipTable.total` in floats (no tolerance), with the member's
+    evidence on the visual side and on the contextual side, at concepts
+    equal to, above, below and unrelated to the anchors."""
+    top: dict = {}
     tables = []
-    for vis, cx in members:
-        retrieval._add_evidence(vis_top, vis)
-        retrieval._add_evidence(cx_top, cx)
-        tables.append(aggregate_mu_tot(vis, cx, base_lattice, kind))
-    mu_of = retrieval._group_mu(vis_top, cx_top, base_lattice, kind)
+    for pairs in members:
+        retrieval._add_evidence(top, pairs)
+        tables += [aggregate_mu_tot(pairs, [], base_lattice, kind),
+                   aggregate_mu_tot([], pairs, base_lattice, kind)]
+    mu_of = retrieval._group_mu(top, base_lattice, kind)
     for concept in MU_READS:
         bound = mu_of(concept)
         assert all(bound >= table.total(concept) for table in tables), concept
@@ -1023,6 +1022,22 @@ def test_load_queries_and_qrels(tmp_path):
     assert qrels.grade("q1", "doc1") == 2
     assert qrels.grade("q1", "missing") == 0
     assert qrels.has_query("q1") and not qrels.has_query("q9")
+
+
+def test_query_lines_end_at_newline_only(tmp_path):
+    qfile = tmp_path / "queries.tsv"
+    qfile.write_text("q1\tRed\u2028Roses\n", encoding="utf-8")
+    assert load_queries(qfile) == [("q1", "Red\u2028Roses")]
+    qfile.write_bytes(b"q1\tRed Roses\r\n\r\nq2\tBlue Sky\r\n")
+    assert load_queries(qfile) == [("q1", "Red Roses"), ("q2", "Blue Sky")]
+
+
+def test_qrels_lines_end_at_newline_only(tmp_path):
+    assert Qrels.from_text("q1\td\x851\t1\n").grades == {("q1", "d\x851"): 1}
+    rfile = tmp_path / "qrels.tsv"
+    rfile.write_bytes(b"q1\td1\t2\r\nq1\td2\t0\r\n")
+    assert Qrels.from_path(rfile).grades == {("q1", "d1"): 2, ("q1", "d2"): 0}
+    assert Qrels.from_text("q1\td1\t2\r\n").grades == {("q1", "d1"): 2}
 
 
 def test_malformed_query_and_qrels_files(tmp_path):

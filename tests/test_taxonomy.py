@@ -59,6 +59,41 @@ def test_synonym_clash_rejected():
         parse_taxonomy("entity\t\t\nflower\tentity\tentity\n")
 
 
+def test_a_fourth_field_is_refused_with_its_line():
+    with pytest.raises(TaxonomyError,
+                       match=r"^<string>:2: expected at most 3 tab-separated "
+                             r"fields, got 4$"):
+        parse_taxonomy("flower\t\t\nrose\tflower\tbloom\textra\n")
+
+
+@pytest.mark.parametrize("synonym", ["x-y", "fl ower", "9lives", "r\u00f6se"])
+def test_a_synonym_off_the_id_pattern_is_refused(fragment_lattice, synonym):
+    with pytest.raises(TaxonomyError,
+                       match=rf"^<string>:2: invalid synonym {synonym!r} "
+                             r"of 'rose'$"):
+        parse_taxonomy(f"flower\t\t\nrose\tflower\tbloom,{synonym}\n")
+    with pytest.raises(TaxonomyError, match="invalid synonym"):
+        insert_concept(fragment_lattice,
+                       Concept("rose", frozenset({synonym})), ["flower"])
+
+
+def test_taxonomy_lines_end_at_newline_only(tmp_path):
+    """A line separator other than ``\\n`` stays inside its field, where
+    the id pattern refuses it, instead of starting a record; a CRLF file
+    reads as its LF text, with the same fingerprint."""
+    with pytest.raises(TaxonomyError,
+                       match=r"^<string>:2: invalid synonym 'bloom\\x1cx'"):
+        parse_taxonomy("flower\t\t\nrose\tflower\tbloom\x1cx\n")
+    text = bundled_taxonomy_path().read_text(encoding="utf-8")
+    path = tmp_path / "crlf.tsv"
+    path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    lf = parse_taxonomy(text)
+    for crlf in (parse_taxonomy(text.replace("\n", "\r\n")), load_taxonomy(path)):
+        assert (crlf._concepts, crlf._parents) == (lf._concepts, lf._parents)
+    assert (load_taxonomy(path).fingerprint
+            == load_taxonomy(bundled_taxonomy_path()).fingerprint)
+
+
 def test_unreadable_taxonomy_file_names_the_path(tmp_path):
     path = tmp_path / "taxonomy.tsv"
     path.write_bytes(b"entity\t\t\n\xff")
@@ -223,9 +258,11 @@ def test_longest_path_matches_recomputation_after_inserts(base_lattice):
         assert lat.longest_path == oracles.longest_root_leaf(raw)
 
 
-def _check_paths_against_oracles(lat, parents):
+def _check_paths_against_oracles(lat, parents, rng):
     longest = oracles.longest_root_leaf(parents)
-    for a, b in itertools.product(parents, repeat=2):
+    pairs = list(itertools.product(parents, repeat=2))
+    rng.shuffle(pairs)  # epsilon rows are built in a random order
+    for a, b in pairs:
         assert lat.path_sim_epsilon(a, b) == oracles.epsilon_oracle(parents, a, b)
         rel = oracles.relation_oracle(parents, a, b)
         if rel == "unrelated":
@@ -238,17 +275,25 @@ def _check_paths_against_oracles(lat, parents):
 
 
 def test_memoised_paths_match_oracles_on_random_taxonomies():
+    """Single-root taxonomies and, on every other trial, forests of two
+    trees with disjoint names, where concepts of different trees have no
+    path (epsilon 0) until an inserted concept joins them."""
     rng = random.Random(11)
-    for _ in range(25):
+    for trial in range(50):
         text, parents = oracles.random_taxonomy(rng, rng.randint(2, 14))
+        if trial % 2:
+            more_text, more = oracles.random_taxonomy(
+                rng, rng.randint(1, 8), prefix="t")
+            text, parents = text + more_text, {**parents, **more}
         lat = parse_taxonomy(text)
         for _repeat in range(2):  # the second pass reads memoised values
-            _check_paths_against_oracles(lat, parents)
+            _check_paths_against_oracles(lat, parents, rng)
         # an extension made after the parent was queried gets its own memo
         new_parents = tuple(rng.sample(list(parents), min(2, len(parents))))
         extended = insert_concept(lat, Concept("extra"), new_parents)
-        _check_paths_against_oracles(extended, {**parents, "extra": new_parents})
-        _check_paths_against_oracles(lat, parents)
+        _check_paths_against_oracles(extended, {**parents, "extra": new_parents},
+                                     rng)
+        _check_paths_against_oracles(lat, parents, rng)
 
 
 def test_extension_does_not_reuse_parent_path_memo(fragment_lattice):
