@@ -30,7 +30,7 @@ from typing import Mapping
 
 from .context import (DEFAULT_IMPACTS, DEFAULT_PATTERNS, DEFAULT_WINDOW,
                       AreaKind, SyntacticPattern, parse_pattern)
-from .errors import ConfigError, ViscxError, one_line, read_text
+from .errors import ConfigError, ViscxError, data_lines, one_line, read_text
 from .fusion import FacetKernel
 from .membership import TConormKind
 
@@ -158,10 +158,8 @@ def parse_config(text: str, *, base_dir: Path | None = None) -> PipelineConfig:
     """Parse configuration text; relative taxonomy paths resolve against
     `base_dir` when given."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in data_lines(text):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, _eq, value = line.partition("=")

@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the package, the by-name enum
-lookup whose failure is one of them, and the file readers whose messages
-name the file on one line.
+lookup whose failure is one of them, the file readers whose messages
+name the file on one line, and the line reader of the text formats.
 
 Everything raised on bad data derives from ViscxError so the CLI can map
 data problems to a single exit code.
@@ -8,6 +8,7 @@ data problems to a single exit code.
 
 from enum import Enum
 from pathlib import Path
+from typing import Iterator
 
 
 class ViscxError(Exception):
@@ -61,6 +62,16 @@ def read_text(path, what: str, error: type[ViscxError] = ViscxError) -> str:
         return p.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {one_line(p)}: {exc}") from None
+
+
+def data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(1-based number, line) for each line of `text`, split at ``\\n``
+    only, that is neither blank nor a ``#`` comment, which may be
+    indented."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, line
 
 
 def read_bytes(path, what: str, error: type[ViscxError] = ViscxError) -> bytes:

@@ -35,8 +35,8 @@ def pair_corpus(corpus_dir: str | Path) -> list[tuple[str, Path, Path]]:
     root = Path(corpus_dir)
     if not root.is_dir():
         raise ViscxError(f"corpus directory not found: {one_line(root)}")
-    html_files = {p.stem: p for p in sorted(root.glob("*.html"))}
-    vis_files = {p.stem: p for p in sorted(root.glob("*.vis"))}
+    html_files = {p.stem: p for p in root.glob("*.html")}
+    vis_files = {p.stem: p for p in root.glob("*.vis")}
     for stem in sorted(set(html_files) - set(vis_files)):
         log.warning("no .vis sidecar for %s; skipped", html_files[stem].name)
     for stem in sorted(set(vis_files) - set(html_files)):

@@ -36,7 +36,7 @@ from .config import PipelineConfig
 from .context import (DEFAULT_PATTERNS, SyntacticTerm, apply_patterns,
                       singularize, tag_tokens, terms_from_window, tokenize)
 from .errors import (NamedEnum, StoreError, UnindexableQueryError, ViscxError,
-                     read_text)
+                     data_lines, read_text)
 from .fusion import (FacetKernel, ScoringView, scoring_view, view_mass,
                      view_part)
 from .membership import MembershipTable, TConormKind, aggregate_mu_tot
@@ -621,9 +621,7 @@ class Qrels:
     def from_text(cls, text: str) -> "Qrels":
         grades: dict[tuple[str, str], int] = {}
         first_line: dict[tuple[str, str], int] = {}
-        for lineno, line in enumerate(text.split("\n"), start=1):
-            if not line.strip() or line.startswith("#"):
-                continue
+        for lineno, line in data_lines(text):
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ViscxError(
@@ -647,10 +645,7 @@ def load_queries(path: str | Path) -> list[tuple[str, str]]:
     """Queries file: one ``id<TAB>text`` per line, each id once."""
     queries = []
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(
-            read_text(path, "queries").split("\n"), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(read_text(path, "queries")):
         qid, tab, text = line.partition("\t")
         if not tab:
             raise ViscxError(f"queries line {lineno}: expected id<TAB>text")

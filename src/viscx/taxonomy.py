@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import (TaxonomyError, UnknownConceptError, UnrelatedConceptsError,
-                     one_line, read_text)
+                     data_lines, one_line, read_text)
 
 try:  # the built-in sha256; hashlib loads OpenSSL, about 3.5 MB resident
     from _sha256 import sha256
@@ -61,14 +61,13 @@ class Concept:
 class SemanticLattice:
     """Immutable is_a DAG over concepts.
 
-    The topological pass of the constructor keeps, per concept, the edge
-    count of the shortest upward chain to each of its ancestors; relations
-    and chain lengths are reads of that table. `longest_path` is the edge
-    count of the longest root-to-leaf chain; it normalizes the chain
-    lengths. Undirected path similarities are kept as one row per
-    canonical head, filled by one breadth-first search, membership steps
-    per concept and token tags per token, which is safe because the
-    lattice never changes.
+    The constructor checks for cycles and measures `longest_path`, the
+    edge count of the longest root-to-leaf chain, which normalizes chain
+    lengths. The rest is built on first use, which is safe because the
+    lattice never changes: per concept, a step row (`membership_steps`)
+    from one breadth-first walk up and one down, from which relations and
+    chain lengths are read; per canonical head, a row of undirected path
+    similarities from one walk both ways; and token tags per token.
     """
 
     def __init__(self, concepts: Sequence[Concept], parents: Mapping[str, Sequence[str]],
@@ -122,39 +121,40 @@ class SemanticLattice:
         self._tags: dict[str, TaggedToken] = {}
 
     def _finalize(self) -> None:
-        # Kahn topological pass: parents before children. Whatever survives
-        # with unprocessed parents sits on a cycle. up[cid] maps each
-        # ancestor to the edge count of the shortest upward chain to it.
+        # Kahn topological pass: parents before children, each passing its
+        # depth down. Whatever keeps unprocessed parents sits on a cycle.
         pending = {cid: len(self._parents[cid]) for cid in self._order}
         queue = deque(cid for cid in self._order if pending[cid] == 0)
-        depth: dict[str, int] = {cid: 0 for cid in queue}
-        up: dict[str, dict[str, int]] = {}
+        depth = dict.fromkeys(self._order, 0)
         while queue:
             cid = queue.popleft()
-            chains: dict[str, int] = {}
-            d = 0
-            for pid in self._parents[cid]:
-                for anc, edges in up[pid].items():
-                    if anc not in chains or edges + 1 < chains[anc]:
-                        chains[anc] = edges + 1
-                chains[pid] = 1
-                d = max(d, depth[pid] + 1)
-            up[cid] = chains
-            depth[cid] = d
+            below = depth[cid] + 1
             for kid in self._children[cid]:
+                depth[kid] = max(depth[kid], below)
                 pending[kid] -= 1
                 if pending[kid] == 0:
                     queue.append(kid)
-        if len(up) < len(self._order):
-            stuck = {cid for cid in self._order if cid not in up}
-            edges = sorted(
-                (cid, pid)
-                for cid in stuck
-                for pid in self._parents[cid]
-                if pid in stuck)
+        stuck = {cid for cid in self._order if pending[cid]}
+        if stuck:
+            edges = sorted((cid, pid) for cid in stuck
+                           for pid in self._parents[cid] if pid in stuck)
             raise TaxonomyError(f"cycle detected among is_a edges: {edges}")
-        self._up = up
         self.longest_path: int = max(depth.values())
+
+    def _walk(self, cid: str, *edge_tables: dict[str, tuple[str, ...]]) -> dict[str, int]:
+        """The edge count from `cid` (0 for itself) to every concept a
+        breadth-first search reaches along parents, children or both."""
+        dist = {cid: 0}
+        queue = deque([cid])
+        while queue:
+            near = queue.popleft()
+            d = dist[near] + 1
+            for table in edge_tables:
+                for far in table[near]:
+                    if far not in dist:
+                        dist[far] = d
+                        queue.append(far)
+        return dist
 
     # -- lookup ---------------------------------------------------------
 
@@ -193,11 +193,10 @@ class SemanticLattice:
         ca, cb = self.require(a), self.require(b)
         if ca == cb:
             return SemRelation.EQUAL
-        if ca in self._up[cb]:
-            return SemRelation.GENERIC
-        if cb in self._up[ca]:
-            return SemRelation.SPECIFIC
-        return SemRelation.UNRELATED
+        steps = self.membership_steps(cb)
+        if ca not in steps:
+            return SemRelation.UNRELATED
+        return SemRelation.SPECIFIC if steps[ca] is None else SemRelation.GENERIC
 
     def _norm(self, edges: int) -> float:
         return min(edges / max(self.longest_path, 1), 1.0)
@@ -210,50 +209,48 @@ class SemanticLattice:
         expected to check `relation` first.
         """
         ca, cb = self.require(a), self.require(b)
-        edges = 0 if ca == cb else self._up[cb].get(ca) or self._up[ca].get(cb)
-        if edges is None:
+        if ca == cb:
+            return 0.0
+        steps = self.membership_steps(cb)
+        if ca not in steps:
             raise UnrelatedConceptsError(
                 f"concepts {ca!r} and {cb!r} share no is_a chain")
-        return self._norm(edges)
+        norm = steps[ca]  # None when a lies below b: read a's row instead
+        return self.membership_steps(ca)[cb] if norm is None else norm
 
     def membership_steps(self, cid: str) -> dict[str, float | None]:
         """How evidence on each related anchor reaches canonical concept
         `cid`: None when `cid` is the anchor or lies above it (the value
         passes unchanged), `path_length_norm(anchor, cid)` when `cid` lies
         below it (the value is reinforced by it, clamped at 1). Unrelated
-        anchors are absent. Built on the first call per concept."""
+        anchors are absent. Built on the first call per concept from one
+        walk up and one walk down."""
         steps = self._steps.get(cid)
         if steps is None:
             if cid not in self._concepts:
                 raise UnknownConceptError(f"{cid!r} is not a canonical concept id")
-            steps = {a: None for a in self._order
-                     if a == cid or cid in self._up[a]}
-            for anchor, edges in self._up[cid].items():
-                steps[anchor] = self._norm(edges)
+            steps = {anchor: self._norm(edges)
+                     for anchor, edges in self._walk(cid, self._parents).items()}
+            # cid itself and every concept below it: None
+            steps.update(dict.fromkeys(self._walk(cid, self._children)))
             self._steps[cid] = steps
         return steps
 
     def path_sim_epsilon(self, a: str, b: str) -> float:
         """Path similarity 1/(1+d) with d the shortest undirected is_a
         distance; 1 on equal concepts, 0 when no path exists at all. Read
-        from `a`'s row, which one breadth-first search fills on the first
-        call per head."""
+        from `a`'s row, which one walk over parents and children fills on
+        the first call per head."""
         row = self._eps_rows.get(a)
         if row is None:
             ca = self.require(a)
             row = self._eps_rows.get(ca)
             if row is None:
-                row = self._eps_rows[ca] = dict.fromkeys(self._order, 0.0)
-                row[ca] = 1.0
-                queue = deque([(ca, 1)])  # a concept, its neighbours' d
-                while queue:
-                    cid, d = queue.popleft()
-                    for near in self._parents[cid] + self._children[cid]:
-                        if not row[near]:  # unreached: only they hold 0.0
-                            row[near] = 1.0 / (1.0 + d)
-                            queue.append((near, d + 1))
+                row = self._eps_rows[ca] = {
+                    near: 1.0 / (1.0 + d) for near, d in
+                    self._walk(ca, self._parents, self._children).items()}
         eps = row.get(b)
-        return row[self.require(b)] if eps is None else eps
+        return row.get(self.require(b), 0.0) if eps is None else eps
 
 
 def insert_concept(lattice: SemanticLattice, concept: Concept,
@@ -283,11 +280,8 @@ def parse_taxonomy(text: str, source: str = "<string>") -> SemanticLattice:
     """
     concepts: list[Concept] = []
     parents: dict[str, list[str]] = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = raw.split("\t")
+    for lineno, line in data_lines(text):
+        fields = line.split("\t")
         if len(fields) > 3:
             raise TaxonomyError(f"{source}:{lineno}: expected at most 3 "
                                 f"tab-separated fields, got {len(fields)}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import VisParseError
 
@@ -173,7 +173,8 @@ _LEX_RE = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<ident>[a-z][a-z0-9_]*)"
     r"|(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
-    r"|(?P<sym>[{}();:,@=])")
+    r"|(?P<sym>[{}();:,@=])"
+    r"|(?P<bad>.)", re.DOTALL)
 
 
 def _spatial_order(relation: tuple[str, str]) -> tuple[int, str]:
@@ -188,40 +189,35 @@ def _error(text: str, message: str, offset: int) -> VisParseError:
                          offset - text.rfind("\n", 0, offset))
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def next(self) -> tuple[str, str, int]:
-        """The next token as (kind, value, offset of its first character)."""
-        text = self.text
-        while self.pos < len(text):
-            m = _LEX_RE.match(text, self.pos)
-            if m is None:
-                raise _error(text, f"unexpected character {text[self.pos]!r}",
-                             self.pos)
-            start, self.pos = self.pos, m.end()
-            if m.lastgroup != "ws":
-                return m.lastgroup or "", m.group(), start
-        return "eof", "", self.pos
+def _tokens(text: str) -> Iterator[tuple[str, str, int]]:
+    """The tokens of `text` as (kind, value, offset of its first
+    character), ending with an ``eof`` token; an unexpected character
+    raises when its token is read."""
+    for m in _LEX_RE.finditer(text):
+        kind = m.lastgroup or ""
+        if kind == "bad":
+            raise _error(text, f"unexpected character {m.group()!r}", m.start())
+        if kind != "ws":
+            yield kind, m.group(), m.start()
+    yield "eof", "", len(text)
 
 
 class _Parser:
     def __init__(self, text: str):
-        self._lexer = _Lexer(text)
-        self._tok = self._lexer.next()
+        self._text = text
+        self._next = _tokens(text).__next__
+        self._tok = self._next()
 
     def _fail(self, message: str, offset: int | None = None) -> VisParseError:
         """The error at `offset`, by default at the current token."""
-        return _error(self._lexer.text, message,
+        return _error(self._text, message,
                       self._tok[2] if offset is None else offset)
 
     def _accept(self, kind: str, value: str | None = None):
         tkind, tvalue, _offset = self._tok
         if tkind != kind or (value is not None and tvalue != value):
             return None
-        self._tok = self._lexer.next()
+        self._tok = self._next()
         return tvalue
 
     def _expect(self, kind: str, value: str | None = None) -> str:
@@ -238,7 +234,7 @@ class _Parser:
         value = float(tvalue)
         if not (0.0 <= value <= 1.0):
             raise self._fail(f"{what} out of [0,1]: {tvalue}")
-        self._tok = self._lexer.next()
+        self._tok = self._next()
         return value
 
     def _weight_pairs(self, vocab: Vocabulary,
@@ -250,7 +246,7 @@ class _Parser:
                 raise self._fail(f"unknown {vocab.kind} concept {name!r}")
             if name in pairs:
                 raise self._fail(f"duplicate {vocab.kind} entry {name!r}")
-            self._tok = self._lexer.next()
+            self._tok = self._next()
             if self._accept("sym", "=") is not None:
                 pairs[name] = self._number(f"{vocab.kind} weight")
             elif bare_default is not None:
@@ -267,7 +263,7 @@ class _Parser:
             name = self._tok[1]
             if name not in SPATIAL_NAMES:
                 raise self._fail(f"unknown spatial relation {name!r}")
-            self._tok = self._lexer.next()
+            self._tok = self._next()
             self._expect("sym", "(")
             target = self._expect("ident")
             self._expect("sym", ")")

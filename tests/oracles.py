@@ -311,6 +311,22 @@ def random_taxonomy(rng, n_concepts: int, prefix: str = "c"):
     return "\n".join(lines) + "\n", parents
 
 
+def random_chain_taxonomy(rng, n_concepts: int, prefix: str = "k"):
+    """Random chain as (text, parents dict): node i, named `prefix` + i,
+    hangs below node i-1 and, now and then, also below a node a few
+    levels further up. Each such shortcut closes a diamond with unequal
+    arms, so a shortest upward chain is shorter than the longest one."""
+    names = [f"{prefix}{i}" for i in range(n_concepts)]
+    parents: dict[str, tuple[str, ...]] = {names[0]: ()}
+    for i in range(1, n_concepts):
+        above = {names[i - 1]}
+        if i > 2 and rng.random() < 0.1:
+            above.add(names[rng.randrange(max(0, i - 12), i - 2)])
+        parents[names[i]] = tuple(sorted(above))
+    lines = [f"{n}\t{','.join(parents[n])}\t" for n in names]
+    return "\n".join(lines) + "\n", parents
+
+
 def tag_tokens_oracle(tokens, lattice):
     """The plain tagging loop: no memo, every spatial phrase tried at
     every position, the longest match winning."""

@@ -30,6 +30,7 @@ DEFAULT_IMPACTS = {AreaKind.ALT_ATTRIBUTE: 0.9, AreaKind.SRC_TOKENS: 0.7,
     ("fusion_literal = Off", "fusion_literal", False),
     ("ndcg_n = 3, 7", "ndcg_n", (3, 7)),
     ("# a comment\n\n  KERNEL =  min  \n", "kernel", FacetKernel.MIN),
+    ("  # window = 1\nwindow = 5\n\t# window 2\n", "window", 5),
 ])
 def test_each_key_is_read_from_the_file(text, attr, expected):
     assert getattr(parse_config(text), attr) == expected

@@ -1032,6 +1032,17 @@ def test_query_lines_end_at_newline_only(tmp_path):
     assert load_queries(qfile) == [("q1", "Red Roses"), ("q2", "Blue Sky")]
 
 
+def test_queries_skip_an_indented_comment(tmp_path):
+    qfile = tmp_path / "queries.tsv"
+    qfile.write_text("  # note\nq1\tRed Roses\n\t# note\tmore\n", encoding="utf-8")
+    assert load_queries(qfile) == [("q1", "Red Roses")]
+
+
+def test_qrels_skip_an_indented_comment():
+    assert Qrels.from_text("  # note\nq1\td1\t2\n\t# a\tb\tc\n").grades == {
+        ("q1", "d1"): 2}
+
+
 def test_qrels_lines_end_at_newline_only(tmp_path):
     assert Qrels.from_text("q1\td\x851\t1\n").grades == {("q1", "d\x851"): 1}
     rfile = tmp_path / "qrels.tsv"

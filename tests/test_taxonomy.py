@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -92,6 +93,22 @@ def test_taxonomy_lines_end_at_newline_only(tmp_path):
         assert (crlf._concepts, crlf._parents) == (lf._concepts, lf._parents)
     assert (load_taxonomy(path).fingerprint
             == load_taxonomy(bundled_taxonomy_path()).fingerprint)
+
+
+def test_taxonomy_skips_an_indented_comment():
+    lat = parse_taxonomy("entity\t\t\n  # note\tentity\n\t# a\tb\tc\td\n"
+                         "flower\tentity\t\n")
+    assert lat.concept_ids() == ("entity", "flower")
+
+
+def test_a_lone_carriage_return_ends_a_file_line_but_not_a_text_line(tmp_path):
+    path = tmp_path / "cr.tsv"
+    path.write_bytes(b"entity\t\t\rflower\tentity\t\r")
+    lf = parse_taxonomy("entity\t\t\nflower\tentity\t\n")
+    assert load_taxonomy(path).concept_ids() == ("entity", "flower")
+    assert load_taxonomy(path).fingerprint == lf.fingerprint
+    with pytest.raises(TaxonomyError, match=r"^<string>:1: expected at most 3"):
+        parse_taxonomy("entity\t\t\rflower\tentity\t\r")
 
 
 def test_unreadable_taxonomy_file_names_the_path(tmp_path):
@@ -265,6 +282,13 @@ def _check_paths_against_oracles(lat, parents, rng):
     for a, b in pairs:
         assert lat.path_sim_epsilon(a, b) == oracles.epsilon_oracle(parents, a, b)
         rel = oracles.relation_oracle(parents, a, b)
+        assert lat.relation(a, b).value == rel
+        steps = lat.membership_steps(a)  # what evidence of 0.5 on b carries to a
+        if b not in steps:
+            carried = 0.0
+        else:
+            carried = 0.5 if steps[b] is None else min(0.5 + steps[b], 1.0)
+        assert carried == oracles.membership_oracle(parents, longest, a, b, 0.5)
         if rel == "unrelated":
             with pytest.raises(UnrelatedConceptsError):
                 lat.path_length_norm(a, b)
@@ -294,6 +318,35 @@ def test_memoised_paths_match_oracles_on_random_taxonomies():
         _check_paths_against_oracles(extended, {**parents, "extra": new_parents},
                                      rng)
         _check_paths_against_oracles(lat, parents, rng)
+
+
+def test_paths_match_oracles_on_long_chains_with_unequal_diamonds():
+    """Chains of about 100 levels whose shortcuts close diamonds with
+    unequal arms, so the shortest upward chain from the leaf to the root
+    is shorter than the longest root-leaf path that normalizes it."""
+    rng = random.Random(13)
+    for _trial in range(2):
+        text, parents = oracles.random_chain_taxonomy(rng, rng.randint(90, 110))
+        leaf, root = list(parents)[-1], list(parents)[0]
+        assert (oracles.chain_edges(parents, leaf, root)
+                < oracles.longest_root_leaf(parents))
+        _check_paths_against_oracles(parse_taxonomy(text), parents, rng)
+
+
+def test_a_4000_level_chain_parses_and_reads_in_linear_time():
+    n = 4000
+    text = "c0\t\t\n" + "".join(f"c{i}\tc{i - 1}\t\n" for i in range(1, n))
+    leaf = f"c{n - 1}"
+    start = time.perf_counter()
+    lat = parse_taxonomy(text)
+    steps = lat.membership_steps(leaf)
+    rel = lat.relation(leaf, "c0")
+    elapsed = time.perf_counter() - start
+    assert lat.longest_path == n - 1
+    assert rel is SemRelation.SPECIFIC
+    assert len(steps) == n and steps[leaf] is None
+    assert steps["c0"] == 1.0 and steps["c1"] == (n - 2) / (n - 1)
+    assert elapsed < 0.5, f"{elapsed:.3f} s"
 
 
 def test_extension_does_not_reuse_parent_path_memo(fragment_lattice):
