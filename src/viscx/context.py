@@ -279,36 +279,35 @@ def assign_impacts(areas: Iterable[ExtractionArea],
 @dataclass(frozen=True)
 class SyntacticPattern:
     """A category sequence with repetition bounds, matched over the tag
-    string of a token stream. Only OTHER elements may repeat or vanish."""
+    string of a token stream. Any element may repeat or vanish (``COLOR{2}
+    SEM``, ``SEM OTHER{0,3} COLOR SEM``), but one vocabulary element must
+    match at least once: ``SEM{0}`` matches only empty windows."""
 
     elements: tuple[tuple[Category, int, int], ...]
 
     def __post_init__(self):
-        if not any(cat is not Category.OTHER for cat, _lo, _hi in self.elements):
-            raise ViscxError("pattern needs at least one vocabulary category")
+        if not any(cat is not Category.OTHER and hi >= 1
+                   for cat, _lo, hi in self.elements):
+            raise ViscxError("pattern needs at least one vocabulary category "
+                             "that matches at least once")
         for cat, lo, hi in self.elements:
             if lo < 0 or hi < lo:
                 raise ViscxError(f"bad repetition bounds {{{lo},{hi}}} for {cat.name}")
 
+    def _parts(self, field: str) -> list[str]:
+        """Per element, its category's `field` (``value`` or ``name``) and,
+        unless they are ``{1,1}``, its repetition bounds."""
+        return [getattr(cat, field) + ("" if (lo, hi) == (1, 1) else
+                                       f"{{{lo},{hi}}}")
+                for cat, lo, hi in self.elements]
+
     @cached_property
     def regex(self) -> re.Pattern[str]:
         """The compiled pattern, built once per instance."""
-        parts = []
-        for cat, lo, hi in self.elements:
-            if (lo, hi) == (1, 1):
-                parts.append(cat.value)
-            else:
-                parts.append(f"{cat.value}{{{lo},{hi}}}")
-        return re.compile("".join(parts))
+        return re.compile("".join(self._parts("value")))
 
     def text(self) -> str:
-        parts = []
-        for cat, lo, hi in self.elements:
-            if (lo, hi) == (1, 1):
-                parts.append(cat.name)
-            else:
-                parts.append(f"{cat.name}{{{lo},{hi}}}")
-        return " ".join(parts)
+        return " ".join(self._parts("name"))
 
 
 def parse_pattern(text: str) -> SyntacticPattern:

@@ -16,7 +16,8 @@ descending score (ties broken by document id):
 pass over the store, which checks every document; what a ranking reads of
 a document is made on its first read, so a one-shot search builds it only
 for the documents its ranking reaches. `rank_with_scorer` ranks either's
-``candidates``.
+``candidates``; `_Scorer`'s bound and visit treat a group of documents
+and a document as nodes of one kind.
 """
 
 from __future__ import annotations
@@ -257,14 +258,13 @@ def _head_triples(lattice: SemanticLattice, mu_of: Callable[[str], float],
              else None, mass) for head, mass in masses.items()]
 
 
-def _doc_state(evidence: dict, lattice: SemanticLattice, doc_id: str) -> tuple:
-    """A document's ``(pairs, mu_of, heads)`` from its `_Scorer` evidence,
-    which it takes out: its unit pairs, its membership table's `total` and
-    its head triples."""
+def _doc_node(evidence: dict, lattice: SemanticLattice, doc_id: str) -> tuple:
+    """A document's `_Scorer` node, from its evidence, which it takes out."""
     views, table, masses = evidence.pop(doc_id)
     heads = _head_triples(lattice, table.total, masses)
     mus = {head: mu for head, mu, _mass in heads}
-    return [(view, mus[view[0]]) for view in views], table.total, heads
+    return ((doc_id,), table.total, heads,
+            [(view, mus[view[0]]) for view in views])
 
 
 class _Scorer:
@@ -276,25 +276,29 @@ class _Scorer:
     keeps the membership table, the scoring view of each unit and the
     largest view mass per unit head; equal scoring views of units are
     interned, so they are one object, and a unit object that several
-    documents share (a loaded store's equal items) is viewed once. Per
-    group of documents sharing a set of unit heads: its member ids in
-    ascending order, per head the largest view mass, and a bound on every
-    member's membership at any concept, from the largest values and counts
-    of values its members hold per anchor (`_group_mu`); a lone member's
-    own table is its group's. Each strategy's evidence fills one side of
-    the tables: ``vis`` and ``vis+cx`` the visual, ``cx`` the contextual.
+    documents share (a loaded store's equal items) is viewed once. Each
+    strategy's evidence fills one side of the tables: ``vis`` and
+    ``vis+cx`` the visual, ``cx`` the contextual.
 
-    What ranking reads of a document is made on its first read by `score`
-    or `bounds` and kept: one ``(view, mu of the unit's head)`` pair per
-    unit, mu None for a headless unit or a head the lattice does not know,
-    and one ``(head, mu, largest view mass)`` triple per distinct unit head.
-    So a one-shot search builds it only for the members of the groups its
-    ranking visits. Per query, rebuilt only when a different query object
-    comes in: each term's view and a memo from the ``id`` of an interned
-    view to `view_part`, so a term is compared with each distinct unit view
-    once, and per document only the membership part is added, with the
-    term head's mu read once; for the bounds, each term's view mass and a
-    memo of epsilon per unit head."""
+    Ranking reads nodes ``(member ids, mu_of, head triples, units)``. A
+    document's node, made on its first read and kept, holds its id, its
+    table's `total`, a ``(head, mu, largest view mass)`` triple per unit
+    head, mu None for no head or a head the lattice does not know, and a
+    ``(view, mu of the unit's head)`` pair per unit. The root `nodes`, in
+    store order of first members, are one per group of documents sharing
+    a set of unit heads: its ids in ascending order, a bound on each
+    member's membership from the largest values and counts of values they
+    hold per anchor (`_group_mu`), the largest view mass per head, and
+    units None; a group of one is its member's node. So a one-shot search
+    builds only the nodes of the groups of one and of the members of the
+    groups it visits.
+
+    Per query, rebuilt only when a different query object comes in: each
+    term's view and a memo from the ``id`` of an interned view to
+    `view_part`, so a term is compared with each distinct unit view once,
+    and per document only the membership part is added, with the term
+    head's mu read once; for the bounds, each term's view mass and a memo
+    of epsilon per unit head."""
 
     def __init__(self, store: IndexStore, lattice: SemanticLattice,
                  cfg: PipelineConfig, strategy: Strategy):
@@ -354,14 +358,15 @@ class _Scorer:
         # made by functions that do not hold the scorer, so that no
         # reference cycle keeps a dropped scorer alive until a collection
         self._docs: dict[str, tuple] = _OnFirstRead(
-            functools.partial(_doc_state, evidence, lattice))
-        self._groups = []
+            functools.partial(_doc_node, evidence, lattice))
+        self.nodes: list[tuple] = []
         for members, top, group_evidence in by_heads.values():
-            # a lone member's own totals are its group's, exactly
-            mu_of = (evidence[members[0]][1].total if len(members) == 1 else
-                     _group_mu(group_evidence, lattice, cfg.tconorm))
-            self._groups.append((sorted(members), mu_of,
-                                 _head_triples(lattice, mu_of, top)))
+            if len(members) == 1:
+                self.nodes.append(self._docs[members[0]])
+            else:
+                mu_of = _group_mu(group_evidence, lattice, cfg.tconorm)
+                self.nodes.append((tuple(sorted(members)), mu_of,
+                                   _head_triples(lattice, mu_of, top), None))
 
     def _query_terms(self, query: Query) -> list[tuple]:
         if query is not self._query:
@@ -374,7 +379,7 @@ class _Scorer:
 
     def score(self, query: Query, doc_id: str) -> float:
         query_terms = self._query_terms(query)
-        units, mu_of, _heads = self._docs[doc_id]
+        _members, mu_of, _heads, units = self._docs[doc_id]
         if not units:
             return 0.0
         lattice, kernel = self.lattice, self.cfg.kernel
@@ -395,11 +400,11 @@ class _Scorer:
             total += best
         return total
 
-    def bounds(self, query: Query, doc_ids: Sequence[str]) -> dict[str, float]:
-        """Per document of `doc_ids`, an upper bound on `score`, built as
-        `score` is: per query term, the max over the units of a facet bound
-        plus the semantic part, epsilon times the two heads' mu, summed
-        over the terms from 0.0.
+    def bounds(self, query: Query, nodes: Sequence[tuple]) -> list[float]:
+        """Per node of `nodes`, an upper bound on the `score` of each of
+        its members, built as `score` is: per query term, the max over the
+        node's head triples of a facet bound plus the semantic part,
+        epsilon times the two heads' mu, summed over the terms from 0.0.
 
         The facet bound reads only the two views' masses (`view_mass`):
         ``(term + unit) / VOCAB_SIZE`` under ``max``, ``min(term, unit) /
@@ -413,19 +418,21 @@ class _Scorer:
         per head only the largest mass is read. Epsilon depends only on
         the two heads and is memoised per term by unit head. A headless
         side adds no semantic part, and every headed (term, unit head)
-        pair is evaluated, so an unknown head raises as in `score`."""
-        docs = self._docs
-        return dict(zip(doc_ids, self._bounds(
-            self._query_terms(query), [docs[doc_id] for doc_id in doc_ids])))
+        pair is evaluated, so an unknown head raises as in `score`; a
+        group reads its heads in its first member's order, so the head
+        named is that of the first document in store order that has one.
 
-    def _bounds(self, query_terms, states) -> list[float]:
-        """The bound of `bounds` per ``(_, mu_of, heads)`` state: a
-        document's membership total and head triples, or a group's bound
-        on its members' totals and its head maxima."""
+        A group's bound reads no member's node. Its mu, `_group_mu`, is
+        raised by a margin that covers float rounding, so it is at least
+        each member's total in floats, its masses are its members' largest,
+        and every other operation of the bound (``+``, ``min``, the division
+        by `VOCAB_SIZE`, the product with epsilon >= 0, max and sum) is
+        monotone in floats, so a group's bound is at least each member's."""
         lattice = self.lattice
         union = self.cfg.kernel is FacetKernel.MAX  # else an intersection
+        query_terms = self._query_terms(query)
         out = []
-        for _units, mu_of, heads in states:
+        for _members, mu_of, heads, _units in nodes:
             total = 0.0
             if heads:
                 for term_view, _memo, term_mass, eps_of in query_terms:
@@ -447,62 +454,38 @@ class _Scorer:
             out.append(total)
         return out
 
-    def group_bounds(self, query: Query) -> list[tuple[float, list[str]]]:
-        """Per group of documents sharing a set of unit heads, in store
-        order of their first members, ``(bound, member ids)`` with the ids
-        in ascending order. The bound is that of `bounds`, built from the
-        group's largest view mass per head and, at each unit and term head,
-        its bound on every member's membership total (`_group_mu`, or a
-        lone member's own total), which builds no member's state. That
-        bound is raised by a margin that covers float rounding, so it is at
-        least each member's total in floats, and every other operation of
-        the bound (``+``, ``min``, the division by `VOCAB_SIZE`, the
-        product with epsilon >= 0) is monotone in floats, so a group's
-        bound is at least each member's. A group reads its
-        heads in its first member's order, so an unknown head raises as in
-        `bounds`: for the first document in store order that has one."""
-        groups = self._groups
-        return list(zip(self._bounds(self._query_terms(query), groups),
-                        [members for members, _mu_of, _heads in groups]))
-
     def candidates(self, query: Query, k: int) -> list[tuple[str, float]]:
         """``(doc_id, score)`` of every positive exact score computed on the
-        way to the top k, which holds the top k.
+        way to the top k (`_visit`), which holds the top k; a k of at least
+        the number of documents scores every document exactly."""
+        scored: list[tuple[str, float]] = []
+        self._visit(query, self.nodes, k, scored, [])
+        return scored
 
-        Each group of documents sharing a set of unit heads is first
-        bounded cheaply (`group_bounds`), and the groups are visited in
-        order of descending bound, keeping the k best exact scores so far;
-        the visit stops at the first group whose bound lies more than
-        `BOUND_SLACK` below the k-th of them, since none of its documents
-        nor any after it can reach the top k. Within a visited group, each
-        member is bounded (`bounds`) and scored exactly in order of
-        descending bound (ascending id on a tie), up to the first member
-        whose bound lies that far below the k-th score. A member's bound is
-        not needed, and not computed, when it is the group's only member or
-        when the group's members are too few to fill the top k. A k of at
-        least the number of documents never fills the top k before the
-        last group, so it scores every document exactly."""
-        scored = []
-        best: list[float] = []  # min-heap of the k best exact scores so far
-        groups = self.group_bounds(query)
-        groups.sort(key=itemgetter(0), reverse=True)
-        for group_bound, members in groups:
-            if len(best) == k and group_bound < best[0] - BOUND_SLACK:
-                break
-            # a lone member is scored without a bound of its own, its group's
-            # having just been checked, and no member can be pruned when the
-            # heap cannot fill before the last member
-            prune = len(members) > 1 and len(best) + len(members) > k
-            if prune:
-                bounds = self.bounds(query, members)
-                # stable: members are in id order, so equal bounds keep it
-                order = sorted(members, key=bounds.__getitem__, reverse=True)
-            else:
-                order = members
-            for doc_id in order:
-                if (prune and len(best) == k
-                        and bounds[doc_id] < best[0] - BOUND_SLACK):
-                    break
+    def _visit(self, query: Query, nodes: list[tuple], k: int,
+               scored: list[tuple[str, float]], best: list[float]) -> None:
+        """Visit `nodes` in order of descending `bounds` (a stable sort:
+        groups in store order, members in id order), keeping the k best
+        exact scores so far in the min-heap `best` and every positive one
+        in `scored`, up to the first node whose bound lies more than
+        `BOUND_SLACK` below the k-th, since no member of it or of a later
+        node can reach the top k. A node of several members that can still
+        prune, more than the heap lacks (``len(best) + len(members) > k``),
+        has its members' nodes visited the same way. Any other's members
+        are scored in id order with no bound of their own: a document's,
+        whose bound was just checked, or a group's that cannot fill the
+        heap before its last member."""
+        docs = self._docs
+        for bound, (members, _mu_of, _heads, _units) in sorted(
+                zip(self.bounds(query, nodes), nodes), key=itemgetter(0),
+                reverse=True):
+            if len(best) == k and bound < best[0] - BOUND_SLACK:
+                return
+            if len(members) > 1 and len(best) + len(members) > k:
+                self._visit(query, [docs[doc_id] for doc_id in members], k,
+                            scored, best)
+                continue
+            for doc_id in members:
                 s = self.score(query, doc_id)
                 if s > 0.0:
                     scored.append((doc_id, s))
@@ -510,7 +493,6 @@ class _Scorer:
                         heapq.heappush(best, s)
                     elif s > best[0]:
                         heapq.heapreplace(best, s)
-        return scored
 
 
 #: how far below the k-th exact score a document's bound must lie before
@@ -710,14 +692,15 @@ def eval_report(store: IndexStore, lattice: SemanticLattice,
                 n_values: Sequence[int] | None = None) -> EvalReport:
     """Rank every usable query under every strategy and average NDCG@n.
 
-    Queries without judgments or without any vocabulary concept are
-    excluded (with a warning) for all strategies, keeping means
-    comparable.
+    Queries without judgments, with judgments of unknown documents only
+    or without any vocabulary concept are excluded (with a warning) for
+    all strategies, keeping means comparable.
     """
     n_values = tuple(n_values if n_values is not None else cfg.ndcg_n)
     warnings: list[str] = []
     unknown_docs = sorted({doc_id for (_qid, doc_id) in qrels.grades
                            if doc_id not in store.records})
+    judged = qrels
     if unknown_docs:
         qrels = Qrels({pair: grade for pair, grade in qrels.grades.items()
                        if pair[1] in store.records})
@@ -727,7 +710,9 @@ def eval_report(store: IndexStore, lattice: SemanticLattice,
     usable: list[tuple[str, Query]] = []
     for qid, text in queries:
         if not qrels.has_query(qid):
-            warnings.append(f"query {qid!r} has no relevance judgments; excluded")
+            why = ("judges only unknown documents" if judged.has_query(qid)
+                   else "has no relevance judgments")
+            warnings.append(f"query {qid!r} {why}; excluded")
             log.warning(warnings[-1])
             continue
         try:

@@ -281,23 +281,26 @@ def test_an_unknown_contextual_concept_fails_a_search_that_would_prune_it(
     """Every document's evidence is checked when the scorer is made, also
     a document's that the ranking never reaches: on the intact store a cx
     search for "Red Roses" at k = 1 prunes d3's group, and a `contextual`
-    item of d3 naming a concept the taxonomy lacks fails that search."""
+    item of d3 naming a concept the taxonomy lacks fails that search, and
+    one at k = 1000, which prunes nothing."""
     index = enriched_index(corpus, tmp_path)
     store = load_store(index, STRATEGY_FIELDS[Strategy.CX])
     lattice = load_taxonomy(store.meta.taxonomy)
     scorer = make_scorer(store, lattice, PipelineConfig(), Strategy.CX)
     query = parse_query("Red Roses", lattice)
     (_top, score), = rank_with_scorer(scorer, query, 1).items
-    assert ["d3"] in [members for bound, members in scorer.group_bounds(query)
-                      if bound < score - BOUND_SLACK]
+    assert ("d3",) in [members for bound, (members, *_) in zip(
+        scorer.bounds(query, scorer.nodes), scorer.nodes)
+        if bound < score - BOUND_SLACK]
     rewrite_value(index, "contextual", 2,
                   lambda cx: [{**cx[0], "cx": "zzz"}, *cx[1:]])
-    capsys.readouterr()
-    assert main(["search", "--index", str(index), "--strategy", "cx",
-                 "-k", "1", "--query", "Red Roses"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: unknown concept 'zzz'\n"
+    for k in ("1", "1000"):
+        capsys.readouterr()
+        assert main(["search", "--index", str(index), "--strategy", "cx",
+                     "-k", k, "--query", "Red Roses"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown concept 'zzz'\n"
 
 
 def test_a_contextual_impact_out_of_range_is_refused_at_load(corpus, tmp_path,

@@ -146,8 +146,10 @@ unit = st.floats(0.0, 1.0)
 element = st.tuples(st.sampled_from(["SEM", "COLOR", "TEXTURE", "SPATIAL", "OTHER"]),
                     st.integers(0, 3), st.integers(0, 3)).map(
     lambda e: e[0] if e[1:] == (1, 1) else f"{e[0]}{{{e[1]},{e[1] + e[2]}}}")
+# a valid pattern holds a vocabulary element that matches at least once
 pattern = st.lists(element, min_size=1, max_size=4).map(" ".join).filter(
-    lambda text: any(not part.startswith("OTHER") for part in text.split()))
+    lambda text: any(not part.startswith("OTHER") and not part.endswith(",0}")
+                     for part in text.split()))
 
 snapshots = st.fixed_dictionaries({
     "taxonomy": st.sampled_from([None, TAXONOMY]),

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from viscx import (Concept, bundled_taxonomy_path, insert_concept,
+from viscx import (Concept, bundled_taxonomy_path, cli, insert_concept,
                    load_taxonomy)
 from viscx.context import (DEFAULT_IMPACTS, DEFAULT_PATTERNS, AreaKind,
                            Category, SyntacticTerm, TaggedToken,
@@ -254,7 +254,7 @@ def test_tag_memo_is_per_lattice():
     assert tag_tokens(tokens, lattice)[0].category is Category.OTHER
 
 
-def test_pattern_parsing_and_validation():
+def test_pattern_parsing_and_validation(tmp_path, capsys):
     pattern = parse_pattern("SEM OTHER{0,3} COLOR SEM")
     assert pattern.elements[1] == (Category.OTHER, 0, 3)
     compiled = pattern.regex
@@ -264,8 +264,18 @@ def test_pattern_parsing_and_validation():
     assert pattern == parse_pattern("SEM OTHER{0,3} COLOR SEM")
     assert hash(pattern) == hash(parse_pattern("SEM OTHER{0,3} COLOR SEM"))
     assert pattern.text() == "SEM OTHER{0,3} COLOR SEM"
-    with pytest.raises(ViscxError):
-        parse_pattern("OTHER{0,2}")  # no vocabulary category
+    assert parse_pattern("COLOR{2} SEM").regex.pattern == "C{2,2}S"
+    config = tmp_path / "pipeline.cfg"
+    # no vocabulary category, and one that never matches
+    for text in ("OTHER{0,2}", "SEM{0}"):
+        with pytest.raises(ViscxError, match="at least one vocabulary"):
+            parse_pattern(text)
+        config.write_text(f"patterns = {text}\n", encoding="utf-8")
+        assert cli.main(["ingest", "--corpus", str(tmp_path), "--out",
+                         str(tmp_path / "index.jsonl"),
+                         "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
     with pytest.raises(ViscxError):
         parse_pattern("BOGUS SEM")
 

@@ -330,12 +330,25 @@ def plain_ranking(scorer, query, k) -> tuple[tuple[str, float], ...]:
     return tuple(heapq.nsmallest(k, scored, key=lambda item: (-item[1], item[0])))
 
 
+def doc_bounds(scorer, query) -> dict[str, float]:
+    """`bounds` of each document's node, by id in store order."""
+    ids = list(scorer.store.records)
+    return dict(zip(ids, scorer.bounds(query, [scorer._docs[doc_id]
+                                               for doc_id in ids])))
+
+
+def group_bounds(scorer, query) -> list[tuple[float, tuple[str, ...]]]:
+    """``(bound, member ids)`` of each root node, in the scorer's order."""
+    return [(bound, members) for bound, (members, *_) in zip(
+        scorer.bounds(query, scorer.nodes), scorer.nodes)]
+
+
 @pytest.mark.parametrize("tconorm", list(TConormKind))
 @pytest.mark.parametrize("kernel", list(FacetKernel))
 def test_bounds_are_the_plain_bound_and_never_undercut_the_score(
         acceptance_run, base_lattice, kernel, tconorm):
-    """Per document in store order, `bounds` is the plain per-unit bound
-    (==) and at least `score`, but for float rounding far under
+    """Per document node in store order, `bounds` is the plain per-unit
+    bound (==) and at least `score`, but for float rounding far under
     `BOUND_SLACK`."""
     store, cfg, _queries = acceptance_run
     cfg = replace(cfg, kernel=kernel, tconorm=tconorm)
@@ -343,9 +356,11 @@ def test_bounds_are_the_plain_bound_and_never_undercut_the_score(
     for strategy in (Strategy.VIS, Strategy.CX, Strategy.VIS_CX):
         scorer = make_scorer(store, base_lattice, cfg, strategy)
         for query in queries:
-            bounds = scorer.bounds(query, list(scorer.store.records))
-            assert list(bounds) == list(store.records)
-            for doc_id, bound in bounds.items():
+            ids = list(store.records)
+            bounds = scorer.bounds(query, [scorer._docs[doc_id]
+                                           for doc_id in ids])
+            assert len(bounds) == len(ids)
+            for doc_id, bound in zip(ids, bounds):
                 assert bound == reference_score(
                     store, base_lattice, cfg, strategy, query, doc_id,
                     bound=True), (strategy, query.raw, doc_id)
@@ -389,7 +404,7 @@ def test_documents_tied_at_the_kth_score_rank_by_id(base_lattice):
         assert [doc_id for doc_id, _score in full] == [
             "top", "d1", "d2", "d3", "d4"], strategy
         assert full[0][1] > full[1][1] == full[4][1], strategy
-        bounds = scorer.bounds(query, list(scorer.store.records))
+        bounds = doc_bounds(scorer, query)
         assert bounds["d1"] == bounds["d2"] == bounds["d3"] == bounds["d4"]
         for k in range(1, 7):
             assert rank_with_scorer(scorer, query, k).items == full[:k], (
@@ -410,7 +425,7 @@ def test_a_document_whose_bound_is_the_kth_score_is_still_scored(base_lattice):
     query = parse_query("red", base_lattice)
     for strategy in (Strategy.VIS, Strategy.VIS_CX):
         scorer = make_scorer(store, base_lattice, cfg, strategy)
-        bounds = scorer.bounds(query, list(scorer.store.records))
+        bounds = doc_bounds(scorer, query)
         assert bounds["b"] > bounds["a"] == scorer.score(query, "a") \
             == scorer.score(query, "b") == 0.5 / 11
         assert rank_with_scorer(scorer, query, 1).doc_ids() == ("a",)
@@ -431,7 +446,7 @@ def test_a_bound_one_ulp_below_its_score_is_still_scored(base_lattice):
     query = parse_query("red spotted", base_lattice)
     for strategy in (Strategy.VIS, Strategy.VIS_CX):
         scorer = make_scorer(store, base_lattice, cfg, strategy)
-        bounds = scorer.bounds(query, list(scorer.store.records))
+        bounds = doc_bounds(scorer, query)
         score = scorer.score(query, "a")
         assert score == scorer.score(query, "b") < bounds["b"]
         assert bounds["a"] == score - math.ulp(score)
@@ -461,7 +476,7 @@ def test_an_unknown_cx_head_raises_only_against_a_headed_term(base_lattice):
     known = with_head("sky")
     top = rank_with_scorer(known, headed, 1).items
     assert top[0][0] == "d1"
-    bounds = known.bounds(headed, list(known.store.records))
+    bounds = doc_bounds(known, headed)
     assert bounds["d3"] < top[0][1] - BOUND_SLACK
     damaged = with_head("zzz")
     for k in (1, 3):
@@ -521,9 +536,9 @@ def test_a_lower_group_holds_a_top_document_after_a_higher_group_is_pruned(
         store.add(record)
     query = parse_query("red roses", base_lattice)
     scorer = make_scorer(store, base_lattice, cfg, Strategy.VIS)
-    (high, high_members), (low, low_members) = scorer.group_bounds(query)
-    assert (high_members, low_members) == (["a1", "a2"], ["b1"])
-    bounds = scorer.bounds(query, list(scorer.store.records))
+    (high, high_members), (low, low_members) = group_bounds(scorer, query)
+    assert (high_members, low_members) == (("a1", "a2"), ("b1",))
+    bounds = doc_bounds(scorer, query)
     a1, b1 = scorer.score(query, "a1"), scorer.score(query, "b1")
     assert high > low >= b1 > a1 > bounds["a2"] + BOUND_SLACK
     assert rank_with_scorer(scorer, query, 1).items == (("b1", b1),)
@@ -585,10 +600,10 @@ def test_group_bounds_cover_their_members_and_rank_as_the_plain_ranking(
         scorer = make_scorer(store, base_lattice, cfg, strategy)
         for text in GROUP_QUERIES:
             query = parse_query(text, base_lattice, patterns=cfg.patterns)
-            groups = scorer.group_bounds(query)
+            groups = group_bounds(scorer, query)
             assert sorted(doc_id for _bound, members in groups
                           for doc_id in members) == sorted(ids)
-            bounds = scorer.bounds(query, list(scorer.store.records))
+            bounds = doc_bounds(scorer, query)
             for bound, members in groups:
                 assert all(bound >= bounds[doc_id] for doc_id in members), (
                     strategy, text)
@@ -663,9 +678,9 @@ def test_a_ranking_builds_no_state_for_the_members_of_a_pruned_group(
     assert top == "r1"
     assert {doc_id for doc_id, table in tables.items()
             if id(table) in read} == {"r1", "r2"}
-    pruned = [members for bound, members in scorer.group_bounds(query)
+    pruned = [members for bound, members in group_bounds(scorer, query)
               if bound < score - BOUND_SLACK]
-    assert pruned == [["s1", "s2"], ["c1", "c2"]]
+    assert pruned == [("s1", "s2"), ("c1", "c2")]
 
     index = tfidf_scorer(base_lattice, [
         ("d1", "red roses"), ("d2", "blue sky"), ("d3", "red sky"),
@@ -675,6 +690,37 @@ def test_a_ranking_builds_no_state_for_the_members_of_a_pruned_group(
     rank_with_scorer(index, Query("red roses", ()), 1)
     assert set(index._norm) == {"d1", "d3"}
     assert set(index.postings) == {"rose", "red"}
+
+
+def test_a_group_bounds_its_members_only_where_they_can_be_pruned(
+        base_lattice, monkeypatch):
+    """A group of one is its document's node. At k = 2 the rose group's
+    two members cannot fill the heap before the last (``len(best) +
+    len(members) <= k``), so they are scored in id order and never
+    bounded; at k = 1 they are bounded and scored in order of bound."""
+    store = IndexStore()
+    for record in (vis_doc("r1", ("rose", 0.5, {"red": 0.25}, {})),
+                   vis_doc("r2", ("rose", 0.9, {"red": 1.0}, {})),
+                   vis_doc("s1", ("sky", 0.9, {"blue": 1.0}, {}))):
+        store.add(record)
+    scorer = make_scorer(store, base_lattice, PipelineConfig(), Strategy.VIS)
+    group, lone = scorer.nodes
+    assert lone is scorer._docs["s1"]
+    assert (group[0], group[3]) == (("r1", "r2"), None)
+    bounded = []
+    bounds = scorer.bounds
+    monkeypatch.setattr(scorer, "bounds", lambda query, nodes: bounded.append(
+        [members for members, *_ in nodes]) or bounds(query, nodes))
+    query = parse_query("red roses", base_lattice)
+    assert [doc_id for doc_id, _s in scorer.candidates(query, 2)][:2] == [
+        "r1", "r2"]
+    assert bounded == [[("r1", "r2"), ("s1",)]]
+    bounded.clear()
+    assert scorer.candidates(query, 1)[0][0] == "r2"
+    assert bounded == [[("r1", "r2"), ("s1",)], [("r1",), ("r2",)]]
+    for k in (1, 2, 3):
+        assert (rank_with_scorer(scorer, query, k).items
+                == plain_ranking(scorer, query, k)), k
 
 
 @pytest.mark.parametrize("kernel", [None, FacetKernel.MIN, FacetKernel.PRODUCT],
@@ -1010,6 +1056,23 @@ def test_eval_report_unknown_qrels_docs_are_grade_zero(enriched_store,
                          qrels, strategies=(Strategy.VIS_CX,), n_values=(5,))
     assert report.rows[0] == ("vis+cx", 5, pytest.approx(1.0))
     assert any("ghost" in w for w in report.warnings)
+
+
+def test_eval_report_names_a_query_that_judges_only_unknown_documents(
+        enriched_store, base_lattice):
+    """q1 judges only a document the store lacks and q2 judges nothing:
+    both are excluded, each with its own reason."""
+    store, cfg = enriched_store
+    report = eval_report(store, base_lattice, cfg,
+                         [("q1", "red roses"), ("q2", "red roses"),
+                          ("q3", "red roses")],
+                         Qrels({("q1", "ghost"): 2, ("q3", "docA"): 2}),
+                         strategies=(Strategy.VIS_CX,), n_values=(5,))
+    assert report.warnings == (
+        "qrels reference unknown documents ['ghost']; treated as grade 0",
+        "query 'q1' judges only unknown documents; excluded",
+        "query 'q2' has no relevance judgments; excluded")
+    assert [qid for _s, qid, _n, _v in report.per_query] == ["q3"]
 
 
 def test_load_queries_and_qrels(tmp_path):
