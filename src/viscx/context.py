@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from html.parser import HTMLParser
+from html import unescape
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ViscxError
@@ -115,36 +115,281 @@ def singularize(token: str) -> str:
 # -- extraction -----------------------------------------------------------
 
 
-class _PageScanner(HTMLParser):
-    """Collects image tags and text chunks with raw-source offsets."""
+#: an attribute (name, raw value or None) in the plain form most pages
+#: use, and a start tag (name, its last attribute, "/" when self-closed)
+#: or an end tag (name) in that form: HTMLParser's tolerant grammar reads
+#: each as the same tag, with the same end and attributes. Neither
+#: crosses a "<"; every other tag takes the tolerant path.
+_PLAIN_ATTR = re.compile(r"""([^\s"'<=/>]+)(?:[\t\n\r\f ]*=[\t\n\r\f ]*
+    ("[^"<]*"|'[^'<]*'|[^\s"'<>=][^\s"'<>]*))?""", re.VERBOSE)
+_PLAIN_MARKUP = re.compile(rf"""<(?:
+    ([a-zA-Z][-.:\w]*)(?:[\t\n\r\f ]+{_PLAIN_ATTR.pattern})*[\t\n\r\f ]*(/?)>
+  | /\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>)""", re.VERBOSE)
+#: HTMLParser's tolerant grammar, one piece at a time: the tag name up to
+#: the spaces after it; an attribute name, the "=" run before a value,
+#: a bare value and what follows an attribute
+_TAG_HEAD = re.compile(r"([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*")
+_TAG_NAME_END = re.compile(r"[\t\n\r\f />\x00]")
+_ATTR_NAME = re.compile(r"(?<=['\"\s/])[^\s/>][^\s/=>]*")
+_EQUALS = re.compile(r"\s*(=+)")
+_BARE_VALUE = re.compile(r"[^>\s]*")
+_ATTR_TAIL = re.compile(r"(?:\s|/(?!>))*")
+_SPACES = re.compile(r"\s*")
+_SPACES_SLASHES = re.compile(r"[\s/]*")
+_GT = re.compile(">")
+_COMMENT_END = re.compile(r"--\s*>")
+_DECL_NAME = re.compile(r"[a-zA-Z][-_.a-zA-Z0-9]*\s*")
+#: the end of a marked section (``<![CDATA[...]]>``, ``<![if ...]>``),
+#: by its keyword
+_SECTION_ENDS = dict.fromkeys(("temp", "cdata", "ignore", "include", "rcdata"),
+                              re.compile(r"]\s*]\s*>"))
+_SECTION_ENDS.update(dict.fromkeys(("if", "else", "endif"), re.compile(r"]\s*>")))
+#: elements whose text is not surrounding text; script and style hold
+#: raw text up to their end tag
+_SKIPPED = frozenset({"script", "style", "noscript"})
+#: the start tags the scan acts on
+_NOTED = _SKIPPED | {"img"}
+_RAW_TEXT_END = {tag: re.compile(rf"</\s*{tag}\s*>", re.IGNORECASE)
+                 for tag in ("script", "style")}
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
-    _SKIP = {"script", "style", "noscript"}
 
-    def __init__(self, line_starts: Sequence[int]):
-        super().__init__(convert_charrefs=True)
-        self._line_starts = line_starts
-        self._skip_depth = 0
+class _PageScan:
+    """The img start tags (offset, attributes) and the text runs (offset,
+    text) of a page, each at the offset where it starts in the page, read
+    as html.parser.HTMLParser(convert_charrefs=True) reads the page when
+    fed all of it and closed.
+
+    A start tag follows HTMLParser's tolerant grammar: names are
+    lowercased, a value is quoted, bare or absent (read as ""), values
+    are unescaped, and a repeated attribute keeps its last value. Text is
+    unescaped; a whitespace-only run, and text inside script, style or
+    noscript, is dropped, but an img inside noscript counts. End tags,
+    comments, ``<!...>``, ``<?...>`` and marked sections are skipped as
+    HTMLParser skips them, and an unterminated one is read as text up to
+    the next ">" or "<". HTMLParser raises on a marked section with an
+    unknown keyword (``<![foo[...]]>``); here it is a ``<!...>``.
+
+    HTMLParser searches to the end of the page again at each "<" of an
+    unterminated construct. Here each search for the end of a construct
+    is kept, and a start tag's end is kept for every attribute its scan
+    passed, so a page is read in time linear in its length.
+    """
+
+    def __init__(self, page: str):
+        self.page = page
         self.images: list[tuple[int, dict[str, str]]] = []
         self.chunks: list[tuple[int, str]] = []
+        self._skip = 0  # open script, style and noscript elements
+        self._found: dict[re.Pattern[str], tuple[int, int, re.Match | None]] = {}
+        self._last_quote = {"'": len(page), '"': len(page)}
+        self._name_ends: dict[int, int] = {}  # tag name end -> scan end
+        self._attr_ends: dict[int, int] = {}  # attribute start -> scan end
+        self._scan()
 
-    def _offset(self) -> int:
-        line, col = self.getpos()
-        return self._line_starts[line - 1] + col
+    def _scan(self) -> None:
+        page = self.page
+        n = len(page)
+        i = 0
+        while i < n:
+            j = page.find("<", i)
+            if j < 0:
+                j = n
+            if i < j:
+                self._text(i, unescape(page[i:j]))
+            if j == n:
+                return
+            plain = _PLAIN_MARKUP.match(page, j)
+            if plain is None:
+                i = self._markup(j)
+            elif plain[5] is not None:
+                if self._skip:
+                    self._end(plain[5])
+                i = plain.end()
+            elif plain[1].lower() in _NOTED:
+                i = self._start_tag(j, plain)
+            else:
+                i = plain.end()
 
-    def handle_starttag(self, tag, attrs):
-        if tag in self._SKIP:
-            self._skip_depth += 1
-            return
+    def _text(self, at: int, text: str) -> None:
+        if not self._skip and text.strip():
+            self.chunks.append((at, text))
+
+    def _next(self, pattern: re.Pattern[str], pos: int) -> re.Match | None:
+        """`pattern.search(page, pos)`. The last search from `lo` is kept
+        with the start `hi` of its match (the page's end if none): no match
+        starts in [lo, hi), so it answers every `pos` in [lo, hi]."""
+        lo, hi, match = self._found.get(pattern, (1, 0, None))
+        if not lo <= pos <= hi:
+            match = pattern.search(self.page, pos)
+            self._found[pattern] = (
+                pos, len(self.page) if match is None else match.start(), match)
+        return match
+
+    def _start_tag(self, i: int, plain: re.Match | None) -> int:
+        """The start tag at i, `plain` its `_PLAIN_MARKUP` match if any."""
+        page = self.page
+        if plain is not None:
+            end, tag, closed = plain.end(), plain[1].lower(), plain[4] == "/"
+            attrs = [match.groups() for match in _PLAIN_ATTR.finditer(
+                page, plain.end(1), plain.start(4))] if tag == "img" else ()
+        else:
+            end = self._tolerant_end(i)
+            if end < 0:
+                return -1
+            head = _TAG_HEAD.match(page, i + 1)
+            tag, k = head[1].lower(), head.end()
+            attrs = []
+            while k < end and (attr := self._attr(k)) is not None:
+                k = attr[0]
+                attrs.append(attr[1:])
+            rest = page[k:end].strip()
+            if rest != ">" and rest != "/>":
+                self._text(i, page[i:end])
+                return end
+            closed = rest == "/>"
         if tag == "img":
-            self.images.append((self._offset(), {k: (v or "") for k, v in attrs}))
+            values: dict[str, str] = {}
+            for name, value in attrs:
+                if value is None:
+                    value = ""
+                elif value[:1] in ("'", '"') and value[:1] == value[-1:]:
+                    value = value[1:-1]
+                values[name.lower()] = unescape(value)
+            self.images.append((i, values))
+        if tag in _SKIPPED and not closed:
+            raw_end = _RAW_TEXT_END.get(tag)
+            if raw_end is None:
+                self._skip += 1
+            else:  # its own end tag closes it at once
+                match = raw_end.search(page, end)
+                return len(page) if match is None else match.end()
+        return end
 
-    def handle_endtag(self, tag):
-        if tag in self._SKIP and self._skip_depth:
-            self._skip_depth -= 1
+    def _tolerant_end(self, i: int) -> int:
+        """Where HTMLParser's start tag at i ends, -1 when unterminated."""
+        page = self.page
+        name_end = self._next(_TAG_NAME_END, i + 2)
+        name_end = len(page) if name_end is None else name_end.start()
+        j = self._name_ends.get(name_end)
+        if j is None:
+            p = _SPACES_SLASHES.match(page, name_end).end()
+            passed = []
+            while (j := self._attr_ends.get(p)) is None:
+                passed.append(p)
+                attr = self._attr(p)
+                if attr is None:
+                    j = _SPACES.match(page, p).end()
+                    break
+                p = attr[0]
+            for start in passed:
+                self._attr_ends[start] = j
+            self._name_ends[name_end] = j
+        after = page[j:j + 1]
+        if after == ">":
+            return j + 1
+        if page.startswith("/>", j):
+            return j + 2
+        if not after or after in "=/" or after in _LETTERS:
+            return -1
+        return j
 
-    def handle_data(self, data):
-        if self._skip_depth == 0 and data.strip():
-            self.chunks.append((self._offset(), data))
+    def _attr(self, p: int) -> tuple[int, str, str | None] | None:
+        """The attribute at p, as (end, name, raw value or None), or None
+        when none starts there."""
+        page = self.page
+        name = _ATTR_NAME.match(page, p)
+        if name is None:
+            return None
+        end = name.end()
+        value = None
+        equals = _EQUALS.match(page, end)
+        if equals is not None:
+            start = _SPACES.match(page, equals.end()).end()
+            quote = page[start:start + 1]
+            if quote == "'" or quote == '"':
+                close = self._closing_quote(start)
+                if close >= 0:
+                    end = close + 1
+                elif start > equals.end():  # "= 'x": an empty value
+                    end = start
+                elif equals.end(1) - equals.start(1) > 1:  # "=='x": "='x"
+                    start = equals.end() - 1
+                    end = _BARE_VALUE.match(page, start).end()
+                else:  # "='x": no value
+                    start = -1
+            else:
+                end = _BARE_VALUE.match(page, start).end()
+            if start >= 0:
+                value = page[start:end]
+        return _ATTR_TAIL.match(page, end).end(), name[0], value
+
+    def _closing_quote(self, start: int) -> int:
+        """The quote closing the one at `start`, -1 when none does."""
+        quote = self.page[start]
+        if start >= self._last_quote[quote]:
+            return -1
+        close = self.page.find(quote, start + 1)
+        if close < 0:
+            self._last_quote[quote] = start
+        return close
+
+    def _end_tag(self, i: int) -> int:
+        """An end tag at i that is not in the plain form."""
+        page = self.page
+        gt = self._next(_GT, i + 1)
+        if gt is None:
+            return -1
+        head = _TAG_HEAD.match(page, i + 2)
+        if head is not None:
+            self._end(head[1])
+        return gt.end()
+
+    def _end(self, tag: str) -> None:
+        if self._skip and tag.lower() in _SKIPPED:
+            self._skip -= 1
+
+    def _markup(self, i: int) -> int:
+        """The end of the markup at i that is not a plain tag; an
+        unterminated one is text up to the next ">" or "<"."""
+        page = self.page
+        c = page[i + 1:i + 2]
+        if c in _LETTERS:
+            k = self._start_tag(i, None)
+        elif c == "/":
+            k = self._end_tag(i)
+        elif c == "!" or c == "?":
+            k = self._declaration(i)
+        else:
+            self._text(i, "<")
+            return i + 1
+        if k < 0:
+            gt = self._next(_GT, i + 1)
+            if gt is not None:
+                k = gt.end()
+            else:
+                k = page.find("<", i + 1)
+                if k < 0:
+                    k = i + 1
+            self._text(i, unescape(page[i:k]))
+        return k
+
+    def _declaration(self, i: int) -> int:
+        """A comment, ``<!...>``, ``<?...>`` or a marked section."""
+        page = self.page
+        close, start = _GT, i + 2
+        if page.startswith("<!--", i):
+            close, start = _COMMENT_END, i + 4
+        elif page.startswith("<![", i):
+            name = _DECL_NAME.match(page, i + 3)
+            if name is not None:
+                if name.end() == len(page):
+                    return -1
+                keyword = name[0].strip().lower()
+                if keyword in _SECTION_ENDS:
+                    close, start = _SECTION_ENDS[keyword], i + 3
+        end = self._next(close, start)
+        return -1 if end is None else end.end()
 
 
 def _src_tokens(src: str) -> tuple[str, ...]:
@@ -167,15 +412,16 @@ def extract_areas(page: str, image_ref: str | None = None, *,
     `image_ref` matches the img src attribute (full value, basename or
     stem); None selects the first image. An area is omitted when empty;
     an unlocatable image yields an empty list with a warning.
+
+    The page is scanned once, in time linear in its length, as
+    html.parser.HTMLParser reads it (see `_PageScan`): img start tags
+    with their attributes, and unescaped text outside script, style and
+    noscript; end tags, comments, ``<!...>``, ``<?...>`` and marked
+    sections are skipped. Offsets, and so the `window`, count characters
+    of `page`.
     """
     impacts = DEFAULT_IMPACTS if impacts is None else impacts
-    # HTMLParser.getpos counts lines at "\n" only, unlike str.splitlines
-    line_starts = [0]
-    for line in page.split("\n"):
-        line_starts.append(line_starts[-1] + len(line) + 1)
-    scanner = _PageScanner(line_starts)
-    scanner.feed(page)
-    scanner.close()
+    scanner = _PageScan(page)
 
     chosen = None
     for offset, attrs in scanner.images:

@@ -14,6 +14,7 @@ over an already-enriched store is a no-op.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,8 +36,18 @@ def pair_corpus(corpus_dir: str | Path) -> list[tuple[str, Path, Path]]:
     root = Path(corpus_dir)
     if not root.is_dir():
         raise ViscxError(f"corpus directory not found: {one_line(root)}")
-    html_files = {p.stem: p for p in root.glob("*.html")}
-    vis_files = {p.stem: p for p in root.glob("*.vis")}
+    # one listing, read as Path.glob("*.html") and glob("*.vis") read it:
+    # case-sensitive, dotfiles and directories included, and a stem is
+    # Path.stem (".html" keeps its whole name)
+    html_files: dict[str, Path] = {}
+    vis_files: dict[str, Path] = {}
+    with os.scandir(root) as entries:
+        for entry in entries:
+            name = entry.name
+            if name.endswith(".html"):
+                html_files[name[:-5] or name] = root / name
+            elif name.endswith(".vis"):
+                vis_files[name[:-4] or name] = root / name
     for stem in sorted(set(html_files) - set(vis_files)):
         log.warning("no .vis sidecar for %s; skipped", html_files[stem].name)
     for stem in sorted(set(vis_files) - set(html_files)):

@@ -8,12 +8,16 @@ phrase index against the plain per-token loop and so reuses the same
 single-token lookups (`resolve`, `singularize`), and `tfidf_oracle`,
 which checks the postings against the plain per-document cosine and so
 reuses the same tokens and plural folding (`tokenize`, `singularize`).
+`page_scan_oracle` is the standard library's `html.parser`, which the
+package's page scan follows.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, deque
+from html.parser import HTMLParser, attrfind_tolerant
+from typing import Sequence
 
 from viscx.context import Category, TaggedToken, singularize, tokenize
 from viscx.vis import COLOR_VOCAB, SPATIAL_VOCAB, TEXTURE_VOCAB
@@ -363,3 +367,67 @@ def tag_tokens_oracle(tokens, lattice):
         tagged.append(hit or TaggedToken(token, Category.OTHER))
         i += 1
     return tuple(tagged)
+
+
+class _PageScanner(HTMLParser):
+    """Collects image tags and text chunks with raw-source offsets."""
+
+    _SKIP = {"script", "style", "noscript"}
+
+    def __init__(self, line_starts: Sequence[int]):
+        super().__init__(convert_charrefs=True)
+        self._line_starts = line_starts
+        self._skip_depth = 0
+        self.images: list[tuple[int, dict[str, str]]] = []
+        self.chunks: list[tuple[int, str]] = []
+
+    def _offset(self) -> int:
+        line, col = self.getpos()
+        return self._line_starts[line - 1] + col
+
+    def handle_starttag(self, tag, attrs):
+        if tag in self._SKIP:
+            self._skip_depth += 1
+            return
+        if tag == "img":
+            self.images.append((self._offset(), {k: (v or "") for k, v in attrs}))
+
+    def handle_endtag(self, tag):
+        if tag in self._SKIP and self._skip_depth:
+            self._skip_depth -= 1
+
+    def handle_data(self, data):
+        if self._skip_depth == 0 and data.strip():
+            self.chunks.append((self._offset(), data))
+
+
+def page_scan_oracle(page: str):
+    """(images, chunks) of `page` as HTMLParser reads it: the img start
+    tags as (offset, attributes) and the text runs outside script, style
+    and noscript as (offset, text). Quadratic on some unterminated markup,
+    and raises AssertionError on a marked section with an unknown keyword.
+    """
+    # HTMLParser.getpos counts lines at "\n" only, unlike str.splitlines
+    line_starts = [0]
+    for line in page.split("\n"):
+        line_starts.append(line_starts[-1] + len(line) + 1)
+    scanner = _PageScanner(line_starts)
+    scanner.feed(page)
+    scanner.close()
+    return scanner.images, scanner.chunks
+
+
+def start_tag_end_oracle(page: str, i: int) -> int:
+    """Where HTMLParser's start tag at `i` ends, -1 when unterminated."""
+    parser = HTMLParser()
+    parser.rawdata = page
+    return parser.check_for_whole_start_tag(i)
+
+
+def attr_oracle(page: str, k: int):
+    """HTMLParser's attribute at `k` as (end, name, raw value or None),
+    or None when no attribute starts there."""
+    match = attrfind_tolerant.match(page, k)
+    if match is None:
+        return None
+    return match.end(), match[1], match[3] if match[2] else None

@@ -1,17 +1,24 @@
+import os
 import re
+import string
+import subprocess
+import sys
+import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from viscx import (Concept, bundled_taxonomy_path, cli, insert_concept,
-                   load_taxonomy)
+from viscx import (Concept, bundled_taxonomy_path, cli, context,
+                   insert_concept, load_taxonomy)
 from viscx.context import (DEFAULT_IMPACTS, DEFAULT_PATTERNS, AreaKind,
-                           Category, SyntacticTerm, TaggedToken,
-                           apply_patterns, assign_impacts, extract_areas,
-                           parse_pattern, singularize, tag_tokens,
-                           term_vectors, tokenize)
+                           Category, ExtractionArea, SyntacticTerm,
+                           TaggedToken, _PageScan, apply_patterns,
+                           assign_impacts, extract_areas, parse_pattern,
+                           singularize, tag_tokens, term_vectors, tokenize)
 from viscx.errors import ViscxError
 from viscx.vis import FACET_VOCABS, SPATIAL_VOCAB
 
@@ -91,7 +98,8 @@ def test_extract_areas_never_raises(page, image_ref):
         assert area.tokens == tokenize(" ".join(area.tokens))
 
 
-#: every separator str.splitlines breaks at; HTMLParser counts only "\n"
+#: every separator str.splitlines breaks at; an offset is an index into
+#: the page whichever of them it holds
 LINE_SEPARATORS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d",
                    "\x1e", "\x85", "\u2028", "\u2029"]
 PARAGRAPH = st.lists(
@@ -127,6 +135,153 @@ def test_extract_surrounding_text_matches_offset_scan(paragraphs, image_at,
                              if abs(offset - img_offset) <= window))
     areas = {a.kind: a.tokens for a in extract_areas(page, "a", window=window)}
     assert areas.get(AreaKind.SURROUNDING_TEXT, ()) == want
+
+
+class _OracleScan:
+    """`_PageScan`'s interface over HTMLParser."""
+
+    def __init__(self, page):
+        self.images, self.chunks = oracles.page_scan_oracle(page)
+
+
+def scan(page):
+    found = _PageScan(page)
+    return found.images, found.chunks
+
+
+#: one value of every form the oracle reads: entities, spaces, quotes
+VALUES = st.sampled_from(["a.jpg", "photos/Red_Rose.PNG", "red &amp; white",
+                          "&lt;b&gt;", "it&#39;s", "", "a b", "x=y", "&#x41;",
+                          "caf&eacute;", "&amp", "tab\there"])
+ATTR_NAMES = st.sampled_from(["src", "SRC", "alt", "Alt", "ALT", "data-x",
+                              "x:y", "width"])
+
+
+@st.composite
+def attributes(draw):
+    name, value = draw(ATTR_NAMES), draw(VALUES)
+    space = draw(st.sampled_from([" ", "\n", "\t", "  \r\n", "\x0c"]))
+    bare = value if value and not any(c in value for c in " \t'\"=<>") else "v"
+    return draw(st.sampled_from([
+        f'{space}{name}="{value}"', f"{space}{name}='{value}'",
+        f"{space}{name}={bare}", f"{space}{name}=={bare}", f"{space}{name}",
+        f'{space}{name} = "{value}"',
+        f'/{name}="{value}"', f'"{name}"="{value}"']))
+
+
+@st.composite
+def start_tags(draw):
+    tag = draw(st.sampled_from(["img", "IMG", "Img", "p", "P", "div", "a",
+                                "noscript", "NoScript", "span"]))
+    attrs = "".join(draw(st.lists(attributes(), max_size=4)))
+    return f"<{tag}{attrs}{draw(st.sampled_from(['>', '/>', ' />', ' >']))}"
+
+
+#: complete constructs of every kind a page holds, some hiding markup
+CONSTRUCTS = st.one_of(start_tags(), st.sampled_from([
+    "red roses", "a &amp; b", "&nbsp;", "x &lt; y", "&#x41;&#66;", "fish &chips",
+    " ", "\n", "\r", "\r\n", "\x0c", "\u2028", "\xa0", "tower\u2028town",
+    "</p>", "</P >", "</noscript>", "</NOSCRIPT>", "</div>", "</ img>", "</>",
+    "<!-- c -->", "<!---->", "<!-- <img src='hidden.jpg'> -->", "<!-- a -- >",
+    "<!DOCTYPE html>", "<!doctype html>", "<!x>", "<?xml version='1.0'?>",
+    "<?pi>", "<![CDATA[ x < y ]]>", "<![CDATA[<img src='c.jpg'>]]>",
+    "<![if !IE]>", "<![endif]>",
+    "<script>if (a < b) { s = \"<img src='s.jpg'>\"; }</script>",
+    "<SCRIPT type='text/javascript'>document.write('<p>')</SCRIPT >",
+    "<style>p > a { color: red }</style>", "<style/>",
+    "<noscript><img src='n.jpg' alt='no script'></noscript>"]))
+
+
+@settings(max_examples=300, deadline=None)
+@example(['<IMG SRC="a.jpg" src=b.jpg Alt=\'red &amp; rose\' hidden>'])
+@example(["<img src==a.jpg alt=b=c>"])
+@example(["<script>", "<img src='s.jpg'>", "</script>", "red roses"])
+@given(st.lists(CONSTRUCTS, max_size=12))
+def test_page_scan_matches_html_parser(constructs):
+    """On a page of complete constructs the scan finds the images and
+    the text runs HTMLParser finds, at the same offsets."""
+    page = "".join(constructs)
+    assert scan(page) == oracles.page_scan_oracle(page)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.text(max_size=8), HTML_PIECES), max_size=25)
+       .map("".join),
+       st.one_of(st.none(), st.text(max_size=6),
+                 st.sampled_from(["a", "a.jpg", "b", ""])))
+def test_extract_areas_matches_html_parser_on_soup(page, image_ref):
+    """On tag soup, extraction over the whole page equals extraction
+    over HTMLParser's scan, except where HTMLParser raises (see
+    `test_a_marked_section_of_unknown_keyword_is_a_declaration`)."""
+    try:
+        want_scan = oracles.page_scan_oracle(page)
+    except AssertionError:
+        assert "<![" in page
+        return
+    assert scan(page) == want_scan
+    with mock.patch.object(context, "_PageScan", _OracleScan):
+        want = extract_areas(page, image_ref, window=len(page))
+    assert extract_areas(page, image_ref, window=len(page)) == want
+
+
+def test_a_marked_section_of_unknown_keyword_is_a_declaration():
+    """HTMLParser raises on a marked section whose keyword it does not
+    know; the scan reads it as ``<!...>``, up to its first ">"."""
+    page = '<img src="a.jpg"><![foo[ <b>bold</b> ]]>rose'
+    with pytest.raises(AssertionError, match="unknown status keyword"):
+        oracles.page_scan_oracle(page)
+    assert scan(page) == ([(0, {"src": "a.jpg"})],
+                          [(28, "bold"), (36, " ]]>rose")])
+
+
+TAG_SOUP = st.lists(st.sampled_from(
+    ["<a", "<img", "<B", " ", "\n", "\x0b", "\x00", "/", "=", "==", "'",
+     '"', ">", "/>", "x", "src", "<", "&amp;", "\u2028"]),
+    max_size=30).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@example("<a x=='y")
+@example("<a x= 'y <b y=\"z")
+@example("<a x='y")
+@example("<a x=y/z")
+@example("<a\x00b>")
+@example("<a\x0b\x00b>")
+@example("<a b'=c' <a x=\"y\">")
+@given(TAG_SOUP)
+def test_tolerant_start_tag_matches_html_parser(page):
+    """Outside the plain form, each attribute, and where each start tag
+    ends (or that it does not), are HTMLParser's: the attributes at
+    every offset, the ends at every start tag, all in one scan."""
+    found = _PageScan(page)
+    for k in range(1, len(page)):
+        assert found._attr(k) == oracles.attr_oracle(page, k), k
+    for i in range(len(page) - 1):
+        if page[i] == "<" and page[i + 1] in string.ascii_letters:
+            assert (found._tolerant_end(i)
+                    == oracles.start_tag_end_oracle(page, i)), i
+
+
+@pytest.mark.parametrize("piece", ["<a ", "<!--", "</", "<!x", "<"])
+def test_extract_areas_is_linear(piece):
+    """An unterminated construct repeated over a 100 KB page costs one
+    pass: on the `<a ` page HTMLParser took about 95 s."""
+    page = '<img src="a.jpg">' + piece * (100_000 // len(piece))
+    start = time.perf_counter()
+    areas = extract_areas(page, "a")
+    assert time.perf_counter() - start < 0.5
+    assert areas[0] == ExtractionArea(AreaKind.SRC_TOKENS, ("a",),
+                                      DEFAULT_IMPACTS[AreaKind.SRC_TOKENS])
+
+
+def test_importing_the_cli_leaves_html_parser_unloaded():
+    code = ("import sys, viscx.cli; "
+            "print(sorted({'html.parser', '_markupbase'} & set(sys.modules)))")
+    src = str(Path(context.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.strip() == "[]"
 
 
 def tagged_areas(areas, lattice):

@@ -1,9 +1,11 @@
+import os
 from dataclasses import replace
 
-from viscx import PipelineConfig, VisRecord
+from viscx import PipelineConfig, VisRecord, cli
 from viscx.context import AreaKind, ExtractionArea, tokenize
 from viscx.fusion import FusionProvenance
-from viscx.pipeline import enrich_document, ingest_document, pair_corpus
+from viscx.pipeline import (enrich_document, ingest_corpus, ingest_document,
+                            pair_corpus)
 from viscx.store import IndexRecord
 
 
@@ -104,6 +106,44 @@ def test_pair_corpus_warns_and_sorts(tmp_path, caplog):
         pairs = pair_corpus(tmp_path)
     assert [stem for stem, _h, _v in pairs] == ["a", "b"]
     assert any("lonely" in r.message for r in caplog.records)
+
+
+def test_pair_corpus_reads_names_as_glob_does(tmp_path, caplog):
+    """A directory named like a page is paired (and skipped as
+    unreadable at ingest), a dotfile's stem is Path.stem, and names that
+    differ only in case do not pair."""
+    for name in ("a.html", "a.vis", "A.vis", "c.HTML", "c.vis", ".html",
+                 ".html.vis", ".b.html", ".b.vis", "dir.vis", "notes.txt"):
+        (tmp_path / name).write_text("")
+    (tmp_path / "dir.html").mkdir()
+    with caplog.at_level("WARNING"):
+        pairs = pair_corpus(tmp_path)
+    assert pairs == [(stem, tmp_path / html, tmp_path / vis) for stem, html, vis in (
+        (".b", ".b.html", ".b.vis"), (".html", ".html", ".html.vis"),
+        ("a", "a.html", "a.vis"), ("dir", "dir.html", "dir.vis"))]
+    assert [r.getMessage() for r in caplog.records] == [
+        "no .html page for A.vis; skipped", "no .html page for c.vis; skipped"]
+    globbed = {p.stem for p in tmp_path.glob("*.html")} & {
+        p.stem for p in tmp_path.glob("*.vis")}
+    assert [stem for stem, _h, _v in pairs] == sorted(globbed)
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        store = ingest_corpus(tmp_path, PipelineConfig())
+    assert sorted(store.records) == [".b", ".html", "a"]
+    assert any(r.getMessage().startswith("dir: unreadable, document skipped")
+               for r in caplog.records)
+
+
+def test_a_corpus_directory_that_cannot_be_listed_is_an_error(
+        tmp_path, monkeypatch, capsys):
+    """Path.glob read an unlistable directory as an empty corpus."""
+    def denied(path):
+        raise PermissionError(13, "Permission denied", str(path))
+    monkeypatch.setattr(os, "scandir", denied)
+    out = tmp_path / "store.jsonl"
+    assert cli.main(["ingest", "--corpus", str(tmp_path), "--out", str(out)]) == 2
+    assert "Permission denied" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_enrich_tags_each_area_once(base_lattice, monkeypatch):
