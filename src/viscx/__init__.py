@@ -16,9 +16,8 @@ from .context import (AreaKind, Category, ContextualConcept, ExtractionArea,
 from .errors import (ConfigError, StoreError, TaxonomyError,
                      UnindexableQueryError, UnknownConceptError,
                      UnrelatedConceptsError, VisParseError, ViscxError)
-from .fusion import (CorrespondencePair, EnrichedVisRecord, FacetKernel,
-                     FusionProvenance, SimilarityMatrix, best_correspondences,
-                     build_similarity_matrix, enrich_records, fuse,
+from .fusion import (EnrichedVisRecord, FacetKernel, FusionProvenance,
+                     best_correspondences, enrich_records, fuse,
                      structure_similarity)
 from .membership import MembershipTable, TConormKind, aggregate_mu_tot
 from .pipeline import enrich_document, enrich_store, ingest_corpus, pair_corpus

@@ -9,20 +9,23 @@ values. It is computed between scoring views, built once per term or
 record and reused for every pair it takes part in: a unit's canonical head
 and, per facet, only its non-zero (vocabulary index, weight) entries with
 their mass, so a facet sum walks the few entries a unit has rather than
-all 11. Fusion then either keeps the visual concept (always one the
-lattice does not know), replaces it with a more specific contextual one,
-or corrects it wholesale when the membership values disagree beyond a
-threshold. Each outcome is a branch with one decision (`DECISIONS`). An
-enriched record holds its visual record, not a copy, and its decision
-(`FusionProvenance`), and derives the rest; the index store keeps only
-the decision, and a load hands it the visual record again.
+all 11. A record's term comes from its own column of similarities to the
+document's terms (`best_correspondences`); no term-by-record matrix is
+built. `fuse` then takes every decision, given the record and its term or
+None: it keeps the visual concept (always one the lattice does not know),
+replaces it with a more specific contextual one, or corrects it wholesale
+when the membership values disagree beyond a threshold. Each outcome is a
+branch with one decision (`DECISIONS`). An enriched record holds its
+visual record, not a copy, and its decision (`FusionProvenance`), and
+derives the rest; the index store keeps only the decision, and a load
+hands it the visual record again.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from operator import attrgetter
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .context import SyntacticTerm
 from .errors import NamedEnum
@@ -243,75 +246,46 @@ def structure_similarity(st: SyntacticTerm, unit: SyntacticTerm | VisRecord,
                            table, lattice, kernel)
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """All term-to-record similarities for one document; rows are terms,
-    columns are records. Row head impacts drive tie-breaking."""
-
-    values: tuple[tuple[float, ...], ...]
-    head_imps: tuple[float, ...]
-
-
-def build_similarity_matrix(terms: Sequence[SyntacticTerm],
-                            units: Sequence[VisRecord | SyntacticTerm],
-                            table: MembershipTable, lattice: SemanticLattice,
-                            kernel: FacetKernel = FacetKernel.MAX) -> SimilarityMatrix:
-    term_views = [scoring_view(st, lattice) for st in terms]
-    unit_views = [scoring_view(unit, lattice) for unit in units]
-    values = tuple(
-        tuple(view_similarity(tv, uv, table, lattice, kernel) for uv in unit_views)
-        for tv in term_views)
-    head_imps = tuple(st.head[1] if st.head is not None else 0.0 for st in terms)
-    return SimilarityMatrix(values, head_imps)
+def best_correspondences(columns: Iterable[Sequence[float]],
+                         head_imps: Sequence[float],
+                         t_sim: float) -> list[int | None]:
+    """Per record's column of term similarities, the index of the argmax
+    term with similarity at or above the floor `t_sim`, or None where none
+    reaches it (an empty column included). One term may win several
+    columns; near-ties (within 1e-9) break toward the higher head impact,
+    then the lower term index."""
+    winners: list[int | None] = []
+    for column in columns:
+        floor = max(max(column, default=t_sim) - 1e-9, t_sim)
+        winners.append(min((i for i, v in enumerate(column) if v >= floor),
+                           key=lambda i: (-head_imps[i], i), default=None))
+    return winners
 
 
-@dataclass(frozen=True)
-class CorrespondencePair:
-    """A term/record pair achieving the best correspondence for that
-    record's column; indexes are 0-based."""
-
-    term_index: int
-    vis_index: int
-    sim: float
-
-
-def best_correspondences(matrix: SimilarityMatrix,
-                         config: PipelineConfig) -> list[CorrespondencePair]:
-    """Per record column, the argmax term with similarity at or above the
-    floor. One term may win several columns; near-ties (within 1e-9) break
-    toward the higher head impact, then the lower term index."""
-    pairs: list[CorrespondencePair] = []
-    for k, column in enumerate(zip(*matrix.values)):
-        best = max(column)
-        if best < config.t_sim:
-            continue
-        floor = max(best - 1e-9, config.t_sim)
-        candidates = [i for i, v in enumerate(column) if v >= floor]
-        winner = min(candidates, key=lambda i: (-matrix.head_imps[i], i))
-        pairs.append(CorrespondencePair(winner, k, column[winner]))
-    return pairs
-
-
-def keep_unmatched(vis: VisRecord, table: MembershipTable,
-                   lattice: SemanticLattice) -> EnrichedVisRecord:
-    """Pass a record through fusion unchanged (no correspondence found)."""
-    return EnrichedVisRecord(vis, FusionProvenance(
-        "unmatched", None, table.total(lattice.require(vis.vsc))))
-
-
-def fuse(vis: VisRecord, st: SyntacticTerm, table: MembershipTable,
+def fuse(vis: VisRecord, st: SyntacticTerm | None, table: MembershipTable,
          lattice: SemanticLattice, config: PipelineConfig) -> EnrichedVisRecord:
-    """Fuse one matched term into its record.
-
-    Within the correspondence band (membership difference <= t_mu) the
-    more specific of the two concepts is installed, never a more generic
-    one, and unrelated concepts leave the record untouched. Outside the
-    band the concept with the higher membership wins (or, in literal
-    mode, the printed keep-if-negative-difference rule applies). The
-    fused membership is always the max of the two values.
+    """Fuse a record with its term, or with None when no term matched it;
+    every fusion decision is taken here. A concept the lattice does not
+    know is kept, its recognition probability its membership value
+    (`unknown_concept`); a known one is kept with no term (`unmatched`)
+    or with a term that has no semantic head (`headless`). Within the
+    correspondence band (membership difference <= t_mu) a more specific
+    head is installed (`correspondence_specialized`), never a more
+    generic one, and an equal, more generic or unrelated head is kept
+    (`correspondence_kept`, `correspondence_unrelated`). Outside the band
+    the higher membership wins (`correction_context`,
+    `correction_visual`), or in literal mode the printed
+    keep-if-negative-difference rule applies (`correction_literal`,
+    `correction_literal_kept`). The fused membership is always the max
+    of the two values.
     """
-    vsc = lattice.require(vis.vsc)
+    vsc = lattice.resolve(vis.vsc)
+    if vsc is None:
+        return EnrichedVisRecord(vis, FusionProvenance(
+            "unknown_concept", None, vis.r_vsc))
     mu_v = table.total(vsc)
+    if st is None:
+        return EnrichedVisRecord(vis, FusionProvenance("unmatched", None, mu_v))
     if st.head is None:
         return EnrichedVisRecord(vis, FusionProvenance("headless", None, mu_v))
     cx = lattice.require(st.head[0])
@@ -340,20 +314,17 @@ def enrich_records(records: Sequence[VisRecord], terms: Sequence[SyntacticTerm],
                    config: PipelineConfig) -> list[EnrichedVisRecord]:
     """Run the full correspondence-and-fusion stage for one document: every
     record, enriched, in input order. A record whose concept the lattice
-    does not know takes no part in matching and is kept, with its
-    recognition probability as its membership value."""
-    known = [k for k, record in enumerate(records) if record.vsc in lattice]
-    matrix = build_similarity_matrix(terms, [records[k] for k in known],
-                                     table, lattice, config.kernel)
-    matched = {known[pair.vis_index]: terms[pair.term_index]
-               for pair in best_correspondences(matrix, config)}
-    enriched: list[EnrichedVisRecord] = []
-    for k, record in enumerate(records):
-        if k in matched:
-            enriched.append(fuse(record, matched[k], table, lattice, config))
-        elif record.vsc in lattice:
-            enriched.append(keep_unmatched(record, table, lattice))
-        else:
-            enriched.append(EnrichedVisRecord(record, FusionProvenance(
-                "unknown_concept", None, record.r_vsc)))
-    return enriched
+    knows has a column of its similarities to every term, and `fuse` gets
+    its winning term or None (`unmatched`); a record whose concept the
+    lattice does not know has an empty column, wins no term and is kept
+    by `fuse` (`unknown_concept`)."""
+    term_views = [scoring_view(st, lattice) for st in terms]
+    views = [scoring_view(record, lattice) if record.vsc in lattice else None
+             for record in records]
+    columns = [() if view is None else
+               [view_similarity(tv, view, table, lattice, config.kernel)
+                for tv in term_views] for view in views]
+    head_imps = [st.head[1] if st.head is not None else 0.0 for st in terms]
+    winners = best_correspondences(columns, head_imps, config.t_sim)
+    return [fuse(record, None if i is None else terms[i], table, lattice, config)
+            for record, i in zip(records, winners)]

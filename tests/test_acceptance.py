@@ -20,7 +20,7 @@ from viscx import (Concept, PipelineConfig, Qrels, RankedList,
                    ingest_corpus, insert_concept, load_store,
                    load_taxonomy, ndcg_at_n, parse_taxonomy, parse_vis,
                    save_store, serialize_vis)
-from viscx.fusion import FacetKernel, SimilarityMatrix, best_correspondences
+from viscx.fusion import FacetKernel, best_correspondences
 from viscx.membership import TConormKind, _tconorm, aggregate_mu_tot
 from viscx.taxonomy import SemRelation
 
@@ -235,9 +235,10 @@ def test_acceptance_best_correspondences_bruteforce():
             tuple(round(rng.uniform(0.0, 2.2), 3) for _ in range(n_units))
             for _ in range(n_terms))
         head_imps = tuple(rng.choice([0.0, 0.5, 0.7, 0.9]) for _ in range(n_terms))
-        matrix = SimilarityMatrix(values, head_imps)
-        got = [(p.term_index, p.vis_index, p.sim)
-               for p in best_correspondences(matrix, config)]
+        columns = list(zip(*values))
+        winners = best_correspondences(columns, head_imps, config.t_sim)
+        got = [(i, k, columns[k][i]) for k, i in enumerate(winners)
+               if i is not None]
         assert got == oracles.argmax_pairs_oracle(values, head_imps, config.t_sim)
         instances += 1
     report("best-correspondence brute force", f"{instances} random matrices <= 6x6")

@@ -8,11 +8,10 @@ from hypothesis import strategies as hst
 from viscx import (COLOR_NAMES, SPATIAL_NAMES, TEXTURE_NAMES, PipelineConfig,
                    UnknownConceptError, VisRecord)
 from viscx.context import SyntacticTerm
-from viscx.fusion import (CorrespondencePair, FacetKernel,
-                          best_correspondences, enrich_records, fuse,
-                          keep_unmatched, scoring_view, structure_similarity,
-                          view_mass, view_part, view_similarity,
-                          SimilarityMatrix)
+from viscx.fusion import (FacetKernel, FusionProvenance, best_correspondences,
+                          enrich_records, fuse, scoring_view,
+                          structure_similarity, view_mass, view_part,
+                          view_similarity)
 from viscx.membership import TConormKind, aggregate_mu_tot
 
 import oracles
@@ -267,32 +266,40 @@ def test_equal_units_give_equal_hashable_views(base_lattice):
     assert scoring_view(other, lat) != views[0]
 
 
-def test_best_correspondences_trivial_and_floor():
-    matrix = SimilarityMatrix(((0.7,),), (0.9,))
-    config = PipelineConfig(t_sim=0.1)
-    assert best_correspondences(matrix, config) == [CorrespondencePair(0, 0, 0.7)]
+def best_pairs(values, head_imps, t_sim):
+    """`best_correspondences` on the columns of a term-major matrix, read
+    as the oracle's (term, record, sim) triples of the matched columns."""
+    columns = list(zip(*values))
+    winners = best_correspondences(columns, head_imps, t_sim)
+    assert len(winners) == len(columns)
+    return [(i, k, columns[k][i]) for k, i in enumerate(winners)
+            if i is not None]
 
-    matrix = SimilarityMatrix(((0.9, 0.2), (0.1, 0.8)), (0.9, 0.9))
-    pairs = best_correspondences(matrix, config)
-    assert [(p.term_index, p.vis_index) for p in pairs] == [(0, 0), (1, 1)]
+
+def test_best_correspondences_trivial_and_floor():
+    assert best_correspondences([(0.7,)], (0.9,), 0.1) == [0]
+    assert best_pairs(((0.7,),), (0.9,), 0.1) == [(0, 0, 0.7)]
+
+    pairs = best_pairs(((0.9, 0.2), (0.1, 0.8)), (0.9, 0.9), 0.1)
+    assert [(i, k) for i, k, _sim in pairs] == [(0, 0), (1, 1)]
 
     # column max below the floor: that record goes unmatched
-    matrix = SimilarityMatrix(((0.04, 0.9),), (0.9,))
-    pairs = best_correspondences(matrix, PipelineConfig(t_sim=0.05))
-    assert [(p.term_index, p.vis_index) for p in pairs] == [(0, 1)]
+    assert best_correspondences([(0.04,), (0.9,)], (0.9,), 0.05) == [None, 0]
+    pairs = best_pairs(((0.04, 0.9),), (0.9,), 0.05)
+    assert [(i, k) for i, k, _sim in pairs] == [(0, 1)]
 
 
 def test_best_correspondences_tie_breaks_by_head_imp_then_index():
-    matrix = SimilarityMatrix(((0.5,), (0.5,)), (0.5, 0.9))
-    pairs = best_correspondences(matrix, PipelineConfig())
-    assert pairs[0].term_index == 1
-    matrix = SimilarityMatrix(((0.5,), (0.5,)), (0.9, 0.9))
-    pairs = best_correspondences(matrix, PipelineConfig())
-    assert pairs[0].term_index == 0
+    values, t_sim = ((0.5,), (0.5,)), PipelineConfig().t_sim
+    assert best_correspondences(zip(*values), (0.5, 0.9), t_sim) == [1]
+    assert best_correspondences(zip(*values), (0.9, 0.9), t_sim) == [0]
 
 
 def test_best_correspondences_empty():
-    assert best_correspondences(SimilarityMatrix((), ()), PipelineConfig()) == []
+    assert best_correspondences([], (), 0.05) == []
+    # a record with no terms to match, or left out of matching, wins none
+    assert best_correspondences([(), ()], (), 0.05) == [None, None]
+    assert best_correspondences([(), ()], (), 0.0) == [None, None]
 
 
 def test_best_correspondences_matches_bruteforce():
@@ -305,9 +312,7 @@ def test_best_correspondences_matches_bruteforce():
             tuple(round(rng.random(), 3) for _ in range(n_units))
             for _ in range(n_terms))
         head_imps = tuple(rng.choice([0.5, 0.7, 0.9]) for _ in range(n_terms))
-        matrix = SimilarityMatrix(values, head_imps)
-        got = [(p.term_index, p.vis_index, p.sim)
-               for p in best_correspondences(matrix, config)]
+        got = best_pairs(values, head_imps, config.t_sim)
         assert got == oracles.argmax_pairs_oracle(values, head_imps, config.t_sim)
 
 
@@ -396,9 +401,23 @@ def test_fuse_headless_term_keeps(enriched_fragment):
 def test_keep_unmatched(enriched_fragment):
     vis = VisRecord("vo1", "rose", 0.8)
     table = table_of({"rose": 0.66})
-    enriched = keep_unmatched(vis, table, enriched_fragment)
+    enriched = fuse(vis, None, table, enriched_fragment, PipelineConfig())
     assert enriched.vsc == "rose" and enriched.final_mu == pytest.approx(0.66)
     assert enriched.provenance.branch == "unmatched"
+
+
+def test_fuse_keeps_an_unknown_concept_with_its_recognition_probability(
+        enriched_fragment):
+    """A concept the lattice does not know reads no table, with a term or
+    without one."""
+    vis = VisRecord("vo1", "tulip", 0.4, colors={"red": 0.5})
+    for st in (None, term("rose"), term(None, colors={("red", 0.9)})):
+        enriched = fuse(vis, st, table_of({}), enriched_fragment,
+                        PipelineConfig())
+        assert enriched.provenance == FusionProvenance(
+            "unknown_concept", None, 0.4, None)
+        assert enriched.vsc == "tulip" and enriched.final_mu == 0.4
+        assert enriched.vis is vis
 
 
 def test_enrich_records_is_deterministic(enriched_fragment):
@@ -413,3 +432,107 @@ def test_enrich_records_is_deterministic(enriched_fragment):
     second = enrich_records(records, terms, table, lat, PipelineConfig())
     assert first == second
     assert [e.vo_id for e in first] == ["vo1", "vo2"]
+
+
+def dense_enrich(records, terms, table, lattice, config):
+    """Each record's provenance, read from a term-by-known-record matrix of
+    `structure_similarity` values through its brute-force argmax pairs and
+    `fuse`; the provenance of a record left unmatched is written out
+    here."""
+    known = [k for k, record in enumerate(records) if record.vsc in lattice]
+    values = [[structure_similarity(st, records[k], table, lattice,
+                                    config.kernel) for k in known]
+              for st in terms]
+    head_imps = [st.head[1] if st.head is not None else 0.0 for st in terms]
+    matched = {known[k]: terms[i] for i, k, _sim in
+               oracles.argmax_pairs_oracle(values, head_imps, config.t_sim)}
+    out = []
+    for k, record in enumerate(records):
+        if k in matched:
+            out.append(fuse(record, matched[k], table, lattice,
+                            config).provenance)
+        elif k in known:
+            out.append(FusionProvenance(
+                "unmatched", None, table.total(lattice.require(record.vsc))))
+        else:
+            out.append(FusionProvenance("unknown_concept", None, record.r_vsc))
+    return out
+
+
+def random_document(rng, concepts):
+    """Records, terms and contextual evidence over a few concepts and
+    weights, so equal facets, and exact ties of similarity between sibling
+    heads of equal membership, are common; some records' concepts are
+    unknown to the lattice."""
+    def weights(names):
+        return {name: rng.choice([0.3, 0.5])
+                for name in rng.sample(names, rng.randint(0, 2))}
+
+    records = [VisRecord(f"vo{k}", rng.choice(concepts + ["zzz", "qqq"]),
+                         rng.choice([0.2, 0.6, 0.9]), weights(COLOR_NAMES),
+                         weights(TEXTURE_NAMES),
+                         frozenset((rel, "vo0") for rel in
+                                   rng.sample(SPATIAL_NAMES, rng.randint(0, 1))))
+               for k in range(rng.randint(0, 5))]
+    terms = []
+    for _ in range(rng.randint(0, 5)):
+        if terms and rng.random() < 0.4:  # the same facets, another head
+            st = rng.choice(terms)
+            head = rng.choice([st.head and st.head[0]] + concepts)
+            terms.append(SyntacticTerm(head and (head, rng.choice([0.5, 0.9])),
+                                       st.colors, st.textures, st.spatials))
+            continue
+        head = rng.choice(concepts + [None])
+        terms.append(term(head, rng.choice([0.5, 0.9]),
+                          weights(COLOR_NAMES).items(),
+                          weights(TEXTURE_NAMES).items(),
+                          weights(SPATIAL_NAMES).items()))
+    contextual = [(c, rng.choice([0.5, 0.9]))
+                  for c in rng.sample(concepts, rng.randint(0, 3))]
+    return records, terms, contextual
+
+
+def test_enrich_records_equals_a_dense_reference(base_lattice):
+    """One column per known record, one winner per column, `fuse` for every
+    record: the same provenance as the term-by-record matrix, over
+    documents with no terms, no known record, unknown records between
+    known ones and exact ties of similarity."""
+    lat = base_lattice
+    concepts = ["flower", "rose", "tulip", "daisy", "building", "cathedral",
+                "church", "sky", "entity"]
+    rng = random.Random(29)
+    seen = dict.fromkeys(("no terms", "no known record", "unknown between",
+                          "tie decided", "matched"), 0)
+    for _ in range(1500):
+        records, terms, contextual = random_document(rng, concepts)
+        config = PipelineConfig(kernel=rng.choice(list(FacetKernel)),
+                                t_sim=rng.choice([0.0, 0.05, 0.5]),
+                                t_mu=rng.choice([0.05, 0.3]),
+                                fusion_literal=rng.random() < 0.3)
+        table = aggregate_mu_tot(
+            [(r.vsc, r.r_vsc) for r in records if r.vsc in lat], contextual,
+            lat, TConormKind.PROBABILISTIC_SUM)
+        got = enrich_records(records, terms, table, lat, config)
+        expected = dense_enrich(records, terms, table, lat, config)
+        assert [e.provenance for e in got] == expected
+        assert [e.vis for e in got] == records
+        assert all(e.vis is record for e, record in zip(got, records))
+
+        known = [r.vsc in lat for r in records]
+        seen["no terms"] += not terms and any(known)
+        seen["no known record"] += bool(records and terms) and not any(known)
+        seen["unknown between"] += any(
+            known[a] and not known[b] and known[c]
+            for a in range(len(known)) for b in range(a + 1, len(known))
+            for c in range(b + 1, len(known)))
+        seen["matched"] += any(p.branch not in ("unmatched", "unknown_concept")
+                               for p in expected)
+        for record in (r for r in records if r.vsc in lat):
+            sims = [structure_similarity(st, record, table, lat, config.kernel)
+                    for st in terms]
+            tied = [st.head for st, v in zip(terms, sims)
+                    if v == max(sims) >= config.t_sim]
+            seen["tie decided"] += (  # the winner's head depends on the rule
+                len({head and head[0] for head in tied}) > 1
+                and len({head and head[1] for head in tied}) > 1)
+    assert all(count >= 10 for count in seen.values()), seen

@@ -6,7 +6,7 @@ import importlib
 import sys
 from pathlib import Path
 
-from viscx import PipelineConfig, VisRecord, membership, retrieval
+from viscx import PipelineConfig, VisRecord, membership, pipeline, retrieval
 from viscx.context import AreaKind, ExtractionArea, tokenize
 from viscx.pipeline import enrich_document
 from viscx.store import IndexRecord, IndexStore
@@ -82,3 +82,38 @@ def test_tracer_times_the_tfidf_scorer_and_counts_scores(monkeypatch,
     assert metrics["retrieval.score.calls"] > 0
     assert metrics["retrieval.rank_with_scorer.calls"] == 4
     assert all(ranked.doc_ids()[0] == "d1" for ranked in rankings.values())
+
+
+def test_tracer_times_one_best_correspondences_call_per_enriched_document(
+        monkeypatch, base_lattice):
+    """Enrichment picks each document's terms through the
+    `best_correspondences` the tracer rebinds, once per document, and every
+    visual record lands in one fusion branch count (read where the tracer
+    wraps `pipeline.enrich_document`)."""
+    cfg = PipelineConfig()
+    documents = []
+    for doc_id, text, objects in (
+            ("d1", "red roses", (VisRecord("vo1", "flower", 0.7, {"red": 0.5}),
+                                 VisRecord("vo2", "zzz", 0.4))),
+            ("d2", "", (VisRecord("vo1", "sky", 0.8),)),
+            ("d3", "a grey cathedral", (VisRecord("vo1", "building", 0.2),
+                                        VisRecord("vo2", "qqq", 0.9),
+                                        VisRecord("vo3", "rose", 0.6)))):
+        areas = (ExtractionArea(AreaKind.ALT_ATTRIBUTE, tokenize(text), 0.9),)
+        documents.append(IndexRecord(doc_id, areas, objects))
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer_module = importlib.import_module("tracer")
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        enriched = [pipeline.enrich_document(doc, base_lattice, cfg)
+                    for doc in documents]
+        metrics = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    assert metrics["fusion.best_correspondences.calls"] == 3
+    branches = {branch: metrics[f"fusion.branch.{branch}"]
+                for branch in tracer_module.BRANCHES}
+    assert sum(branches.values()) == 6
+    assert branches["unknown_concept"] == 2
+    assert sum(branches.values()) == sum(len(doc.enriched) for doc in enriched)
