@@ -9,6 +9,12 @@ The serializer is canonical (records sorted by object id, facet entries in
 vocabulary order, shortest round-tripping floats) so that
 ``parse_vis(serialize_vis(records)) == records`` and identical inputs give
 byte-identical output.
+
+`parse_vis` reads a well-formed document with one regex match per
+record. In that regex blanks are taken only after a token, never before
+an optional part, so no two runs of blanks meet and a failed match stays
+linear in the text. Any text the match refuses goes to the token parser,
+which words every error with its line and column.
 """
 
 from __future__ import annotations
@@ -166,15 +172,49 @@ def weight_vectors(facets: Iterable[Iterable[tuple[str, float]]]) -> FacetVector
 # record   ::= "vis" ID "{" sem color texture spa "}"
 # sem      ::= "sem" ":" ID "@" NUM ";"
 # color    ::= "color" ":" [ID "=" NUM ("," ID "=" NUM)*] ";"
-# texture  ::= "texture" ":" [ID "=" NUM ("," ID "=" NUM)*] ";"
+# texture  ::= "texture" ":" [ID ["=" NUM] ("," ID ["=" NUM])*] ";"
 # spa      ::= "spa" ":" [ID "(" ID ")" ("," ID "(" ID ")")*] ";"
+#
+# A well-formed record is read by one match of _RECORD_RE, in which each
+# token takes the blanks after it and no optional part has blanks before
+# it: no two `\s*` meet, so a failed match backtracks over each character
+# at most a fixed number of times. An ID or NUM is greedy there as in the
+# lexer, and what the regex takes after one (a blank or a symbol) cannot
+# extend it, so the match splits the text into the lexer's tokens or
+# fails. The token parser below reads only text that the match refuses,
+# and words its error.
+
+_ID = r"[a-z][a-z0-9_]*"
+_NUM = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
 
 _LEX_RE = re.compile(
     r"(?P<ws>\s+)"
-    r"|(?P<ident>[a-z][a-z0-9_]*)"
-    r"|(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+    rf"|(?P<ident>{_ID})"
+    rf"|(?P<num>{_NUM})"
     r"|(?P<sym>[{}();:,@=])"
     r"|(?P<bad>.)", re.DOTALL)
+
+
+def _entries(item: str) -> str:
+    """An optional comma-separated list of `item`, as one group."""
+    return rf"({item}(?:,\s*{item})*)?"
+
+
+_COLOR_ENTRIES = _entries(rf"{_ID}\s*=\s*{_NUM}\s*")
+_TEXTURE_ENTRIES = _entries(rf"{_ID}\s*(?:=\s*{_NUM}\s*)?")
+_SPATIAL_ENTRIES = _entries(rf"{_ID}\s*\(\s*{_ID}\s*\)\s*")
+
+_BLANKS_RE = re.compile(r"\s*")
+_RECORD_RE = re.compile(
+    rf"vis\s+({_ID})\s*\{{\s*"
+    rf"sem\s*:\s*({_ID})\s*@\s*({_NUM})\s*;\s*"
+    rf"color\s*:\s*{_COLOR_ENTRIES};\s*"
+    rf"texture\s*:\s*{_TEXTURE_ENTRIES};\s*"
+    rf"spa\s*:\s*{_SPATIAL_ENTRIES};\s*"
+    r"\}\s*")
+# the entries of a matched list, each as (name, weight or "") or (relation, target)
+_WEIGHT_RE = re.compile(rf"({_ID})\s*(?:=\s*({_NUM}))?")
+_SPATIAL_RE = re.compile(rf"({_ID})\s*\(\s*({_ID})")
 
 
 def _spatial_order(relation: tuple[str, str]) -> tuple[int, str]:
@@ -326,11 +366,51 @@ class _Parser:
         return records
 
 
+def _weights(entries: str | None) -> dict[str, float]:
+    """The weights of a matched color or texture list; a bare name
+    weighs 1.0. A repeated name raises ValueError."""
+    pairs = _WEIGHT_RE.findall(entries or "")
+    weights = {name: float(w) if w else 1.0 for name, w in pairs}
+    if len(weights) != len(pairs):
+        raise ValueError("duplicate facet entry")
+    return weights
+
+
+def _well_formed(text: str) -> list[VisRecord] | None:
+    """The records of `text` read with one anchored match per record,
+    each checked once by VisRecord; None where the text is not a
+    well-formed document."""
+    records: list[VisRecord] = []
+    ids: set[str] = set()
+    pos, end = _BLANKS_RE.match(text).end(), len(text)
+    try:
+        while pos < end:
+            m = _RECORD_RE.match(text, pos)
+            if m is None or m[1] in ids:
+                return None
+            vo_id, vsc, r_vsc, colors, textures, spatial = m.groups()
+            ids.add(vo_id)
+            records.append(VisRecord(
+                vo_id, vsc, float(r_vsc), _weights(colors), _weights(textures),
+                frozenset(_SPATIAL_RE.findall(spatial or ""))))
+            pos = m.end()
+    except ValueError:
+        return None
+    if any(target not in ids for r in records for _rel, target in r.spatial):
+        return None
+    return records
+
+
 def parse_vis(text: str) -> list[VisRecord]:
     """Parse a VIS document; raises VisParseError with line/column on
     syntax errors, out-of-range values, unknown vocabulary names, duplicate
-    object ids and dangling spatial targets."""
-    return _Parser(text).document()
+    object ids and dangling spatial targets.
+
+    A well-formed document is read with one regex match per record, whose
+    blanks are taken only after a token, so the match stays linear in the
+    text. Any other text goes to the token parser, which words the error."""
+    records = _well_formed(text)
+    return _Parser(text).document() if records is None else records
 
 
 def _fmt(value: float) -> str:

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import io
 import json
+import random
 import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,10 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import corpusgen
 import decoding
 from test_store import LINE, damaged_text, damages, line_text
-from viscx import (ALL_STRATEGIES, PipelineConfig, Strategy,
-                   bundled_taxonomy_path, load_taxonomy)
+from test_vis import PIECES, token_parse
+from viscx import (ALL_STRATEGIES, PipelineConfig, Strategy, VisParseError,
+                   bundled_taxonomy_path, load_taxonomy, pipeline, vis)
 from viscx.cli import main
 from viscx.retrieval import (BOUND_SLACK, STRATEGY_FIELDS, make_scorer,
                              parse_query, rank_with_scorer)
@@ -89,6 +92,44 @@ def test_ingest_skips_non_utf8_page(corpus, tmp_path, caplog):
         assert main(["ingest", "--corpus", str(corpus), "--out", str(index)]) == 0
     assert any("d2: unreadable" in r.message for r in caplog.records)
     assert sorted(load_store(index).records) == ["d1", "d3"]
+
+
+def test_ingest_over_corrupted_sidecars(tmp_path, caplog, monkeypatch):
+    """Damaged sidecars are skipped, with one warning each, exactly where
+    the token parser refuses them, and the store is byte for byte the one
+    that the token parser alone gives."""
+    corpus = tmp_path / "corpus"
+    corpusgen.generate_corpus(corpus)
+    rng = random.Random(7)
+    damaged = set()
+    for path in sorted(corpus.glob("*.vis"))[::2]:
+        text = path.read_text(encoding="utf-8")
+        at = rng.randrange(len(text) + 1)
+        path.write_text(text[:at] + rng.choice(PIECES)
+                        + text[at + rng.randint(0, 2):], encoding="utf-8")
+        damaged.add(path.stem)
+    accepted = set()
+    for path in corpus.glob("*.vis"):
+        try:
+            token_parse(path.read_text(encoding="utf-8"))
+        except VisParseError:
+            continue
+        accepted.add(path.stem)
+    assert damaged & accepted and damaged - accepted
+
+    index = tmp_path / "index.jsonl"
+    with caplog.at_level("WARNING"):
+        assert main(["ingest", "--corpus", str(corpus), "--out", str(index)]) == 0
+    skipped = sorted(r.message.split(":")[0] for r in caplog.records
+                     if "malformed VIS" in r.message)
+    assert skipped == sorted(damaged - accepted)
+    assert sorted(load_store(index).records) == sorted(accepted)
+
+    for module in (vis, pipeline):
+        monkeypatch.setattr(module, "parse_vis", token_parse)
+    by_tokens = tmp_path / "by_tokens.jsonl"
+    assert main(["ingest", "--corpus", str(corpus), "--out", str(by_tokens)]) == 0
+    assert index.read_bytes() == by_tokens.read_bytes()
 
 
 def test_reingest_is_byte_identical(corpus, tmp_path):

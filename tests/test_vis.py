@@ -1,10 +1,14 @@
 import random
+import re
+import time
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viscx import FacetVectors, VisParseError, VisRecord, facet_vectors
+import corpusgen
+from viscx import FacetVectors, VisParseError, VisRecord, facet_vectors, vis
 from viscx.vis import (COLOR_NAMES, SPATIAL_NAMES, TEXTURE_NAMES,
                        parse_vis, serialize_vis)
 
@@ -234,3 +238,169 @@ def test_parse_vis_raises_only_vis_parse_error(text):
         return
     assert parse_vis(serialize_vis(records)) == sorted(records,
                                                        key=lambda r: r.vo_id)
+
+
+# -- the regex reader against the token parser ----------------------------
+
+IDS = st.builds(str.__add__, st.sampled_from("abesvz"),
+                st.text(alphabet="aeisvz019_", max_size=4))
+UNIT = st.floats(min_value=0.0, max_value=1.0)
+COLORS = st.dictionaries(st.sampled_from(COLOR_NAMES),
+                         st.floats(min_value=0.0, max_value=0.25), max_size=4)
+TEXTURES = st.dictionaries(st.sampled_from(TEXTURE_NAMES), UNIT, max_size=3)
+
+
+@st.composite
+def vis_documents(draw):
+    """Records drawn with every facet shape VisRecord allows."""
+    ids = draw(st.lists(IDS, max_size=4, unique=True))
+    relations = st.frozensets(st.tuples(st.sampled_from(SPATIAL_NAMES),
+                                        st.sampled_from(ids or ["vo1"])),
+                              max_size=3 if ids else 0)
+    return [VisRecord(vo_id, draw(IDS), draw(UNIT), draw(COLORS),
+                      draw(TEXTURES), draw(relations))
+            for vo_id in ids]
+
+
+TOKEN = re.compile(r"[a-z][a-z0-9_]*|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|\S")
+WORD = re.compile(r"[a-z0-9_]")
+#: what may stand between two tokens; blank lines included
+BLANKS = ("", " ", "  ", "\t", "\n", "\r\n", "\u2028", "\n\n", " \n\t\n")
+
+
+def number_spellings(value: str) -> list[str]:
+    """`value` and spellings of the same decimal with an exponent."""
+    _sign, digits, exponent = Decimal(value).as_tuple()
+    mantissa = "".join(map(str, digits))
+    spellings = [value, f"{mantissa}e{exponent}", f"{mantissa}E{exponent}"]
+    if "e" not in value:
+        spellings += [f"{value}e0", f"{value}E+0"]
+    return spellings
+
+
+@st.composite
+def reflowed(draw, records):
+    """The canonical text of `records`, with entries of weight 1.0 in
+    textures left bare, a spatial relation written twice, numbers spelt
+    with exponents and any blanks (or none) between tokens."""
+    rng = draw(st.randoms(use_true_random=True))
+    text = serialize_vis(records)
+
+    def texture(m):
+        return re.sub(r"=1\.0\b", lambda w: rng.choice(("", w[0])), m[0])
+
+    def spatial(m):
+        entries = m[1].split(", ")
+        if entries[0] and rng.random() < 0.5:
+            entries.insert(rng.randint(0, len(entries)), rng.choice(entries))
+        return f"spa: {', '.join(entries)};"
+
+    text = re.sub(r"texture: [^;]*;", texture, text)
+    text = re.sub(r"spa: ([^;]*);", spatial, text)
+    tokens = [rng.choice(number_spellings(t)) if t[0].isdigit() else t
+              for t in TOKEN.findall(text)]
+    out = [rng.choice(BLANKS)]
+    for before, after in zip(tokens, tokens[1:] + [""]):
+        out.append(before)
+        needed = after and WORD.match(before[-1]) and WORD.match(after[0])
+        out.append(rng.choice(BLANKS[1:] if needed else BLANKS))
+    return "".join(out)
+
+
+def valid_texts():
+    return vis_documents().flatmap(
+        lambda records: reflowed(records).map(lambda text: (records, text)))
+
+
+PIECES = ("vis", "sem", "color", "texture", "spa", "vo1", "red", "uniform",
+          "near", "0.5", "1.5", "1e999", "1e", "e", "x", "_", "1", ".", "-",
+          " ", "\n", "\u2028", "{", "}", "(", ")", ";", ":", ",", "@", "=",
+          "#", "\u0663", "\xe9")
+
+
+@st.composite
+def mutants(draw):
+    """A valid text with one character or token inserted, deleted or
+    replaced."""
+    _records, text = draw(valid_texts())
+    spans = [m.span() for m in TOKEN.finditer(text)]
+    if spans and draw(st.booleans()):
+        start, end = draw(st.sampled_from(spans))
+    else:
+        start = draw(st.integers(0, len(text)))
+        end = min(len(text), start + 1)
+    op = draw(st.sampled_from(("insert", "delete", "replace")))
+    if op == "insert":
+        return text[:start] + draw(st.sampled_from(PIECES)) + text[start:]
+    if op == "delete":
+        return text[:start] + text[end:]
+    return text[:start] + draw(st.sampled_from(PIECES)) + text[end:]
+
+
+def outcome(parse, text):
+    """The records (with their facet entries in order), or the error text."""
+    try:
+        return [(r, list(r.colors.items()), list(r.textures.items()))
+                for r in parse(text)]
+    except VisParseError as err:
+        return str(err)
+
+
+def token_parse(text):
+    return vis._Parser(text).document()
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_texts())
+def test_parse_vis_reads_valid_documents_as_the_token_parser_does(case):
+    _records, text = case
+    assert outcome(parse_vis, text) == outcome(token_parse, text)
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutants())
+def test_parse_vis_reads_mutants_as_the_token_parser_does(text):
+    assert outcome(parse_vis, text) == outcome(token_parse, text)
+
+
+def refuse_to_be_built(text):
+    raise AssertionError(f"the token parser read well-formed text: {text!r}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_texts())
+def test_well_formed_vis_takes_the_fast_path(case):
+    records, text = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vis, "_Parser", refuse_to_be_built)
+        assert parse_vis(text) == sorted(records, key=lambda r: r.vo_id)
+
+
+def test_generated_corpus_sidecars_take_the_fast_path(tmp_path, monkeypatch):
+    corpusgen.generate_corpus(tmp_path)
+    texts = [p.read_text(encoding="utf-8") for p in sorted(tmp_path.glob("*.vis"))]
+    expected = [token_parse(text) for text in texts]
+    monkeypatch.setattr(vis, "_Parser", refuse_to_be_built)
+    assert [parse_vis(text) for text in texts] == expected
+
+
+@pytest.mark.parametrize("size", [100_000, 400_000])
+@pytest.mark.parametrize("prefix, piece", [
+    ("vis vo1 { sem: rose@0.5; color:", " "),
+    ("vis vo1 { sem: rose@0.5", " "),
+    ("vis vo1", " "),
+    ("vis vo1 { sem: rose@", "1"),
+    ("vis ", "a"),
+    ("vis vo1 { sem: rose@0.5; color: ", "red=0.5, "),
+    ("vis vo1 { sem: rose@0.5; color: ; texture: ", "uniform, "),
+    ("vis vo1 { sem: rose@0.5; color: ; texture: ; spa: ", "near(vo1), "),
+])
+def test_parse_vis_is_linear(prefix, piece, size):
+    """A long run that ends in an unexpected character costs one pass: a
+    record regex in which blanks after `color:` could be taken by two
+    `\\s*` took 0.77 s on 20 KB of them (2 vCPUs)."""
+    text = prefix + piece * (size // len(piece)) + "#"
+    start = time.perf_counter()
+    with pytest.raises(VisParseError):
+        parse_vis(text)
+    assert time.perf_counter() - start < 0.5
