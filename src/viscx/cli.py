@@ -17,11 +17,23 @@ search parses and decodes only the store columns its strategy reads
 fusion decisions of the enriched column, and makes the enriched records
 of both), and eval those of its strategies; enrich decodes every column.
 Every command checks each column's crc32, read or not.
+
+A command runs with Python's cyclic garbage collector paused, from
+argument parsing on, and the collector is put back as it was found when
+the command ends, however it ends. viscx's data holds no reference
+cycles, so reference counting frees it, and a command spared the
+collections that its many small objects would trigger runs faster. The
+argparse parser does hold cycles; built while paused and garbage before
+the collector is back, it is still in the youngest generation, so the
+first collection after the command frees it. Library calls, outside
+`main`, run with the collector as their caller left it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import logging
 import sys
 from dataclasses import replace
@@ -177,6 +189,22 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _gc_paused():
+    """The cyclic garbage collector off for the block, or for each call of
+    the function it decorates, then as it was. As a decorator it turns the
+    collector back on only once the call's frame, and so the parser it
+    holds, is gone."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
                         format="%(levelname)s: %(message)s")

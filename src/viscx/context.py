@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import posixpath
 import re
+from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -82,8 +83,10 @@ class Category(Enum):
     OTHER = "O"
 
 
-#: the attribute categories, in FACET_VOCABS (and SyntacticTerm field) order
-_ATTR_CATEGORIES = (Category.COLOR, Category.TEXTURE, Category.SPATIAL)
+#: the tag letter of each attribute category -> its SyntacticTerm facet,
+#: in FACET_VOCABS order
+_ATTR_SLOTS = {cat.value: slot for slot, cat in enumerate(
+    (Category.COLOR, Category.TEXTURE, Category.SPATIAL))}
 
 
 @dataclass(frozen=True)
@@ -527,7 +530,8 @@ class SyntacticPattern:
     """A category sequence with repetition bounds, matched over the tag
     string of a token stream. Any element may repeat or vanish (``COLOR{2}
     SEM``, ``SEM OTHER{0,3} COLOR SEM``), but one vocabulary element must
-    match at least once: ``SEM{0}`` matches only empty windows."""
+    match at least once: ``SEM{0}`` matches only empty windows. A tag
+    string that lacks one of its `required` categories is not searched."""
 
     elements: tuple[tuple[Category, int, int], ...]
 
@@ -551,6 +555,12 @@ class SyntacticPattern:
     def regex(self) -> re.Pattern[str]:
         """The compiled pattern, built once per instance."""
         return re.compile("".join(self._parts("value")))
+
+    @cached_property
+    def required(self) -> frozenset[str]:
+        """The tag letters of the elements that match at least once: every
+        match holds each of them."""
+        return frozenset(cat.value for cat, lo, _hi in self.elements if lo >= 1)
 
     def text(self) -> str:
         return " ".join(self._parts("name"))
@@ -619,38 +629,43 @@ def terms_from_window(window: Sequence[TaggedToken], area_impact: float,
     attach to every tied head. Heads take their document-wide impact when
     one is known, attributes take the impact of the area they sit in.
     """
-    sem_pos = [i for i, tt in enumerate(window) if tt.category is Category.SEM]
-    attr_pos = [i for i, tt in enumerate(window)
-                if tt.category in _ATTR_CATEGORIES]
-    if not sem_pos:
-        if not attr_pos:
-            return []
-        buckets: dict[Category, set[tuple[str, float]]] = {}
-        for i in attr_pos:
-            tt = window[i]
-            buckets.setdefault(tt.category, set()).add((tt.concept, area_impact))
-        return [_term(None, buckets)]
-
-    attached: dict[int, dict[Category, set[tuple[str, float]]]] = {i: {} for i in sem_pos}
-    for i in attr_pos:
-        tt = window[i]
-        dists = [abs(i - s) for s in sem_pos]
-        nearest = min(dists)
-        for s, d in zip(sem_pos, dists):
-            if d == nearest:
-                attached[s].setdefault(tt.category, set()).add((tt.concept, area_impact))
+    heads = [i for i, tt in enumerate(window) if tt.category is Category.SEM]
+    # per head (one headless term when there is none): colors, textures, spatials
+    facets = [([], [], []) for _ in heads or (None,)]
+    last = len(facets) - 1
+    for i, tt in enumerate(window):
+        slot = _ATTR_SLOTS.get(tt.category._value_)
+        if slot is None:
+            continue
+        # the heads before and after i, the nearer one alone unless tied
+        after = bisect(heads, i)
+        lo, hi = max(after - 1, 0), min(after, last)
+        if lo < hi:
+            nearer = (i - heads[lo]) - (heads[hi] - i)
+            if nearer < 0:
+                hi = lo
+            elif nearer > 0:
+                lo = hi
+        for k in range(lo, hi + 1):
+            facets[k][slot].append((tt.concept, area_impact))
+    if not heads:
+        return [SyntacticTerm(None, *map(_facet, facets[0]))] if any(
+            facets[0]) else []
     terms = []
-    for s in sem_pos:
+    for s, attached in zip(heads, facets):
         cid = window[s].concept
         imp = head_imps.get(cid, area_impact) if head_imps else area_impact
-        terms.append(_term((cid, imp), attached[s]))
+        terms.append(SyntacticTerm((cid, imp), *map(_facet, attached)))
     return terms
 
 
-def _term(head: tuple[str, float] | None,
-          buckets: Mapping[Category, set[tuple[str, float]]]) -> SyntacticTerm:
-    return SyntacticTerm(head, *(frozenset(buckets.get(category, ()))
-                                 for category in _ATTR_CATEGORIES))
+_NO_PAIRS: frozenset[tuple[str, float]] = frozenset()
+
+
+def _facet(pairs: list[tuple[str, float]]) -> frozenset[tuple[str, float]]:
+    """The pairs as a term's facet; every empty facet is one shared object,
+    as most of a term's facets are."""
+    return frozenset(pairs) if pairs else _NO_PAIRS
 
 
 def apply_patterns(tagged: Sequence[TaggedToken],
@@ -659,11 +674,17 @@ def apply_patterns(tagged: Sequence[TaggedToken],
                    head_imps: Mapping[str, float] | None = None
                    ) -> tuple[SyntacticTerm, ...]:
     """Match every pattern (leftmost, non-overlapping per pattern) against
-    the tag sequence and emit the resulting set of syntactic terms."""
-    tagstring = "".join(tt.category.value for tt in tagged)
+    the tag sequence and emit the resulting set of syntactic terms. A
+    pattern one of whose `SyntacticPattern.required` categories is absent
+    from the sequence cannot match, and is not run."""
+    # the letter of each tag, read past Enum's `value` descriptor
+    tagstring = "".join([tt.category._value_ for tt in tagged])
+    present = set(tagstring)
     out: list[SyntacticTerm] = []
     seen: set[SyntacticTerm] = set()
     for pattern in patterns:
+        if not pattern.required <= present:
+            continue
         for m in pattern.regex.finditer(tagstring):
             window = tagged[m.start():m.end()]
             for term in terms_from_window(window, area_impact, head_imps):

@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package, the by-name enum
 lookup whose failure is one of them, the file readers whose messages
-name the file on one line, and the line reader of the text formats.
+name the file on one line, the clipping of input that a message echoes,
+and the line reader of the text formats.
 
 Everything raised on bad data derives from ViscxError so the CLI can map
 data problems to a single exit code.
@@ -52,6 +53,12 @@ def one_line(path) -> str:
     """`path` as text with its control characters escaped, so that an
     error message naming it stays on one line; a plain path reads as is."""
     return repr(str(path))[1:-1]
+
+
+def clip(text: str, limit: int) -> str:
+    """`text` cut to its first `limit` characters plus ``...`` when it is
+    longer, so that an error message echoing input stays short."""
+    return text if len(text) <= limit else text[:limit] + "..."
 
 
 def read_text(path, what: str, error: type[ViscxError] = ViscxError) -> str:

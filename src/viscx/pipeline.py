@@ -101,8 +101,8 @@ def enrich_document(record: IndexRecord, lattice: SemanticLattice,
         [(r.vsc, r.r_vsc) for r in record.vis_records if r.vsc in lattice],
         [(c.cx, c.imp) for c in contextual], lattice, cfg.tconorm)
     enriched = enrich_records(record.vis_records, terms, table, lattice, cfg)
-    return replace(record, contextual=contextual, terms=terms,
-                   enriched=tuple(enriched))
+    return IndexRecord(record.doc_id, record.areas, record.vis_records,
+                       contextual, terms, tuple(enriched))
 
 
 def enrich_store(store: IndexStore, lattice: SemanticLattice,

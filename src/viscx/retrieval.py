@@ -37,7 +37,7 @@ from .config import PipelineConfig
 from .context import (DEFAULT_PATTERNS, SyntacticTerm, apply_patterns,
                       singularize, tag_tokens, terms_from_window, tokenize)
 from .errors import (NamedEnum, StoreError, UnindexableQueryError, ViscxError,
-                     data_lines, read_text)
+                     clip, data_lines, read_text)
 from .fusion import (FacetKernel, ScoringView, scoring_view, view_mass,
                      view_part)
 from .membership import MembershipTable, TConormKind, aggregate_mu_tot
@@ -560,7 +560,7 @@ def _grade(text: str, where: str, pair: tuple[str, str]) -> int:
     """The grade written as `text`: an optional sign and ASCII digits. One
     of more significant digits than MAX_GRADE is out of range and refused
     before `int` reads it; an error echoes at most 20 characters of it."""
-    shown = repr(text if len(text) <= 20 else text[:20] + "...")
+    shown = repr(clip(text, 20))
     digits = text[1:] if text[:1] in ("+", "-") else text
     if not (digits.isascii() and digits.isdigit()):
         raise ViscxError(f"{where}: grade must be an integer, got {shown}")

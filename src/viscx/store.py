@@ -48,7 +48,7 @@ import os
 import shutil
 import zlib
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
@@ -141,11 +141,32 @@ def _vis_out(record: VisRecord) -> dict:
             "spatial": sorted(list(pair) for pair in record.spatial)}
 
 
+def _maker(cls):
+    """A function making an instance of `cls`, a frozen dataclass, from
+    its field values in order, as `cls` itself does, `__post_init__` check
+    included; the values fill the instance's ``__dict__`` at once instead
+    of passing one by one through the frozen setter."""
+    names = tuple(f.name for f in fields(cls))
+    check = hasattr(cls, "__post_init__")
+
+    def make(*values):
+        instance = object.__new__(cls)
+        instance.__dict__.update(zip(names, values))
+        if check:
+            instance.__post_init__()
+        return instance
+    return make
+
+
+_vis_record = _maker(VisRecord)
+_index_record = _maker(IndexRecord)
+
+
 def _vis_in(data) -> VisRecord:
-    return VisRecord(data["vo"], data["vsc"], _number(data["r"]),
-                     {k: _number(v) for k, v in data["colors"].items()},
-                     {k: _number(v) for k, v in data["textures"].items()},
-                     frozenset((rel, target) for rel, target in data["spatial"]))
+    return _vis_record(data["vo"], data["vsc"], _number(data["r"]),
+                       {k: _number(v) for k, v in data["colors"].items()},
+                       {k: _number(v) for k, v in data["textures"].items()},
+                       frozenset((rel, target) for rel, target in data["spatial"]))
 
 
 def _term_out(term: SyntacticTerm) -> dict:
@@ -205,7 +226,7 @@ def _check_enriched(record: IndexRecord) -> None:
             f"cannot save document {record.doc_id!r}: {len(enriched)} "
             f"enriched records, not one per visual record ({len(vis)})")
     for k, (visual, e) in enumerate(zip(vis, enriched)):
-        if e.vis != visual:
+        if e.vis is not visual and e.vis != visual:
             raise StoreError(f"cannot save document {record.doc_id!r}, "
                              f"enriched record {e.vo_id!r}: its visual record "
                              f"differs from the document's visual record {k} "
@@ -485,5 +506,5 @@ def load_store(path: str | Path,
         raise StoreError(f"{name}:{lineno}: malformed line: {exc}") from None
     unread = [None] * len(doc_ids)
     values = [columns[f] if f in wanted else unread for f in RECORD_FIELDS]
-    store.records = dict(zip(doc_ids, map(IndexRecord, doc_ids, *values)))
+    store.records = dict(zip(doc_ids, map(_index_record, doc_ids, *values)))
     return store

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from .errors import VisParseError
+from .errors import VisParseError, clip
 
 #: color concepts c_1..c_11
 COLOR_NAMES = ("cyan", "white", "green", "grey", "yellow", "black",
@@ -242,6 +242,10 @@ def _tokens(text: str) -> Iterator[tuple[str, str, int]]:
     yield "eof", "", len(text)
 
 
+#: characters of a token that an error message echoes
+_ECHO = 40
+
+
 class _Parser:
     def __init__(self, text: str):
         self._text = text
@@ -264,7 +268,8 @@ class _Parser:
         got = self._accept(kind, value)
         if got is None:
             want = value if value is not None else kind
-            raise self._fail(f"expected {want!r}, found {self._tok[1]!r}")
+            raise self._fail(
+                f"expected {want!r}, found {clip(self._tok[1], _ECHO)!r}")
         return got
 
     def _number(self, what: str) -> float:
@@ -273,7 +278,7 @@ class _Parser:
             raise self._fail(f"expected a number for {what}")
         value = float(tvalue)
         if not (0.0 <= value <= 1.0):
-            raise self._fail(f"{what} out of [0,1]: {tvalue}")
+            raise self._fail(f"{what} out of [0,1]: {clip(tvalue, _ECHO)}")
         self._tok = self._next()
         return value
 
@@ -282,17 +287,19 @@ class _Parser:
         pairs: dict[str, float] = {}
         while self._tok[0] == "ident":
             name = self._tok[1]
+            shown = clip(name, _ECHO)
             if name not in vocab.names:
-                raise self._fail(f"unknown {vocab.kind} concept {name!r}")
+                raise self._fail(f"unknown {vocab.kind} concept {shown!r}")
             if name in pairs:
-                raise self._fail(f"duplicate {vocab.kind} entry {name!r}")
+                raise self._fail(f"duplicate {vocab.kind} entry {shown!r}")
             self._tok = self._next()
             if self._accept("sym", "=") is not None:
                 pairs[name] = self._number(f"{vocab.kind} weight")
             elif bare_default is not None:
                 pairs[name] = bare_default
             else:
-                raise self._fail(f"expected '=' after {vocab.kind} concept {name!r}")
+                raise self._fail(
+                    f"expected '=' after {vocab.kind} concept {shown!r}")
             if self._accept("sym", ",") is None:
                 break
         return pairs
@@ -302,7 +309,8 @@ class _Parser:
         while self._tok[0] == "ident":
             name = self._tok[1]
             if name not in SPATIAL_NAMES:
-                raise self._fail(f"unknown spatial relation {name!r}")
+                raise self._fail(
+                    f"unknown spatial relation {clip(name, _ECHO)!r}")
             self._tok = self._next()
             self._expect("sym", "(")
             target = self._expect("ident")
@@ -328,7 +336,8 @@ class _Parser:
         self._expect("sym", ":")
         colors = self._weight_pairs(COLOR_VOCAB)
         if sum(colors.values()) > 1.0 + 1e-9:
-            raise self._fail(f"color weights of {vo_id!r} sum beyond 1", vo_at)
+            raise self._fail(
+                f"color weights of {clip(vo_id, _ECHO)!r} sum beyond 1", vo_at)
         self._expect("sym", ";")
 
         self._expect("ident", "texture")
@@ -353,7 +362,8 @@ class _Parser:
             self._expect("ident", "vis")
             record = self._record()
             if record.vo_id in seen:
-                raise self._fail(f"duplicate vo id {record.vo_id!r}", at)
+                raise self._fail(
+                    f"duplicate vo id {clip(record.vo_id, _ECHO)!r}", at)
             seen[record.vo_id] = at
             records.append(record)
         for record in records:
@@ -361,8 +371,9 @@ class _Parser:
             for rel, target in sorted(record.spatial, key=_spatial_order):
                 if target not in seen:
                     raise self._fail(
-                        f"spatial relation {rel!r} of {record.vo_id!r} targets "
-                        f"unknown vo {target!r}", seen[record.vo_id])
+                        f"spatial relation {rel!r} of "
+                        f"{clip(record.vo_id, _ECHO)!r} targets unknown vo "
+                        f"{clip(target, _ECHO)!r}", seen[record.vo_id])
         return records
 
 

@@ -9,7 +9,9 @@ single-token lookups (`resolve`, `singularize`), and `tfidf_oracle`,
 which checks the postings against the plain per-document cosine and so
 reuses the same tokens and plural folding (`tokenize`, `singularize`).
 `page_scan_oracle` is the standard library's `html.parser`, which the
-package's page scan follows.
+package's page scan follows. `apply_patterns_oracle` runs every pattern
+over the tag string and attaches attributes by a distance list each, as
+the package did before it skipped patterns that cannot match.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from collections import Counter, deque
 from html.parser import HTMLParser, attrfind_tolerant
 from typing import Sequence
 
-from viscx.context import Category, TaggedToken, singularize, tokenize
+from viscx.context import (Category, SyntacticTerm, TaggedToken, singularize,
+                           tokenize)
 from viscx.vis import COLOR_VOCAB, SPATIAL_VOCAB, TEXTURE_VOCAB
 
 
@@ -367,6 +370,62 @@ def tag_tokens_oracle(tokens, lattice):
         tagged.append(hit or TaggedToken(token, Category.OTHER))
         i += 1
     return tuple(tagged)
+
+
+_ATTR_CATEGORIES = (Category.COLOR, Category.TEXTURE, Category.SPATIAL)
+
+
+def terms_from_window_oracle(window, area_impact, head_imps):
+    """One term per semantic head of the window, each attribute attached
+    to every head at the least token distance from it, by a distance list
+    per attribute; a window without a head gives one headless term."""
+    sem_pos = [i for i, tt in enumerate(window) if tt.category is Category.SEM]
+    attr_pos = [i for i, tt in enumerate(window)
+                if tt.category in _ATTR_CATEGORIES]
+    if not sem_pos:
+        if not attr_pos:
+            return []
+        buckets = {}
+        for i in attr_pos:
+            tt = window[i]
+            buckets.setdefault(tt.category, set()).add((tt.concept, area_impact))
+        return [_term_oracle(None, buckets)]
+
+    attached = {i: {} for i in sem_pos}
+    for i in attr_pos:
+        tt = window[i]
+        dists = [abs(i - s) for s in sem_pos]
+        nearest = min(dists)
+        for s, d in zip(sem_pos, dists):
+            if d == nearest:
+                attached[s].setdefault(tt.category, set()).add((tt.concept, area_impact))
+    terms = []
+    for s in sem_pos:
+        cid = window[s].concept
+        imp = head_imps.get(cid, area_impact) if head_imps else area_impact
+        terms.append(_term_oracle((cid, imp), attached[s]))
+    return terms
+
+
+def _term_oracle(head, buckets):
+    return SyntacticTerm(head, *(frozenset(buckets.get(category, ()))
+                                 for category in _ATTR_CATEGORIES))
+
+
+def apply_patterns_oracle(tagged, patterns, *, area_impact=1.0, head_imps=None):
+    """Every pattern run over the whole tag string, leftmost and
+    non-overlapping, with no skip; the terms in first-seen order."""
+    tagstring = "".join(tt.category.value for tt in tagged)
+    out = []
+    seen = set()
+    for pattern in patterns:
+        for m in pattern.regex.finditer(tagstring):
+            window = tagged[m.start():m.end()]
+            for term in terms_from_window_oracle(window, area_impact, head_imps):
+                if term not in seen:
+                    seen.add(term)
+                    out.append(term)
+    return tuple(out)
 
 
 class _PageScanner(HTMLParser):

@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import io
 import json
@@ -15,9 +16,9 @@ from hypothesis import strategies as st
 import corpusgen
 import decoding
 from test_store import LINE, damaged_text, damages, line_text
-from test_vis import PIECES, token_parse
+from test_vis import LONG_TOKEN_DOCS, PIECES, token_parse
 from viscx import (ALL_STRATEGIES, PipelineConfig, Strategy, VisParseError,
-                   bundled_taxonomy_path, load_taxonomy, pipeline, vis)
+                   bundled_taxonomy_path, cli, load_taxonomy, pipeline, vis)
 from viscx.cli import main
 from viscx.retrieval import (BOUND_SLACK, STRATEGY_FIELDS, make_scorer,
                              parse_query, rank_with_scorer)
@@ -82,6 +83,19 @@ def test_ingest_skips_malformed_vis(corpus, tmp_path, caplog):
         assert main(["ingest", "--corpus", str(corpus), "--out", str(index)]) == 0
     assert any("malformed VIS" in r.message for r in caplog.records)
     assert sorted(load_store(index).records) == ["d1", "d2", "d3"]
+
+
+def test_ingest_warns_of_a_long_token_in_one_short_line(corpus, tmp_path,
+                                                       caplog):
+    (corpus / "bad.html").write_text('<img src="bad.jpg">', encoding="utf-8")
+    (corpus / "bad.vis").write_text(LONG_TOKEN_DOCS["number"], encoding="utf-8")
+    index = tmp_path / "index.jsonl"
+    with caplog.at_level("WARNING"):
+        assert main(["ingest", "--corpus", str(corpus), "--out", str(index)]) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("bad: malformed VIS, document skipped: ")
+    assert "\n" not in warnings[0] and len(warnings[0]) < 160
 
 
 def test_ingest_skips_non_utf8_page(corpus, tmp_path, caplog):
@@ -439,6 +453,67 @@ def test_search_empty_store(tmp_path, capsys):
 
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["search", "--strategy", "vis", "--query", "x"]) == 1
+
+
+@pytest.fixture()
+def gc_state():
+    """The collector's state and thresholds, put back after the test."""
+    enabled, thresholds = gc.isenabled(), gc.get_threshold()
+    yield
+    (gc.enable if enabled else gc.disable)()
+    gc.set_threshold(*thresholds)
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False])
+def test_a_command_leaves_the_collector_as_it_found_it(corpus, tmp_path, capsys,
+                                                       gc_state, caller_enabled):
+    index = tmp_path / "index.jsonl"
+    runs = [(["ingest", "--corpus", str(corpus), "--out", str(index)], 0),
+            (["search", "--index", str(index), "--strategy", "nope",
+              "--query", "rose"], 1),
+            (["search", "--index", str(tmp_path / "missing.jsonl"),
+              "--strategy", "vis", "--query", "rose"], 2)]
+    for argv, code in runs:
+        (gc.enable if caller_enabled else gc.disable)()
+        assert main(argv) == code
+        assert gc.isenabled() is caller_enabled, argv
+
+
+def test_a_command_runs_with_the_collector_paused(corpus, tmp_path,
+                                                  monkeypatch, gc_state):
+    seen = []
+
+    def command(args):
+        seen.append(gc.isenabled())
+        if args.out == "raise":
+            raise RuntimeError("not a data error")
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_ingest", command)
+    gc.enable()
+    assert main(["ingest", "--corpus", str(corpus), "--out", "x"]) == 0
+    assert seen == [False] and gc.isenabled()
+    with pytest.raises(RuntimeError):
+        main(["ingest", "--corpus", str(corpus), "--out", "raise"])
+    assert seen == [False, False] and gc.isenabled()
+
+
+def test_a_command_leaves_its_cyclic_garbage_young(corpus, tmp_path, capsys,
+                                                   gc_state):
+    """The parser's reference cycles are built while the collector is
+    paused, so none is promoted, even where the collector would run every
+    few allocations: the youngest generation's collection frees them all,
+    and a full collection finds nothing more."""
+    index = tmp_path / "index.jsonl"
+    gc.enable()
+    gc.set_threshold(5)
+    for argv in (["ingest", "--corpus", str(corpus), "--out", str(index)],
+                 ["search", "--index", str(index), "--strategy", "tfidf",
+                  "--query", "rose"]):
+        gc.collect()
+        assert main(argv) == 0
+        gc.collect(0)
+        assert gc.collect() == 0, argv
 
 
 def test_eval_writes_reports(corpus, tmp_path, capsys):

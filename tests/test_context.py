@@ -1,4 +1,6 @@
+import importlib
 import os
+import random
 import re
 import string
 import subprocess
@@ -13,14 +15,16 @@ from hypothesis import strategies as st
 
 import oracles
 from viscx import (Concept, bundled_taxonomy_path, cli, context,
-                   insert_concept, load_taxonomy)
+                   insert_concept, load_taxonomy, retrieval)
 from viscx.context import (DEFAULT_IMPACTS, DEFAULT_PATTERNS, AreaKind,
-                           Category, ExtractionArea, SyntacticTerm,
-                           TaggedToken, _PageScan, apply_patterns,
-                           assign_impacts, extract_areas, parse_pattern,
-                           singularize, tag_tokens, term_vectors, tokenize)
+                           Category, ExtractionArea, SyntacticPattern,
+                           SyntacticTerm, TaggedToken, _PageScan,
+                           apply_patterns, assign_impacts, extract_areas,
+                           parse_pattern, singularize, tag_tokens,
+                           term_vectors, terms_from_window, tokenize)
 from viscx.errors import ViscxError
-from viscx.vis import FACET_VOCABS, SPATIAL_VOCAB
+from viscx.retrieval import parse_query
+from viscx.vis import COLOR_NAMES, FACET_VOCABS, SPATIAL_VOCAB, TEXTURE_NAMES
 
 ALT_SRC_PAGE = '<html><body><img src="red_rose.jpg" alt="a rose in the garden"></body></html>'
 
@@ -501,6 +505,81 @@ def test_head_imps_override(base_lattice):
                            head_imps={"rose": 0.9})
     assert terms[0].head == ("rose", 0.9)
     assert terms[0].colors == frozenset({("red", 0.5)})
+
+
+HEADS = ("rose", "sky", "tower")
+#: tagged tokens of all five categories, spatial phrases included
+TAGGED = st.one_of(
+    st.sampled_from(HEADS).map(lambda c: TaggedToken(c, Category.SEM, c)),
+    st.sampled_from(COLOR_NAMES[:3]).map(
+        lambda c: TaggedToken(c, Category.COLOR, c)),
+    st.sampled_from(TEXTURE_NAMES[:3]).map(
+        lambda t: TaggedToken(t, Category.TEXTURE, t)),
+    st.sampled_from([(("near",), "near"), (("above",), "above"),
+                     *sorted(SPATIAL_VOCAB.phrases.items())]).map(
+        lambda p: TaggedToken(" ".join(p[0]), Category.SPATIAL, p[1])),
+    st.sampled_from(["the", "old"]).map(
+        lambda w: TaggedToken(w, Category.OTHER)))
+ELEMENTS = st.tuples(st.sampled_from(list(Category)), st.integers(0, 3),
+                     st.integers(0, 3)).map(
+    lambda e: (e[0], min(e[1:]), max(e[1:])))
+PATTERNS = st.one_of(st.just(DEFAULT_PATTERNS), st.lists(
+    st.lists(ELEMENTS, min_size=1, max_size=4).filter(
+        lambda els: any(cat is not Category.OTHER and hi >= 1
+                        for cat, _lo, hi in els)).map(
+        lambda els: SyntacticPattern(tuple(els))), min_size=1, max_size=5))
+
+
+@settings(max_examples=500, deadline=None)
+@example(tagged=(TaggedToken("red", Category.COLOR, "red"),),
+         patterns=DEFAULT_PATTERNS, area_impact=0.5, head_imps=None)
+@given(st.lists(TAGGED, max_size=14).map(tuple), PATTERNS,
+       st.floats(0.0, 1.0),
+       st.one_of(st.none(), st.dictionaries(st.sampled_from(HEADS),
+                                            st.floats(0.0, 1.0))))
+def test_apply_patterns_matches_oracle(tagged, patterns, area_impact,
+                                       head_imps):
+    """Skipping a pattern whose required category is absent, and
+    attaching without distance lists, give the terms of the plain loop
+    over every pattern, in its order."""
+    assert apply_patterns(tagged, patterns, area_impact=area_impact,
+                          head_imps=head_imps) == oracles.apply_patterns_oracle(
+        tagged, patterns, area_impact=area_impact, head_imps=head_imps)
+    assert terms_from_window(tagged, area_impact, head_imps) == (
+        oracles.terms_from_window_oracle(tagged, area_impact, head_imps))
+
+
+def test_a_pattern_runs_only_where_its_required_categories_occur():
+    pattern = parse_pattern("SEM OTHER{0,3} COLOR{1,2} TEXTURE{0,1}")
+    assert pattern.required == frozenset("SC")
+    color = TaggedToken("red", Category.COLOR, "red")
+    assert apply_patterns((color, color), [pattern]) == ()
+
+
+def test_parse_query_of_the_benchmark_mixes_matches_the_oracle(
+        base_lattice, monkeypatch):
+    """The seed-1 query mix of each benchmark workload parses to the same
+    Query as with the plain pattern loop."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                     / "perfbench"))
+    inputs = importlib.import_module("inputs")
+    concepts = [c for c in base_lattice.concept_ids()
+                if base_lattice.parents(c)]
+    mixes = []
+    for copies in sorted(set(inputs.COPIES.values())):
+        rng = random.Random(1)
+        for _ in range(copies):  # the corpus copies drawn before the queries
+            rng.randrange(1 << 30)
+        mixes.append([theme.query for theme in inputs.corpusgen.THEMES]
+                     + inputs.scene_queries(rng, concepts))
+    assert all(len(mix) == 30 for mix in mixes)
+    texts = [text for mix in mixes for text in mix]
+    parsed = [parse_query(text, base_lattice) for text in texts]
+    monkeypatch.setattr(retrieval, "apply_patterns",
+                        oracles.apply_patterns_oracle)
+    monkeypatch.setattr(retrieval, "terms_from_window",
+                        oracles.terms_from_window_oracle)
+    assert parsed == [parse_query(text, base_lattice) for text in texts]
 
 
 def test_term_vectors():

@@ -88,6 +88,23 @@ def test_error_location_in_multi_line_document(old, new, line, column, message):
     assert str(err.value) == f"{message} (line {line}, column {column})"
 
 
+LONG_TOKEN_DOCS = {
+    "number": "vis vo1 { sem: rose@" + "1" * 5000 + "; color: ; texture: ; spa: ; }",
+    "name": "vis vo1 { sem: rose@0.5; color: " + "q" * 5000 + "=0.5; texture: ; spa: ; }",
+}
+
+
+@pytest.mark.parametrize("kind, shown", [
+    ("number", "recognition probability out of [0,1]: " + "1" * 40 + "..."),
+    ("name", "unknown color concept '" + "q" * 40 + "...'"),
+])
+def test_an_error_echoes_a_long_token_clipped(kind, shown):
+    with pytest.raises(VisParseError) as err:
+        parse_vis(LONG_TOKEN_DOCS[kind])
+    assert str(err.value).startswith(shown + " (line 1, column ")
+    assert len(str(err.value)) < 120
+
+
 def test_unknown_vocabulary_name():
     with pytest.raises(VisParseError, match="unknown color concept 'pink'"):
         parse_vis("vis vo1 { sem: rose@0.5; color: pink=0.2; texture: ; spa: ; }")
